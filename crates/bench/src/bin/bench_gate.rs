@@ -1,7 +1,7 @@
 //! Perf-regression gate: compare a freshly measured criterion-shim JSON
-//! export against the committed `BENCH_core.json` baseline and fail (exit
+//! export against a committed `BENCH_*.json` baseline and fail (exit
 //! code 1) when any shared benchmark id's median regressed beyond the
-//! threshold.
+//! threshold, or when a baseline id is missing from the candidate.
 //!
 //! ```text
 //! bench_gate <baseline.json> <candidate.json> [max_ratio]
@@ -9,8 +9,11 @@
 //!
 //! `max_ratio` defaults to 1.25 — a 25% regression budget, generous
 //! enough for shared-runner noise while still catching real hot-path
-//! regressions. Ids present in only one file are reported but never
-//! fail the gate (benchmarks come and go across PRs).
+//! regressions. A candidate id with no baseline entry is reported as
+//! `NEW` and passes. A baseline id missing from the candidate is
+//! reported as `DROPPED` and **fails** the gate: a bench that stops
+//! producing an entry must remove its baseline in the same change, so
+//! a renamed or silently skipped benchmark cannot escape the gate.
 //!
 //! The budget is applied on top of a **machine-speed scale**: the median
 //! candidate/baseline ratio over the `reference-*` entries (whose code
@@ -112,22 +115,38 @@ fn main() -> ExitCode {
         };
         println!("{verdict:>9} {id}: {old_median:.0} -> {new_median:.0} ns ({ratio:.2}x)");
     }
-    for (id, _) in &baseline {
-        if !candidate.iter().any(|(c, _)| c == id) {
-            println!("DROPPED  {id}: present in baseline only");
-        }
+    let dropped: Vec<&str> = baseline
+        .iter()
+        .filter(|(id, _)| !candidate.iter().any(|(c, _)| c == id))
+        .map(|(id, _)| id.as_str())
+        .collect();
+    for id in &dropped {
+        println!("DROPPED  {id}: present in baseline only");
     }
 
     println!(
-        "bench_gate: {compared} compared, {} regressed beyond {:.2}x ({max_ratio:.2}x budget x {scale:.2}x machine scale)",
+        "bench_gate: {compared} compared, {} regressed beyond {:.2}x ({max_ratio:.2}x budget x {scale:.2}x machine scale), {} dropped",
         regressions.len(),
-        max_ratio * scale
+        max_ratio * scale,
+        dropped.len()
     );
+    if !dropped.is_empty() {
+        println!(
+            "bench_gate: baseline entries the candidate no longer produces (remove them from the baseline with the bench):"
+        );
+        for id in &dropped {
+            println!("  {id}");
+        }
+    }
     // A CI log is read bottom-up after a failure: close with *every*
     // regressed entry (worst first), so a multi-entry regression is
     // never mistaken for a single noisy benchmark.
     if regressions.is_empty() {
-        return ExitCode::SUCCESS;
+        return if dropped.is_empty() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        };
     }
     regressions.sort_by(|a, b| b.3.partial_cmp(&a.3).expect("ratios are finite"));
     println!("bench_gate: all regressed entries, worst first:");

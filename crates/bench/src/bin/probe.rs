@@ -32,70 +32,53 @@ fn peak_rss_mib() -> f64 {
         .map_or(0.0, |kib| kib as f64 / 1024.0)
 }
 
-/// The prep-vs-descend scoreboard: for each config, the solve's own
-/// [`StageTimings`] split (detail mode — `prepare_pivot`,
-/// `finalize_pivot` and descent clocked individually) read off the
-/// arena after each solve, next to the whole solve's wall clock. The
-/// delta/rebuilt counters show how much of the availability work the
-/// incremental run cache answered by interval arithmetic.
+/// The prep-vs-descend scoreboard: the solve's own [`StageTimings`]
+/// split (detail mode — `prepare_pivot`, `finalize_pivot` and descent
+/// clocked individually) read off the arena after each solve, next to
+/// the whole solve's wall clock. The delta/rebuilt counters show how
+/// much of the availability work the incremental run cache answered by
+/// interval arithmetic.
 ///
 /// [`StageTimings`]: stgq_core::StageTimings
 fn prep_split(what: &str, ds: &Dataset, q: NodeId, query: &StgqQuery) {
     println!("\n{what}: prep phase split (in-solve, detail mode):");
     let fg = FeasibleGraph::extract(&ds.graph, q, query.s());
-    for (name, cfg) in [
-        ("default   ", SelectConfig::default()),
-        (
-            "no iprep  ",
-            SelectConfig::default().with_incremental_prep(false),
-        ),
-        (
-            "no pbnd   ",
-            SelectConfig::default().with_parent_completion_bound(false),
-        ),
-        (
-            "neither   ",
-            SelectConfig::default()
-                .with_incremental_prep(false)
-                .with_parent_completion_bound(false),
-        ),
-    ] {
-        let mut arena = stgq_core::PivotArena::new();
-        arena.timing_detail = true;
-        // Minimum over repeats: phase timings are µs-scale, so take the
-        // least-noisy observation of each quantity.
-        let mut prep_ns = u64::MAX;
-        let mut fin_ns = u64::MAX;
-        let mut desc_ns = u64::MAX;
-        let mut solve_ns = u128::MAX;
-        let mut timing = stgq_core::StageTimings::default();
-        let mut out = None;
-        for _ in 0..12 {
-            let t0 = Instant::now();
-            out = Some(stgq_core::solve_stgq_pooled(
-                &fg,
-                &ds.calendars,
-                query,
-                &cfg,
-                &mut arena,
-            ));
-            solve_ns = solve_ns.min(t0.elapsed().as_nanos());
-            timing = arena.timings;
-            prep_ns = prep_ns.min(timing.prepare_ns);
-            fin_ns = fin_ns.min(timing.finalize_ns);
-            desc_ns = desc_ns.min(timing.descend_ns);
-        }
-        let out = out.expect("12 repeats ran");
-        println!(
-            "    [{name}] prepare {prep_ns:>8} ns  finalize {fin_ns:>8} ns  descend {desc_ns:>8} ns  solve {solve_ns:>8} ns  ({}/{} pivots prepared, {} descended; words {} delta'd {} rebuilt; {} children parent-pruned)",
-            timing.prepared,
-            timing.pivots,
-            timing.descended,
-            out.stats.prep_words_delta,
-            out.stats.prep_words_rebuilt,
-            out.stats.children_pruned_by_parent_bound,
-        );
+    let cfg = SelectConfig::default();
+    let mut arena = stgq_core::PivotArena::new();
+    arena.timing_detail = true;
+    // Minimum over repeats: phase timings are µs-scale, so take the
+    // least-noisy observation of each quantity.
+    let mut prep_ns = u64::MAX;
+    let mut fin_ns = u64::MAX;
+    let mut desc_ns = u64::MAX;
+    let mut solve_ns = u128::MAX;
+    let mut timing = stgq_core::StageTimings::default();
+    let mut out = None;
+    for _ in 0..12 {
+        let t0 = Instant::now();
+        out = Some(stgq_core::solve_stgq_pooled(
+            &fg,
+            &ds.calendars,
+            query,
+            &cfg,
+            &mut arena,
+        ));
+        solve_ns = solve_ns.min(t0.elapsed().as_nanos());
+        timing = arena.timings;
+        prep_ns = prep_ns.min(timing.prepare_ns);
+        fin_ns = fin_ns.min(timing.finalize_ns);
+        desc_ns = desc_ns.min(timing.descend_ns);
     }
+    let out = out.expect("12 repeats ran");
+    println!(
+        "    prepare {prep_ns:>8} ns  finalize {fin_ns:>8} ns  descend {desc_ns:>8} ns  solve {solve_ns:>8} ns  ({}/{} pivots prepared, {} descended; words {} delta'd {} rebuilt; {} children parent-pruned)",
+        timing.prepared,
+        timing.pivots,
+        timing.descended,
+        out.stats.prep_words_delta,
+        out.stats.prep_words_rebuilt,
+        out.stats.children_pruned_by_parent_bound,
+    );
 }
 
 fn main() {
@@ -218,7 +201,8 @@ fn main() {
     }
 
     // Search-reduction scoreboard: frames examined / bound prunes / pivot
-    // skips with the PR-2 pieces on vs. the PR-1 baseline behavior.
+    // skips with the search-order layer on vs. off. The always-on
+    // reduction layer reports through its own counters.
     println!("\nsearch reduction (default vs NO_SEARCH_REDUCTION):");
     for (p, k, m) in [(4usize, 2usize, 4usize), (5, 2, 4), (5, 2, 12), (5, 2, 16)] {
         let query = StgqQuery::new(p, 2, k, m).expect("valid");
@@ -234,7 +218,6 @@ fn main() {
             old.solution.as_ref().map(|s| s.total_distance),
             "search reduction must not move the optimum"
         );
-        let mut no_acq_stats = None;
         for (name, ablated) in [
             ("all on ", SelectConfig::default()),
             ("no seed", SelectConfig::default().with_seed_restarts(0)),
@@ -246,64 +229,13 @@ fn main() {
                 "no aord",
                 SelectConfig::default().with_availability_ordering(false),
             ),
-            (
-                "no pool",
-                SelectConfig::default().with_pool_pivot_buffers(false),
-            ),
-            (
-                "no sharp",
-                SelectConfig::default().with_sharp_pivot_floor(false),
-            ),
-            (
-                "no acqf ",
-                SelectConfig::default().with_acq_pivot_floor(false),
-            ),
-            (
-                "no peel",
-                SelectConfig::default().with_core_peel_fixpoint(false),
-            ),
-            (
-                "no mtch",
-                SelectConfig::default().with_kplex_match_bound(false),
-            ),
-            (
-                "no prep",
-                SelectConfig::default().with_shared_pivot_prep(false),
-            ),
-            (
-                "no iprep",
-                SelectConfig::default().with_incremental_prep(false),
-            ),
-            (
-                "no pbnd",
-                SelectConfig::default().with_parent_completion_bound(false),
-            ),
-            (
-                "no mot ",
-                SelectConfig::default().with_materialize_on_touch(false),
-            ),
-            (
-                "pr4 on ",
-                SelectConfig::default().without_candidate_reduction(),
-            ),
             ("all off", SelectConfig::NO_SEARCH_REDUCTION),
         ] {
             let mut ns = u128::MAX;
-            let mut last = None;
             for _ in 0..12 {
                 let t0 = Instant::now();
-                last = Some(stgq_core::solve_stgq_on(
-                    &fg,
-                    &ds.calendars,
-                    &query,
-                    &ablated,
-                ));
+                let _ = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &ablated);
                 ns = ns.min(t0.elapsed().as_nanos());
-            }
-            // Deterministic stats: keep the "no acqf" run for the
-            // acq-floor report below instead of re-solving.
-            if name.trim() == "no acqf" {
-                no_acq_stats = last.map(|out| out.stats);
             }
             println!("    p={p} m={m:>2} [{name}]: {ns:>9} ns");
         }
@@ -321,32 +253,8 @@ fn main() {
             new.stats.pivots_skipped,
             new.stats.pivots_processed,
         );
-        // The acquaintance-aware floor's own contribution (the m = 12
-        // row is the regime it targets: temporally tight, socially
-        // spread — see ROADMAP).
-        let no_acq = no_acq_stats.expect("the ablation grid includes `no acqf`");
         println!(
-            "          acq floor: frames {:>5} vs {:>5} without (-{:.1}%)  pivots skipped {} vs {}",
-            new.stats.frames_examined(),
-            no_acq.frames_examined(),
-            pct(new.stats.frames_examined(), no_acq.frames_examined()),
-            new.stats.pivots_skipped,
-            no_acq.pivots_skipped,
-        );
-        // The candidate-space reduction layer's own contribution: all-on
-        // vs the PR-4 all-on baseline (peel + matching bound + shared
-        // prep off, everything older on).
-        let pr4 = stgq_core::solve_stgq_on(
-            &fg,
-            &ds.calendars,
-            &query,
-            &SelectConfig::default().without_candidate_reduction(),
-        );
-        println!(
-            "          reduction: frames {:>5} vs {:>5} pr4 (-{:.1}%)  peeled {}  refused {}  match-pruned {}",
-            new.stats.frames_examined(),
-            pr4.stats.frames_examined(),
-            pct(new.stats.frames_examined(), pr4.stats.frames_examined()),
+            "          reduction: peeled {}  refused {}  match-pruned {}",
             new.stats.peeled_candidates,
             new.stats.pivots_refused_by_core,
             new.stats.frames_pruned_by_match,
@@ -355,40 +263,39 @@ fn main() {
 
     // The sparse-fringe scenario: the fixpoint peel's home turf (the
     // fans cascade away; see `stgq_datagen::scenario::sparse_fringe`).
-    println!("\nsparse_fringe scenario (default vs PR-4 all-on baseline):");
+    println!("\nsparse_fringe scenario (default vs reference):");
     let (ds, q) = stgq_bench::figures::sparse_fringe_dataset(days);
-    let pr4_cfg = SelectConfig::default().without_candidate_reduction();
+    let cfg = SelectConfig::default();
     for (p, k, m) in [(5usize, 1usize, 4usize), (6, 2, 4)] {
         let query = StgqQuery::new(p, 2, k, m).expect("valid");
         let fg = FeasibleGraph::extract(&ds.graph, q, query.s());
-        let new = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &SelectConfig::default());
-        let pr4 = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &pr4_cfg);
+        let new = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &cfg);
+        let reference =
+            stgq_core::reference::solve_stgq_reference_on(&fg, &ds.calendars, &query, &cfg);
         assert_eq!(
             new.solution.as_ref().map(|s| s.total_distance),
-            pr4.solution.as_ref().map(|s| s.total_distance),
+            reference.solution.as_ref().map(|s| s.total_distance),
             "the reduction layer must not move the optimum"
         );
         let mut new_ns = u128::MAX;
-        let mut pr4_ns = u128::MAX;
+        let mut ref_ns = u128::MAX;
         for _ in 0..12 {
             let t0 = Instant::now();
-            let _ = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &SelectConfig::default());
+            let _ = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &cfg);
             new_ns = new_ns.min(t0.elapsed().as_nanos());
             let t0 = Instant::now();
-            let _ = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &pr4_cfg);
-            pr4_ns = pr4_ns.min(t0.elapsed().as_nanos());
+            let _ = stgq_core::reference::solve_stgq_reference_on(&fg, &ds.calendars, &query, &cfg);
+            ref_ns = ref_ns.min(t0.elapsed().as_nanos());
         }
         println!(
-            "p={p} k={k} m={m:>2}: frames {:>5} (pr4 {:>5}, -{:.1}%)  exams {:>6} (pr4 {:>6}, -{:.1}%)  {:>9} ns (pr4 {:>9} ns, {:.2}x)",
+            "p={p} k={k} m={m:>2}: frames {:>5} (reference {:>5}, -{:.1}%)  exams {:>6}  {:>9} ns (reference {:>9} ns, {:.2}x)",
             new.stats.frames_examined(),
-            pr4.stats.frames_examined(),
-            pct(new.stats.frames_examined(), pr4.stats.frames_examined()),
+            reference.stats.frames_examined(),
+            pct(new.stats.frames_examined(), reference.stats.frames_examined()),
             new.stats.candidates_examined,
-            pr4.stats.candidates_examined,
-            pct(new.stats.candidates_examined, pr4.stats.candidates_examined),
             new_ns,
-            pr4_ns,
-            pr4_ns as f64 / new_ns as f64,
+            ref_ns,
+            ref_ns as f64 / new_ns as f64,
         );
         println!(
             "          peeled {} over {} pivots ({} refused by core, {} skipped)  match-pruned {}",

@@ -37,6 +37,11 @@ use crate::transport::{Transport, TransportError};
 /// loudly, not allocate gigabytes).
 const MAX_FRAME: u32 = 256 * 1024 * 1024;
 
+/// A frame's payload buffer starts at most this large and grows only as
+/// bytes arrive, so a length prefix alone — a 4-byte header announcing
+/// [`MAX_FRAME`] — cannot make a connection allocate the full cap.
+const INITIAL_FRAME_CAPACITY: usize = 64 * 1024;
+
 /// Socket timeouts for the client side of the transport.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TcpTimeouts {
@@ -60,7 +65,7 @@ impl Default for TcpTimeouts {
 
 // ---- framing ---------------------------------------------------------
 
-fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
+fn write_frame<W: Write>(stream: &mut W, payload: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidData, "frame exceeds u32 length")
     })?;
@@ -69,7 +74,11 @@ fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
     stream.flush()
 }
 
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+/// Read one length-prefixed frame. A prefix over [`MAX_FRAME`] is
+/// `InvalidData`; a stream that ends before the announced length is
+/// `UnexpectedEof`. Memory grows with the bytes actually received, not
+/// with the announced length.
+fn read_frame<R: Read>(stream: &mut R) -> std::io::Result<Vec<u8>> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_be_bytes(len_buf);
@@ -79,8 +88,15 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
             format!("frame length {len} exceeds cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(INITIAL_FRAME_CAPACITY));
+    stream.by_ref().take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("frame truncated at {} of {len} bytes", payload.len()),
+        ));
+    }
     Ok(payload)
 }
 
@@ -295,6 +311,40 @@ mod tests {
             workers: 1,
             ..ExecConfig::default()
         }
+    }
+
+    #[test]
+    fn frames_round_trip() {
+        let payloads = [
+            Vec::new(),
+            b"x".to_vec(),
+            vec![7u8; 3 * INITIAL_FRAME_CAPACITY],
+        ];
+        let mut wire = Vec::new();
+        for payload in &payloads {
+            write_frame(&mut wire, payload).unwrap();
+        }
+        let mut reader = std::io::Cursor::new(wire);
+        for payload in &payloads {
+            assert_eq!(&read_frame(&mut reader).unwrap(), payload);
+        }
+        let end = read_frame(&mut reader).unwrap_err();
+        assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn max_frame_header_over_a_short_stream_is_unexpected_eof() {
+        let mut wire = MAX_FRAME.to_be_bytes().to_vec();
+        wire.extend_from_slice(b"only a few bytes");
+        let err = read_frame(&mut std::io::Cursor::new(wire)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn over_cap_header_is_invalid_data() {
+        let wire = (MAX_FRAME + 1).to_be_bytes().to_vec();
+        let err = read_frame(&mut std::io::Cursor::new(wire)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -14,6 +14,39 @@
 /// useless subtrees — Lemmas 2, 3 and 5), only the work done to find it.
 /// The benchmark harness's ablation table quantifies each strategy's
 /// contribution; production callers should leave them on.
+///
+/// # Always-on mechanisms
+///
+/// The engines also run a set of exact reductions and allocation
+/// strategies that no switch turns off. Each is either bit-identical to
+/// the plain search or retires only subtrees that provably cannot
+/// strictly beat the incumbent, and each shows its effect through a
+/// [`SearchStats`] counter:
+///
+/// | mechanism | counter |
+/// |-----------|---------|
+/// | fixpoint (p, k)-core peel of the candidate set (SGQ once per solve, STGQ per pivot) | [`peeled_candidates`], [`pivots_refused_by_core`] |
+/// | Helly-window pivot floor over the peeled core (STGQ) | [`pivots_skipped`] |
+/// | frame-level k-plex bound: admissible-completion floor and missing-pair matching | [`frames_pruned_by_match`] |
+/// | parent-side completion bound on each child before it is opened | [`children_pruned_by_parent_bound`] |
+/// | incremental pivot prep from a per-solve run cache (STGQ) | [`prep_words_delta`] |
+/// | availability rows built only for pivots that reach descent (STGQ) | [`prep_words_rebuilt`] |
+/// | pooled pivot buffers and per-signature shared peel results | none: allocation and caching only |
+///
+/// The distance-relative halves of the pivot floor, the k-plex bound and
+/// the parent bound fire only when [`distance_pruning`] is on, and the
+/// pivot-floor skip only when [`pivot_promise_order`] is on too.
+///
+/// [`SearchStats`]: crate::SearchStats
+/// [`peeled_candidates`]: crate::SearchStats::peeled_candidates
+/// [`pivots_refused_by_core`]: crate::SearchStats::pivots_refused_by_core
+/// [`pivots_skipped`]: crate::SearchStats::pivots_skipped
+/// [`frames_pruned_by_match`]: crate::SearchStats::frames_pruned_by_match
+/// [`children_pruned_by_parent_bound`]: crate::SearchStats::children_pruned_by_parent_bound
+/// [`prep_words_delta`]: crate::SearchStats::prep_words_delta
+/// [`prep_words_rebuilt`]: crate::SearchStats::prep_words_rebuilt
+/// [`distance_pruning`]: Self::distance_pruning
+/// [`pivot_promise_order`]: Self::pivot_promise_order
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SelectConfig {
     /// Initial θ for the interior unfamiliarity condition
@@ -48,9 +81,11 @@ pub struct SelectConfig {
     /// state), the parallel solvers seed once before spawning workers.
     pub seed_restarts: usize,
     /// Process pivot time slots **best-first** (descending initiator run
-    /// length) and skip any pivot whose optimistic distance bound — the sum
-    /// of the `p − 1` smallest incident distances among its eligible
-    /// candidates — can no longer beat the incumbent. This is Lemma 2
+    /// length) and skip any pivot whose optimistic distance floor can no
+    /// longer beat the incumbent. The floor is the sum of the `p − 1`
+    /// smallest incident distances among its eligible candidates,
+    /// sharpened after the core peel to the cheapest `p − 1` candidates
+    /// whose runs cover one common `m`-slot window. This is Lemma 2
     /// applied at pivot granularity; skipped pivots are counted in
     /// [`SearchStats::pivots_skipped`](crate::SearchStats). The skip only
     /// fires when [`distance_pruning`](Self::distance_pruning) is also on.
@@ -61,158 +96,6 @@ pub struct SelectConfig {
     /// counters kill subtrees earlier. Ordering is a search heuristic:
     /// it never changes the optimum, only how fast it is found.
     pub availability_ordering: bool,
-    /// Reuse the flattened availability buffers, bitmaps and undo logs
-    /// across the sequential pivot loop (and across
-    /// [`solve_stgq_pooled`](crate::solve_stgq_pooled) calls sharing one
-    /// [`PivotArena`](crate::PivotArena)). Purely an allocation strategy —
-    /// results are bit-identical with it off; the switch exists for
-    /// ablation benchmarks.
-    pub pool_pivot_buffers: bool,
-    /// Sharpen the per-pivot optimistic distance floor by restricting the
-    /// `p − 1` smallest-distance sum to **mutually-compatible** candidates:
-    /// per-pivot runs are intervals that all contain the pivot, so a group
-    /// is temporally feasible iff all members' runs contain one common
-    /// `m`-slot window (Helly property of intervals), and the floor
-    /// becomes `min` over the ≤ `m` windows of the initiator's run of the
-    /// `p − 1` cheapest candidates whose run covers that window. Never
-    /// lower than the unrestricted floor, and a pivot where *no* window
-    /// has `p − 1` covering candidates is proven infeasible outright. This
-    /// targets spread optima (large `m`), where the unrestricted floor is
-    /// too loose for [`pivot_promise_order`](Self::pivot_promise_order)'s
-    /// skip to fire. Exactness is untouched: the floor only retires
-    /// subtrees that provably cannot strictly beat the incumbent.
-    pub sharp_pivot_floor: bool,
-    /// Restrict the [`sharp_pivot_floor`](Self::sharp_pivot_floor)
-    /// candidate sets further to candidates with **eligible degree ≥
-    /// p − 1 − k** (acquaintances among the pivot-eligible candidates and
-    /// the initiator). Every group member needs at least `p − 1 − k`
-    /// acquaintances *inside the group*, and the group is drawn from the
-    /// eligible set plus the initiator, so low-eligible-degree candidates
-    /// can never appear in any feasible group at this pivot — dropping
-    /// them from the per-window cheapest-sum only tightens the floor
-    /// (dominance over the compatibility-only floor is property-tested).
-    /// This targets the fig1f `m = 12` regime, where every candidate
-    /// covers every window (the temporal restriction is vacuous) and the
-    /// spread is *social*: the `k` constraint forces expensive mutual
-    /// friends the compatibility floor cannot see. No effect unless
-    /// `sharp_pivot_floor` is also on; exactness untouched.
-    pub acq_pivot_floor: bool,
-    /// Peel candidate sets to the **(p, k)-core** before exact descent:
-    /// iterate the eligible-degree ≥ `p − 1 − k` filter to a fixpoint
-    /// (peel a vertex → decrement its neighbors' eligible degrees →
-    /// re-peel), restricted to the eligible candidates plus the
-    /// initiator. A peeled vertex has too few acquaintances among the
-    /// only people who could ever share a group with it, so it can
-    /// belong to **no** feasible group — removing it from `VA` outright
-    /// (not just from the floor's candidate sets, which is all
-    /// [`acq_pivot_floor`](Self::acq_pivot_floor)'s one-pass filter
-    /// does) is exact. A pivot whose surviving core leaves fewer than
-    /// `p` people — or leaves the initiator short of `p − 1 − k`
-    /// acquaintances — is refused outright
-    /// ([`SearchStats::pivots_refused_by_core`]). The SGQ engine peels
-    /// its initial candidate set the same way. Peeled vertices are
-    /// counted in [`SearchStats::peeled_candidates`].
-    ///
-    /// [`SearchStats::pivots_refused_by_core`]: crate::SearchStats::pivots_refused_by_core
-    /// [`SearchStats::peeled_candidates`]: crate::SearchStats::peeled_candidates
-    pub core_peel_fixpoint: bool,
-    /// Frame-level **k-plex bound** (a strictly stronger Lemma 3 *and* a
-    /// sharper Lemma 2, applied on the SGQ path too), two stacked
-    /// conditions on any completion of the frame:
-    ///
-    /// * **Admissible-completion floor**: a candidate already missing
-    ///   more than `k` acquaintances against `VS` can join no
-    ///   descendant group, so fewer than `p − |VS|` admissible
-    ///   candidates is outright infeasibility, and the sum of the
-    ///   `p − |VS|` cheapest *admissible* distances is a completion
-    ///   floor that strictly dominates Lemma 2's `need · min_dist` —
-    ///   compared against the incumbent (so this half prunes
-    ///   *non-improving* frames, exactly like Lemma 2, and only when
-    ///   [`distance_pruning`](Self::distance_pruning) is on).
-    /// * **Missing-pair matching bound** (frame entry): any size-`p`
-    ///   group absorbs at most `⌊k·p/2⌋` missing (non-acquainted) pairs
-    ///   in total, and the missing pairs inside `VS`, the cheapest
-    ///   `p − |VS|` missing-pair counts against `VS`, and a greedy
-    ///   matching over missing pairs among the remaining candidates
-    ///   each lower-bound a disjoint share of that budget — a purely
-    ///   structural necessary condition.
-    ///
-    /// Either way the frame dies before `VA` expansion
-    /// ([`SearchStats::frames_pruned_by_match`] counts both halves).
-    /// Exactness is untouched: pruned frames hold no feasible
-    /// completion, or none that strictly beats the incumbent.
-    ///
-    /// [`SearchStats::frames_pruned_by_match`]: crate::SearchStats::frames_pruned_by_match
-    pub kplex_match_bound: bool,
-    /// Share pivot preprocessing across the pivot loop and across the
-    /// parallel workers: the fixpoint-peeled core and the
-    /// acquaintance-floor mask depend only on `(query, eligible set)`,
-    /// so they are computed once per candidate-set signature — a shared
-    /// `PivotPrep` entry for the full candidate set, plus a per-arena
-    /// memo for the last distinct per-pivot signature —
-    /// instead of being rebuilt for every pivot. Purely a caching
-    /// strategy: results are bit-identical with it off; the switch
-    /// exists for ablation.
-    pub shared_pivot_prep: bool,
-    /// **Incremental temporal prep** (STGSelect only): cache each
-    /// candidate's *unclipped* maximal availability run (in
-    /// calendar-absolute slots) across the pivot loop. Adjacent pivots
-    /// in a promise-ordered run cover overlapping intervals, so when a
-    /// later pivot falls inside a cached run, the Definition-4 run at
-    /// that pivot is the cached run intersected with the pivot interval
-    /// — pure arithmetic, no calendar word scan. The flattened
-    /// availability buffer is then materialized **lazily** in
-    /// finalization, only for pivots the incumbent bound did not retire
-    /// and only for post-peel eligible members — a skipped pivot pays
-    /// no word traffic at all. Sound because a calendar's maximal run
-    /// through a slot is pivot-independent: intersecting it with any
-    /// interval containing the slot yields exactly the maximal run
-    /// within that interval, so eligibility, runs, Lemma-5 counters and
-    /// every bound are bit-identical to the from-scratch rebuild
-    /// (property-tested). The cache is invalidated per solve (arenas
-    /// outlive queries). [`SearchStats::prep_words_delta`] /
-    /// [`SearchStats::prep_words_rebuilt`] count the avoided vs paid
-    /// word traffic.
-    ///
-    /// [`SearchStats::prep_words_delta`]: crate::SearchStats::prep_words_delta
-    /// [`SearchStats::prep_words_rebuilt`]: crate::SearchStats::prep_words_rebuilt
-    pub incremental_prep: bool,
-    /// **Parent-side per-candidate completion bound**: before descending
-    /// into a child candidate `u`, charge the child frame's own
-    /// admissible-completion floor — the `p − |VS| − 1` cheapest
-    /// candidates still within their `k` deficiency budget against
-    /// `VS ∪ {u}` (the same admissibility the frame-level
-    /// [`kplex_match_bound`](Self::kplex_match_bound) uses, sharpened
-    /// by `u`'s own adjacency) — against the incumbent at the *parent*
-    /// frame. A child that provably cannot beat the incumbent (or has
-    /// too few admissible partners at all) is never opened: no push, no
-    /// undo-mark, no frame entry
-    /// ([`SearchStats::children_pruned_by_parent_bound`]). Sound for
-    /// the same reason the child's own entry check is: every group in
-    /// the skipped subtree completes `VS ∪ {u}` from the current `VA`,
-    /// whose admissible members only lose admissibility deeper down —
-    /// the floor is a true lower bound, and only subtrees strictly
-    /// worse than the incumbent (or infeasible outright) are skipped.
-    /// The incumbent-relative half fires only when
-    /// [`distance_pruning`](Self::distance_pruning) is on.
-    ///
-    /// [`SearchStats::children_pruned_by_parent_bound`]: crate::SearchStats::children_pruned_by_parent_bound
-    pub parent_completion_bound: bool,
-    /// **Materialize availability rows on first frame touch**: defer a
-    /// pivot's availability-word build and Lemma-5 unavailability
-    /// counters out of finalization and into the moment the search
-    /// actually opens the pivot's first frame. Pivots retired between
-    /// finalization and descent — by the post-finalize distance floor or
-    /// by an incumbent found while seeding — then pay *zero*
-    /// availability word traffic instead of a full per-candidate
-    /// calendar materialization. Answers and pruning behaviour are
-    /// unchanged: the same buffers hold the same bits, just built later
-    /// (or never, for pivots that provably cannot win). Counted through
-    /// [`SearchStats::prep_words_rebuilt`], which drops by exactly the
-    /// skipped pivots' share (STGSelect only).
-    ///
-    /// [`SearchStats::prep_words_rebuilt`]: crate::SearchStats::prep_words_rebuilt
-    pub materialize_on_touch: bool,
 }
 
 impl SelectConfig {
@@ -228,38 +111,21 @@ impl SelectConfig {
         seed_restarts: 2,
         pivot_promise_order: true,
         availability_ordering: true,
-        pool_pivot_buffers: true,
-        sharp_pivot_floor: true,
-        acq_pivot_floor: true,
-        core_peel_fixpoint: true,
-        kplex_match_bound: true,
-        shared_pivot_prep: true,
-        incremental_prep: true,
-        parent_completion_bound: true,
-        materialize_on_touch: true,
     };
 
-    /// Ablation preset: the previous release's *sequential* search
-    /// behavior — no incumbent seeding, pivots in calendar order, pure
-    /// distance access order, fresh buffers per pivot. The
-    /// search-reduction benchmarks and the stats-regression tests diff
-    /// against this. Caveat for parallel ablations: the parallel solvers
-    /// historically always seeded (a hard-coded 2-restart greedy), so
-    /// with this preset they run *unseeded* — stricter than what ever
-    /// shipped; set `seed_restarts: 2` to reproduce their old behavior.
+    /// Ablation preset: the search-order layer off — no incumbent
+    /// seeding, pivots in calendar order (so no pivot-floor skip), pure
+    /// distance access order. The always-on mechanisms listed on
+    /// [`SelectConfig`] still run. The search-reduction benchmarks and
+    /// the stats-regression tests diff against this. Caveat for parallel
+    /// ablations: the parallel solvers historically always seeded (a
+    /// hard-coded 2-restart greedy), so with this preset they run
+    /// *unseeded*; set `seed_restarts: 2` to reproduce their old
+    /// behavior.
     pub const NO_SEARCH_REDUCTION: SelectConfig = SelectConfig {
         seed_restarts: 0,
         pivot_promise_order: false,
         availability_ordering: false,
-        pool_pivot_buffers: false,
-        sharp_pivot_floor: false,
-        acq_pivot_floor: false,
-        core_peel_fixpoint: false,
-        kplex_match_bound: false,
-        shared_pivot_prep: false,
-        incremental_prep: false,
-        parent_completion_bound: false,
-        materialize_on_touch: false,
         ..SelectConfig::PAPER_EXAMPLE
     };
 
@@ -338,98 +204,6 @@ impl SelectConfig {
         }
     }
 
-    /// This config with pivot-buffer pooling toggled.
-    pub const fn with_pool_pivot_buffers(self, on: bool) -> Self {
-        SelectConfig {
-            pool_pivot_buffers: on,
-            ..self
-        }
-    }
-
-    /// This config with the compatibility-restricted (sharp) per-pivot
-    /// distance floor toggled.
-    pub const fn with_sharp_pivot_floor(self, on: bool) -> Self {
-        SelectConfig {
-            sharp_pivot_floor: on,
-            ..self
-        }
-    }
-
-    /// This config with the acquaintance-aware restriction of the sharp
-    /// pivot floor toggled (no effect unless
-    /// [`sharp_pivot_floor`](Self::sharp_pivot_floor) is also on).
-    pub const fn with_acq_pivot_floor(self, on: bool) -> Self {
-        SelectConfig {
-            acq_pivot_floor: on,
-            ..self
-        }
-    }
-
-    /// This config with fixpoint (p, k)-core peeling toggled.
-    pub const fn with_core_peel_fixpoint(self, on: bool) -> Self {
-        SelectConfig {
-            core_peel_fixpoint: on,
-            ..self
-        }
-    }
-
-    /// This config with the frame-level k-plex matching bound toggled.
-    pub const fn with_kplex_match_bound(self, on: bool) -> Self {
-        SelectConfig {
-            kplex_match_bound: on,
-            ..self
-        }
-    }
-
-    /// This config with shared pivot preprocessing toggled.
-    pub const fn with_shared_pivot_prep(self, on: bool) -> Self {
-        SelectConfig {
-            shared_pivot_prep: on,
-            ..self
-        }
-    }
-
-    /// This config with incremental temporal prep (the per-solve run
-    /// cache + lazy availability-buffer materialization) toggled.
-    pub const fn with_incremental_prep(self, on: bool) -> Self {
-        SelectConfig {
-            incremental_prep: on,
-            ..self
-        }
-    }
-
-    /// This config with the parent-side per-candidate completion bound
-    /// toggled.
-    pub const fn with_parent_completion_bound(self, on: bool) -> Self {
-        SelectConfig {
-            parent_completion_bound: on,
-            ..self
-        }
-    }
-
-    /// This config with first-frame-touch availability materialization
-    /// toggled.
-    pub const fn with_materialize_on_touch(self, on: bool) -> Self {
-        SelectConfig {
-            materialize_on_touch: on,
-            ..self
-        }
-    }
-
-    /// The previous release's all-on behaviour: this config with the
-    /// candidate-space reduction layer (fixpoint core peeling, the
-    /// k-plex matching bound and shared pivot preprocessing) switched
-    /// off. The `probe` scoreboard and the reduction tests diff the
-    /// default against this.
-    pub const fn without_candidate_reduction(self) -> Self {
-        SelectConfig {
-            core_peel_fixpoint: false,
-            kplex_match_bound: false,
-            shared_pivot_prep: false,
-            ..self
-        }
-    }
-
     /// Clamp to the invariants (`phi0 ≥ 1`, `phi_cap ≥ phi0`).
     pub fn normalized(self) -> Self {
         let phi0 = self.phi0.max(1);
@@ -495,53 +269,22 @@ mod tests {
     fn search_reduction_defaults_and_toggles() {
         let c = SelectConfig::default();
         assert_eq!(c.seed_restarts, 2);
-        assert!(c.pivot_promise_order && c.availability_ordering && c.pool_pivot_buffers);
-        assert!(c.sharp_pivot_floor);
-        assert!(c.acq_pivot_floor);
-        assert!(c.core_peel_fixpoint && c.kplex_match_bound && c.shared_pivot_prep);
-        assert!(c.incremental_prep && c.parent_completion_bound);
-        assert!(c.materialize_on_touch);
+        assert!(c.pivot_promise_order && c.availability_ordering);
 
         let off = SelectConfig::NO_SEARCH_REDUCTION;
         assert_eq!(off.seed_restarts, 0);
-        assert!(!off.pivot_promise_order && !off.availability_ordering && !off.pool_pivot_buffers);
-        assert!(!off.sharp_pivot_floor);
-        assert!(!off.acq_pivot_floor);
-        assert!(!off.core_peel_fixpoint && !off.kplex_match_bound && !off.shared_pivot_prep);
-        assert!(!off.incremental_prep && !off.parent_completion_bound);
-        assert!(!off.materialize_on_touch);
+        assert!(!off.pivot_promise_order && !off.availability_ordering);
         assert!(
             off.distance_pruning && off.acquaintance_pruning,
-            "the baseline keeps the paper's pruning; only the PR-2 pieces are off"
+            "the baseline keeps the paper's pruning; only the search order is off"
         );
 
         let c = SelectConfig::PAPER_EXAMPLE
             .with_seed_restarts(5)
             .with_pivot_promise_order(false)
-            .with_availability_ordering(false)
-            .with_pool_pivot_buffers(false)
-            .with_sharp_pivot_floor(false)
-            .with_acq_pivot_floor(false);
+            .with_availability_ordering(false);
         assert_eq!(c.seed_restarts, 5);
-        assert!(!c.pivot_promise_order && !c.availability_ordering && !c.pool_pivot_buffers);
-        assert!(!c.sharp_pivot_floor && !c.acq_pivot_floor);
-
-        let c = SelectConfig::default()
-            .with_core_peel_fixpoint(false)
-            .with_kplex_match_bound(false)
-            .with_shared_pivot_prep(false);
-        assert!(!c.core_peel_fixpoint && !c.kplex_match_bound && !c.shared_pivot_prep);
-        assert_eq!(c, SelectConfig::default().without_candidate_reduction());
-        assert!(c.sharp_pivot_floor, "the PR-4 pieces stay on");
-
-        let c = SelectConfig::default()
-            .with_incremental_prep(false)
-            .with_parent_completion_bound(false)
-            .with_materialize_on_touch(false);
-        assert!(!c.incremental_prep && !c.parent_completion_bound && !c.materialize_on_touch);
-        assert!(
-            c.core_peel_fixpoint && c.kplex_match_bound,
-            "the PR-5 pieces stay on"
-        );
+        assert!(!c.pivot_promise_order && !c.availability_ordering);
+        assert_eq!(c.with_seed_restarts(0), SelectConfig::NO_SEARCH_REDUCTION);
     }
 }

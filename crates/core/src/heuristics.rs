@@ -31,7 +31,7 @@ use stgq_schedule::pivot::pivot_slots;
 use stgq_schedule::{Calendar, Cals, SlotRange};
 
 use crate::inputs::check_temporal_inputs;
-use crate::stgselect::{finalize_pivot, prepare_pivot, PivotArena, PivotJob, PivotPrep};
+use crate::stgselect::{materialize_pivot, prepare_pivot, PivotArena, PivotJob, PivotPrep};
 use crate::{QueryError, SearchStats, SgqQuery, SgqSolution, StgqQuery, StgqSolution};
 
 /// Outcome of a heuristic SGQ run.
@@ -224,9 +224,9 @@ fn run_stgq_heuristic<G: CandidateTopology>(
     // its behaviour tests), but pools the pivot buffers like the exact
     // loop does.
     let mut arena = PivotArena::new();
-    // Plain prep (no floors, no peel, no tie-breaking): the greedy
-    // engine's evaluation counts are pinned by behaviour tests, and it
-    // never consults the bound.
+    // Plain prep (no peel, no tie-breaking): the greedy engine's
+    // evaluation counts are pinned by behaviour tests, and it never
+    // consults the bound.
     let prep = PivotPrep::plain(p, m, horizon);
 
     for pivot in pivot_slots(horizon, m) {
@@ -234,12 +234,9 @@ fn run_stgq_heuristic<G: CandidateTopology>(
         else {
             continue;
         };
-        // The greedy engine never bounds, so every prepared pivot is
-        // finalized (a plain prep cannot refuse).
-        if !finalize_pivot(fg, calendars, &prep, &mut job, &mut scratch, &mut arena) {
-            arena.recycle(job);
-            continue;
-        }
+        // The greedy engine never bounds, so it skips the peel and floor
+        // of `finalize_pivot` and materializes every prepared pivot.
+        materialize_pivot(fg, calendars, &mut job, &mut scratch);
         let mut ctx = GreedyCtx::new(fg, p, query.k(), None, Some(&job), m);
         let (found, evals) = ctx.run_restarts(restarts.max(1));
         evaluations += evals;

@@ -88,72 +88,60 @@
 //!   `VA` at all — and equal-distance access-order ties are broken by
 //!   remaining overlap (descending), computed from per-solve tie blocks
 //!   so pivots pay only the permutation, not the scan.
-//! * **Pivot-arena pooling** ([`PivotArena`],
-//!   [`SelectConfig::pool_pivot_buffers`]). The flattened availability
-//!   buffers, bitmaps, undo logs and order permutations are recycled
-//!   across the sequential pivot loop, and — via [`solve_stgq_pooled`] —
-//!   across whole query streams (the executor's workers each hold one
-//!   arena).
-//! * **Compatibility-restricted pivot floor**
-//!   ([`SelectConfig::sharp_pivot_floor`]). Per-pivot runs are intervals
-//!   all containing the pivot, so (Helly property) a group shares an
-//!   `m`-run iff one `m`-window lies inside every member's run; the
-//!   pivot's optimistic floor becomes `min` over the ≤ `m` windows of
-//!   the initiator's run of the `p − 1` cheapest covering candidates —
-//!   never looser than the plain `p − 1`-smallest sum, and a pivot with
-//!   no coverable window is refused as infeasible outright. On dense
-//!   schedules (fig1f) the two floors coincide — the `m = 12` spread
-//!   optimum is *socially* spread, so tightening the temporal side
-//!   leaves its frames unchanged — but on sparse/random calendars the
-//!   restricted floor is strictly tighter (pinned by the dominance
-//!   property test).
+//! * **Pivot-arena pooling** ([`PivotArena`]). The flattened
+//!   availability buffers, bitmaps, undo logs and order permutations are
+//!   recycled across the sequential pivot loop, and — via
+//!   [`solve_stgq_pooled`] — across whole query streams (the executor's
+//!   workers each hold one arena).
+//! * **Compatibility-restricted pivot floor.** Per-pivot runs are
+//!   intervals all containing the pivot, so (Helly property) a group
+//!   shares an `m`-run iff one `m`-window lies inside every member's
+//!   run; the pivot's optimistic floor becomes `min` over the ≤ `m`
+//!   windows of the initiator's run of the `p − 1` cheapest covering
+//!   candidates — never looser than the plain `p − 1`-smallest sum, and
+//!   a pivot with no coverable window is refused as infeasible outright.
 //!
 //! A **candidate-space reduction layer** runs between pivot preparation
 //! and exact descent (prepare → peel → floor → materialize → descend;
-//! the full pipeline diagram lives in the STGSelect module docs):
+//! the full pipeline diagram lives in the STGSelect module docs). None
+//! of it has a switch: each piece is exact, and each shows its effect
+//! through its own [`SearchStats`] counter (the table on
+//! [`SelectConfig`] lists them).
 //!
-//! * **Fixpoint (p, k)-core peeling**
-//!   ([`SelectConfig::core_peel_fixpoint`]). The eligible-degree
+//! * **Fixpoint (p, k)-core peeling.** The eligible-degree
 //!   `≥ p − 1 − k` filter is iterated to a fixpoint over the
 //!   word-parallel adjacency, so whole fringe structures (chains, fans)
 //!   cascade out of `VA` before any frame opens; a pivot whose core
 //!   cannot seat `p` people is refused outright
 //!   ([`SearchStats::pivots_refused_by_core`]). SGQ peels its candidate
-//!   set the same way, once per solve.
-//! * **Frame-level k-plex bound**
-//!   ([`SelectConfig::kplex_match_bound`]). Candidates already missing
-//!   more than `k` acquaintances against `VS` are excluded from the
+//!   set the same way, once per solve. The peeled core depends only on
+//!   `(query, eligible-set signature)`, so it is computed once per
+//!   signature and shared across the pivot loop and across parallel
+//!   workers.
+//! * **Frame-level k-plex bound.** Candidates already missing more
+//!   than `k` acquaintances against `VS` are excluded from the
 //!   completion floor — whose `need` cheapest *admissible* distances
 //!   strictly dominate Lemma 2's `need · min` — and at frame entry a
 //!   greedy matching over missing pairs among the remaining candidates
 //!   is charged against the group's aggregate `⌊k·p/2⌋`
 //!   non-acquaintance budget (a strictly stronger Lemma 3, live on the
-//!   SGQ path too).
-//! * **Shared pivot preprocessing**
-//!   ([`SelectConfig::shared_pivot_prep`]). The peeled core and the
-//!   floor mask depend only on `(query, eligible-set signature)`, so
-//!   they are computed once per signature and shared across the pivot
-//!   loop and across parallel workers instead of being rebuilt per
-//!   pivot.
-//! * **Incremental pivot preparation**
-//!   ([`SelectConfig::incremental_prep`]). Maximal availability runs
-//!   are calendar-absolute, so consecutive (promise-ordered) pivots
-//!   landing in the same run re-derive eligibility and clipping by
-//!   interval arithmetic from a per-solve run cache instead of
-//!   re-scanning calendar words; the flattened availability buffer is
-//!   materialized lazily, only for rows the peel kept.
-//!   [`SearchStats::prep_words_delta`] /
+//!   SGQ path too; [`SearchStats::frames_pruned_by_match`]).
+//! * **Incremental pivot preparation.** Maximal availability runs are
+//!   calendar-absolute, so consecutive (promise-ordered) pivots landing
+//!   in the same run re-derive eligibility and clipping by interval
+//!   arithmetic from a per-solve run cache instead of re-scanning
+//!   calendar words; the flattened availability buffer is materialized
+//!   only for rows the peel kept, and only once the pivot survives every
+//!   pre-descent bound. [`SearchStats::prep_words_delta`] /
 //!   [`SearchStats::prep_words_rebuilt`] split the words served from
-//!   the cache from those rebuilt from scratch.
-//! * **Parent-side completion bound**
-//!   ([`SelectConfig::parent_completion_bound`]). Before descending
-//!   into a child, the parent charges the child's
-//!   admissible-completion floor — the `need` cheapest candidates
-//!   still k-plex-admissible *after* adopting the child — against the
-//!   incumbent, so losing children are never opened (each skipped
-//!   child saves a push/undo cycle and a full frame entry;
-//!   [`SearchStats::children_pruned_by_parent_bound`]). Fires on the
-//!   SGQ expand path too.
+//!   the cache from those built from calendar words.
+//! * **Parent-side completion bound.** Before descending into a child,
+//!   the parent charges the child's admissible-completion floor — the
+//!   `need` cheapest candidates still k-plex-admissible *after*
+//!   adopting the child — against the incumbent, so losing children are
+//!   never opened (each skipped child saves a push/undo cycle and a full
+//!   frame entry; [`SearchStats::children_pruned_by_parent_bound`]).
+//!   Fires on the SGQ expand path too.
 //!
 //! For serving deployments the engines also stop **cooperatively**: an
 //! optional [`SolveControl`] (cancellation token and/or wall-clock

@@ -144,11 +144,11 @@ pub fn solve_sgq_parallel_controlled_on<G: CandidateTopology>(
     // Fixpoint (p, k)-core peel — the sequential engine's shared helper,
     // computed once here and read by every worker through the peeled
     // `base_va`.
-    let (peeled_candidates, peeled_set) =
-        match sgq_peel_preamble(fg, cfg, p, query.k(), candidate_mask) {
-            Ok(kept) => kept,
-            Err(refused) => return *refused,
-        };
+    let (peeled_candidates, peeled_set) = match sgq_peel_preamble(fg, p, query.k(), candidate_mask)
+    {
+        Ok(kept) => kept,
+        Err(refused) => return *refused,
+    };
     let candidate_mask = peeled_set.as_ref().or(candidate_mask);
 
     let order = fg.candidate_order();
@@ -394,10 +394,10 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
         }
     }
     let mut stats = SearchStats::default();
-    // Shared pivot preprocessing: tie blocks, thresholds, and the
-    // full-candidate reduction memo are computed once here and read by
+    // Shared pivot preprocessing: tie blocks, the peel threshold, and
+    // the full-candidate peel memo are computed once here and read by
     // every worker — the sequential engine's per-solve prep, lifted
-    // above the spawn ([`SelectConfig::shared_pivot_prep`]).
+    // above the spawn.
     let prep = PivotPrep::new(fg, p, query.k(), m, horizon, &cfg);
     let prep = &prep;
 
@@ -410,11 +410,7 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
                 .map(|_| {
                     scope.spawn(|| {
                         let mut local = SearchStats::default();
-                        let mut arena = if cfg.pool_pivot_buffers {
-                            PivotArena::new()
-                        } else {
-                            PivotArena::unpooled()
-                        };
+                        let mut arena = PivotArena::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= pivots.len() {
@@ -436,9 +432,8 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
                                 // the sequential engine's ladder.
                                 if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
                                     local.pivots_skipped += 1;
-                                } else if finalize_pivot(
-                                    fg, calendars, prep, &mut job, &mut local, &mut arena,
-                                ) {
+                                } else if finalize_pivot(fg, prep, &mut job, &mut local, &mut arena)
+                                {
                                     if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
                                         local.pivots_skipped += 1;
                                     } else {
@@ -446,11 +441,7 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
                                         // sequential loop, a bound-retired
                                         // pivot above never built its
                                         // availability rows.
-                                        if prep.materialize_on_touch {
-                                            materialize_pivot(
-                                                fg, calendars, prep, &mut job, &mut local,
-                                            );
-                                        }
+                                        materialize_pivot(fg, calendars, &mut job, &mut local);
                                         search_pivot_controlled(
                                             fg, query, &cfg, &mut job, &incumbent, &mut local,
                                             control,
@@ -481,8 +472,9 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
                         let mut local = SearchStats::default();
                         let mut found = Vec::new();
                         // Jobs outlive this loop (they are searched
-                        // concurrently below), so no recycling here.
-                        let mut arena = PivotArena::unpooled();
+                        // concurrently below), so only the pivots
+                        // `prepare_pivot` refuses are recycled.
+                        let mut arena = PivotArena::new();
                         loop {
                             let i = next_prep.fetch_add(1, Ordering::Relaxed);
                             if i >= pivots.len() {
@@ -501,9 +493,7 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
                                     local.pivots_skipped += 1;
                                     continue;
                                 }
-                                if !finalize_pivot(
-                                    fg, calendars, prep, &mut job, &mut local, &mut arena,
-                                ) {
+                                if !finalize_pivot(fg, prep, &mut job, &mut local, &mut arena) {
                                     continue;
                                 }
                                 if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
@@ -515,9 +505,7 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
                                 // availability rows, so a job that made
                                 // the task list is materialized here —
                                 // its first frame touch.
-                                if prep.materialize_on_touch {
-                                    materialize_pivot(fg, calendars, prep, &mut job, &mut local);
-                                }
+                                materialize_pivot(fg, calendars, &mut job, &mut local);
                                 let ok = vet_pivot_roots(fg, query, &cfg, &job, &incumbent);
                                 found.push((job, ok));
                             }

@@ -9,10 +9,9 @@
 //!
 //! * [`peel_to_core`] iterates the eligible-degree filter to a fixpoint:
 //!   removing a low-degree vertex lowers its neighbors' eligible degrees,
-//!   which may push *them* below the threshold. The one-pass filter this
-//!   upgrades (PR 4's acquaintance-aware floor restriction) never
-//!   propagates, which is why it "rarely excludes anyone" on dense
-//!   community graphs; the fixpoint eats whole fringe structures
+//!   which may push *them* below the threshold. A one-pass degree
+//!   filter never propagates, which is why it rarely excludes anyone on
+//!   dense community graphs; the fixpoint eats whole fringe structures
 //!   (chains, fans, stars) whose interior vertices look well-connected
 //!   until their support is peeled away.
 //! * [`match_bound`] lower-bounds the missing (non-acquainted) pairs any
@@ -30,13 +29,13 @@
 
 use stgq_graph::{BitSet, CandidateTopology, Dist};
 
-use crate::{SearchStats, SelectConfig, SgqOutcome};
+use crate::{SearchStats, SgqOutcome};
 
 /// The (p, k)-core degree threshold `p − 1 − k` for fixpoint peeling, or
-/// `None` when peeling is off or vacuous (`k ≥ p − 1` puts no lower
-/// bound on in-group acquaintances, and `p < 2` never peels).
-pub(crate) fn peel_min_deg(enabled: bool, p: usize, k: usize) -> Option<usize> {
-    (enabled && p >= 2 && p - 1 > k).then(|| p - 1 - k)
+/// `None` when peeling is vacuous (`k ≥ p − 1` puts no lower bound on
+/// in-group acquaintances, and `p < 2` never peels).
+pub(crate) fn peel_min_deg(p: usize, k: usize) -> Option<usize> {
+    (p >= 2 && p - 1 > k).then(|| p - 1 - k)
 }
 
 /// Peel `set` (compact candidate indices — never the initiator, compact
@@ -111,19 +110,18 @@ pub(crate) fn initiator_core_ok<G: CandidateTopology>(
 /// set (the given `mask`, or all candidates) to its (p, k)-core.
 /// Returns `Ok((peeled count, replacement mask))` when a feasible group
 /// may still exist — the mask is `Some(core)` when the peel ran, `None`
-/// when it is off/vacuous — or `Err(outcome)` when the query is
+/// when it is vacuous — or `Err(outcome)` when the query is
 /// **refused** outright (the core leaves fewer than `p` people, or
 /// leaves the initiator short of `p − 1 − k` acquaintances), carrying
 /// the complete infeasible outcome for the caller to return. Shared by
 /// the sequential and parallel SGQ solvers so the two cannot diverge.
 pub(crate) fn sgq_peel_preamble<G: CandidateTopology>(
     fg: &G,
-    cfg: &SelectConfig,
     p: usize,
     k: usize,
     mask: Option<&BitSet>,
 ) -> Result<(u64, Option<BitSet>), Box<SgqOutcome>> {
-    let Some(min_deg) = peel_min_deg(cfg.core_peel_fixpoint, p, k) else {
+    let Some(min_deg) = peel_min_deg(p, k) else {
         return Ok((0, None));
     };
     let mut set = match mask {
@@ -226,8 +224,7 @@ pub(crate) fn kplex_frame_prune<G: CandidateTopology>(
         && match_bound(fg, vs, cnt_in_s, va_set, va_len, p, k, scratch)
 }
 
-/// The parent-side per-candidate completion bound
-/// ([`SelectConfig::parent_completion_bound`]): decide whether the child
+/// The parent-side per-candidate completion bound: decide whether the child
 /// frame for candidate `u` — the frame that *would* be opened by pushing
 /// `u` onto `VS` — is provably not worth opening, **without** pushing.
 ///
@@ -247,8 +244,6 @@ pub(crate) fn kplex_frame_prune<G: CandidateTopology>(
 /// and still contains `u` itself (the caller has not removed it yet);
 /// `child_vs_len = |VS| + 1` and `child_td` already include `u`. `k` is
 /// clamped to `p − 1` as everywhere.
-///
-/// [`SelectConfig::parent_completion_bound`]: crate::SelectConfig::parent_completion_bound
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn parent_completion_prunes<G: CandidateTopology>(
     fg: &G,
@@ -868,7 +863,7 @@ mod tests {
     /// when the bound fired on the admissible-count floor with no
     /// incumbent in play).
     #[test]
-    fn parent_completion_bound_never_prunes_a_better_subtree() {
+    fn parent_bound_never_prunes_a_better_subtree() {
         let mut fired_with_best = 0u32;
         let mut fired_absolute = 0u32;
         for seed in 0..80u64 {

@@ -88,18 +88,17 @@ pub fn solve_sgq_controlled_on<G: CandidateTopology>(
         };
     }
 
-    // Fixpoint (p, k)-core peel of the candidate set
-    // ([`SelectConfig::core_peel_fixpoint`]): the SGQ analog of the
-    // STGQ pivot peel, run once per solve. Peeled candidates can belong
+    // Fixpoint (p, k)-core peel of the candidate set: the SGQ analog of
+    // the STGQ pivot peel, run once per solve. Peeled candidates can belong
     // to no feasible group, so dropping them from `VA` (not just from a
     // floor) is exact; a core below `p` — or an initiator short of
     // `p − 1 − k` acquaintances within it — proves the query infeasible
     // outright.
-    let (peeled_candidates, peeled_set) =
-        match sgq_peel_preamble(fg, cfg, p, query.k(), candidate_mask) {
-            Ok(kept) => kept,
-            Err(refused) => return *refused,
-        };
+    let (peeled_candidates, peeled_set) = match sgq_peel_preamble(fg, p, query.k(), candidate_mask)
+    {
+        Ok(kept) => kept,
+        Err(refused) => return *refused,
+    };
     let candidate_mask = peeled_set.as_ref().or(candidate_mask);
 
     let incumbent = Incumbent::new();
@@ -530,7 +529,7 @@ impl<'a, G: CandidateTopology> Searcher<'a, G> {
     /// so deeper frames never consult the bound).
     #[inline]
     fn floor_active(&self, depth: usize) -> bool {
-        self.cfg.parent_completion_bound && depth + 1 < self.p
+        depth + 1 < self.p
     }
 
     /// Mirror a permanent frame-level `VA` removal into the frame's
@@ -655,16 +654,10 @@ impl<'a, G: CandidateTopology> Searcher<'a, G> {
         fires
     }
 
-    /// The frame-level k-plex bound ([`SelectConfig::kplex_match_bound`]):
-    /// the admissible-completion floor on every re-check, the
-    /// missing-pair matching bound at frame entry — see
-    /// [`crate::reduce::kplex_frame_prune`] for the shared machinery.
-    ///
-    /// [`SelectConfig::kplex_match_bound`]: crate::SelectConfig::kplex_match_bound
+    /// The frame-level k-plex bound: the admissible-completion floor on
+    /// every re-check, the missing-pair matching bound at frame entry —
+    /// see [`crate::reduce::kplex_frame_prune`] for the shared machinery.
     fn kplex_prune(&mut self, va: &VaState, td: Dist, with_matching: bool) -> bool {
-        if !self.cfg.kplex_match_bound {
-            return false;
-        }
         let fires = kplex_frame_prune(
             self.fg,
             &self.vs,

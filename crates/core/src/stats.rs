@@ -32,8 +32,9 @@ pub struct SearchStats {
     /// (STGSelect only).
     pub pivots_processed: u64,
     /// The subset of [`pivots_processed`](Self::pivots_processed) whose
-    /// optimistic distance bound (sum of the `p − 1` smallest incident
-    /// distances among pivot-eligible candidates) could no longer beat
+    /// optimistic distance floor (the `p − 1` cheapest pivot-eligible
+    /// candidates, after the core peel restricted to candidates whose
+    /// runs cover one common `m`-slot window) could no longer beat
     /// the incumbent — the pivot was retired after preparation without
     /// opening a search frame (pivot-granularity Lemma 2, STGSelect
     /// only; see [`SelectConfig::pivot_promise_order`]).
@@ -42,18 +43,15 @@ pub struct SearchStats {
     pub pivots_skipped: u64,
     /// Candidates removed outright by fixpoint (p, k)-core peeling
     /// before exact descent — per pivot for STGQ, once per solve for
-    /// SGQ (see [`SelectConfig::core_peel_fixpoint`]). A vertex counted
-    /// here was provably in no feasible group of its candidate set.
-    ///
-    /// [`SelectConfig::core_peel_fixpoint`]: crate::SelectConfig::core_peel_fixpoint
+    /// SGQ. A vertex counted here was provably in no feasible group of
+    /// its candidate set.
     pub peeled_candidates: u64,
     /// Pivots refused during preparation because their fixpoint-peeled
     /// core left fewer than `p` people (or left the initiator short of
     /// `p − 1 − k` acquaintances) — absolute infeasibility, not an
     /// incumbent-relative prune (STGSelect only).
     pub pivots_refused_by_core: u64,
-    /// Frames abandoned by the frame-level k-plex bound
-    /// ([`SelectConfig::kplex_match_bound`]) — either half: the
+    /// Frames abandoned by the frame-level k-plex bound — either half: the
     /// admissible-completion floor (too few candidates within their `k`
     /// budget against `VS`, or their cheapest completion cannot beat
     /// the incumbent — an incumbent-relative prune like Lemma 2's,
@@ -61,34 +59,23 @@ pub struct SearchStats {
     /// [`distance_prunes`](Self::distance_prunes)), or the missing-pair
     /// matching bound against the group's `⌊k·p/2⌋` non-acquaintance
     /// budget.
-    ///
-    /// [`SelectConfig::kplex_match_bound`]: crate::SelectConfig::kplex_match_bound
     pub frames_pruned_by_match: u64,
     /// Children retired at the **parent** frame by the per-candidate
-    /// admissible-completion bound
-    /// ([`SelectConfig::parent_completion_bound`]): the child's own
+    /// admissible-completion bound: the child's own
     /// completion floor, computed against `VS ∪ {u}` before pushing
     /// `u`, already could not beat the incumbent (or left too few
     /// admissible partners), so the child frame was never opened.
-    ///
-    /// [`SelectConfig::parent_completion_bound`]: crate::SelectConfig::parent_completion_bound
     pub children_pruned_by_parent_bound: u64,
     /// Availability-buffer words whose rebuild was **avoided** by the
-    /// incremental prep's per-solve run cache
-    /// ([`SelectConfig::incremental_prep`]): one stride per candidate
+    /// incremental prep's per-solve run cache: one stride per candidate
     /// whose Definition-4 run came from the cached calendar run instead
     /// of a word scan (STGSelect only).
-    ///
-    /// [`SelectConfig::incremental_prep`]: crate::SelectConfig::incremental_prep
     pub prep_words_delta: u64,
     /// Availability-buffer words actually built from calendar words —
-    /// per eligible candidate per prepared pivot with
-    /// [`incremental_prep`] off, per post-peel eligible candidate per
-    /// *finalized* pivot with it on (skipped pivots pay nothing). The
-    /// ratio against [`prep_words_delta`](Self::prep_words_delta) is
-    /// the incremental path's word-traffic saving.
-    ///
-    /// [`incremental_prep`]: crate::SelectConfig::incremental_prep
+    /// per post-peel eligible candidate per pivot that reached exact
+    /// descent (skipped pivots pay nothing). The ratio against
+    /// [`prep_words_delta`](Self::prep_words_delta) is the incremental
+    /// path's word-traffic saving.
     pub prep_words_rebuilt: u64,
     /// Definition-4 runs served by the **cross-solve** run cache: the
     /// arena kept a candidate's unclipped maximal run from an earlier

@@ -39,73 +39,11 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use stgq_graph::{CandidateTopology, FeasibleGraph, FeasibleView, NodeId};
+use stgq_graph::{FeasibleView, NodeId};
 
 use crate::engine::Engine;
 use crate::request::{PlanOutcome, QuerySpec};
 use crate::snapshot::WorldSnapshot;
-
-/// How the executor turns a cache miss into a candidate topology.
-///
-/// Both carriers implement
-/// [`CandidateTopology`](stgq_graph::CandidateTopology) and the engines
-/// are generic over it, so the two modes produce **bit-identical**
-/// answers and search statistics — the difference is purely what the
-/// extraction pays for.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExtractionMode {
-    /// Zero-copy: build a [`FeasibleView`] — a compact candidate index
-    /// whose adjacency words are generated shard-segment-wise from the
-    /// snapshot's borrowed CSR segments and masked against the
-    /// candidate bitmap. No per-query adjacency matrix is copied; the
-    /// per-query cost is the index build
-    /// ([`ExecMetrics::extract_words_borrowed`](crate::ExecMetrics::extract_words_borrowed)).
-    #[default]
-    View,
-    /// Materialize a per-query [`FeasibleGraph`] (the pre-view
-    /// reference path, kept as the bit-identity oracle and for A/B
-    /// benchmarking —
-    /// [`ExecMetrics::extract_words_copied`](crate::ExecMetrics::extract_words_copied)).
-    Materialized,
-}
-
-/// A cached extraction — one of the two [`ExtractionMode`] carriers.
-#[derive(Clone, Debug)]
-pub(crate) enum Extracted {
-    /// Materialized per-query graph (owned adjacency matrix).
-    Graph(Arc<FeasibleGraph>),
-    /// Zero-copy view over the snapshot's CSR segments.
-    View(Arc<FeasibleView>),
-}
-
-impl Extracted {
-    /// Adjacency words this extraction generated: copied into the owned
-    /// matrix (graph) or masked in place over borrowed segments (view).
-    /// Identical for the same `(initiator, s)` on the same world — the
-    /// counters separate the two paths, not the amounts.
-    pub(crate) fn words(&self) -> u64 {
-        match self {
-            Extracted::Graph(fg) => (fg.len() * fg.word_stride()) as u64,
-            Extracted::View(view) => view.words_generated(),
-        }
-    }
-
-    /// Graph-axis read-set stamps for this extraction on `snapshot`.
-    pub(crate) fn graph_stamps(&self, snapshot: &WorldSnapshot) -> Vec<(u32, u64)> {
-        match self {
-            Extracted::Graph(fg) => snapshot.graph_stamps_for(fg.as_ref()),
-            Extracted::View(view) => snapshot.graph_stamps_for(view.as_ref()),
-        }
-    }
-
-    /// Calendar-axis read-set stamps over the same shards.
-    pub(crate) fn calendar_stamps(&self, snapshot: &WorldSnapshot) -> Vec<(u32, u64)> {
-        match self {
-            Extracted::Graph(fg) => snapshot.calendar_stamps_for(fg.as_ref()),
-            Extracted::View(view) => snapshot.calendar_stamps_for(view.as_ref()),
-        }
-    }
-}
 
 /// Whether an entry's recorded read set is still current: the shard
 /// modulus must match (stamps are meaningless across different
@@ -133,7 +71,7 @@ struct Entry {
     shards: usize,
     /// `(shard, graph_shard_version)` for every shard the extraction read.
     stamps: Vec<(u32, u64)>,
-    fg: Extracted,
+    view: Arc<FeasibleView>,
 }
 
 impl FeasibleCache {
@@ -150,12 +88,17 @@ impl FeasibleCache {
     /// Look up `(initiator, s)` against the current graph-axis shard
     /// versions; an entry with a moved stamp is evicted on the spot and
     /// the lookup misses.
-    pub(crate) fn get(&mut self, initiator: u32, s: usize, current: &[u64]) -> Option<Extracted> {
+    pub(crate) fn get(
+        &mut self,
+        initiator: u32,
+        s: usize,
+        current: &[u64],
+    ) -> Option<Arc<FeasibleView>> {
         let key = (initiator, s);
         match self.entries.get(&key) {
             Some(e) if stamps_fresh(e.shards, &e.stamps, current) => {
                 self.hits += 1;
-                Some(e.fg.clone())
+                Some(Arc::clone(&e.view))
             }
             Some(_) => {
                 self.entries.remove(&key);
@@ -178,10 +121,14 @@ impl FeasibleCache {
         s: usize,
         shards: usize,
         stamps: Vec<(u32, u64)>,
-        fg: Extracted,
+        view: Arc<FeasibleView>,
     ) {
         let key = (initiator, s);
-        let entry = Entry { shards, stamps, fg };
+        let entry = Entry {
+            shards,
+            stamps,
+            view,
+        };
         if self.entries.insert(key, entry).is_none() {
             self.insertion_order.push_back(key);
             if self.insertion_order.len() > self.capacity {
@@ -220,39 +167,33 @@ impl ShardedFeasibleCache {
         initiator.0 as usize % self.shards.len()
     }
 
-    /// The candidate topology for `(initiator, s)` on `snapshot`,
-    /// extracting per `mode` (and caching, stamped with the shards the
-    /// extraction read) on miss. Returns the extraction and whether it
-    /// was a hit. Extraction happens outside the shard lock.
+    /// The zero-copy candidate view for `(initiator, s)` on `snapshot`,
+    /// extracting (and caching, stamped with the shards the extraction
+    /// read) on miss. Returns the view and whether it was a hit.
+    /// Extraction happens outside the shard lock.
     pub(crate) fn get_or_extract(
         &self,
         snapshot: &WorldSnapshot,
         initiator: NodeId,
         s: usize,
-        mode: ExtractionMode,
-    ) -> (Extracted, bool) {
+    ) -> (Arc<FeasibleView>, bool) {
         let shard = &self.shards[self.shard_of(initiator)];
-        if let Some(fg) = shard
+        if let Some(view) = shard
             .lock()
             .get(initiator.0, s, snapshot.graph_shard_versions())
         {
-            return (fg, true);
+            return (view, true);
         }
-        let fg = match mode {
-            ExtractionMode::View => Extracted::View(Arc::new(FeasibleView::extract(
-                snapshot.graph(),
-                initiator,
-                s,
-            ))),
-            ExtractionMode::Materialized => Extracted::Graph(Arc::new(
-                FeasibleGraph::extract_from(snapshot.graph(), initiator, s),
-            )),
-        };
-        let stamps = fg.graph_stamps(snapshot);
-        shard
-            .lock()
-            .put(initiator.0, s, snapshot.shard_count(), stamps, fg.clone());
-        (fg, false)
+        let view = Arc::new(FeasibleView::extract(snapshot.graph(), initiator, s));
+        let stamps = snapshot.graph_stamps_for(view.as_ref());
+        shard.lock().put(
+            initiator.0,
+            s,
+            snapshot.shard_count(),
+            stamps,
+            Arc::clone(&view),
+        );
+        (view, false)
     }
 
     /// Aggregate `(hits, misses, cached_graphs)` over every shard.
@@ -447,10 +388,11 @@ mod tests {
     use super::*;
     use stgq_graph::GraphBuilder;
 
-    fn fg() -> Extracted {
+    fn view() -> Arc<FeasibleView> {
         let mut b = GraphBuilder::new(2);
         b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-        Extracted::Graph(Arc::new(FeasibleGraph::extract(&b.build(), NodeId(0), 1)))
+        let snap = WorldSnapshot::from_flat(&b.build(), &[], 1, 0, 0);
+        Arc::new(FeasibleView::extract(snap.graph(), NodeId(0), 1))
     }
 
     /// An entry stamped as having read shard 0 of 2 at version `v`.
@@ -461,7 +403,7 @@ mod tests {
     #[test]
     fn hit_requires_every_stamped_shard_unmoved() {
         let mut c = FeasibleCache::new(4);
-        c.put(0, 1, 2, stamp0(7), fg());
+        c.put(0, 1, 2, stamp0(7), view());
         assert!(
             c.get(0, 1, &[7, 3]).is_some(),
             "unstamped shard 1 is free to move"
@@ -478,7 +420,7 @@ mod tests {
     #[test]
     fn shard_count_change_is_stale() {
         let mut c = FeasibleCache::new(4);
-        c.put(0, 1, 2, stamp0(7), fg());
+        c.put(0, 1, 2, stamp0(7), view());
         assert!(
             c.get(0, 1, &[7, 7, 7]).is_none(),
             "stamps under a different modulus never validate"
@@ -488,9 +430,9 @@ mod tests {
     #[test]
     fn capacity_evicts_oldest_key() {
         let mut c = FeasibleCache::new(2);
-        c.put(0, 1, 2, stamp0(1), fg());
-        c.put(1, 1, 2, stamp0(1), fg());
-        c.put(2, 1, 2, stamp0(1), fg());
+        c.put(0, 1, 2, stamp0(1), view());
+        c.put(1, 1, 2, stamp0(1), view());
+        c.put(2, 1, 2, stamp0(1), view());
         assert_eq!(c.len(), 2);
         assert!(c.get(0, 1, &[1, 1]).is_none(), "oldest key evicted");
         assert!(c.get(2, 1, &[1, 1]).is_some());
@@ -500,9 +442,9 @@ mod tests {
     fn replacing_a_key_does_not_grow_the_order_queue() {
         let mut c = FeasibleCache::new(2);
         for version in 0..10 {
-            c.put(0, 1, 2, stamp0(version), fg());
+            c.put(0, 1, 2, stamp0(version), view());
         }
-        c.put(1, 1, 2, stamp0(0), fg());
+        c.put(1, 1, 2, stamp0(0), view());
         assert_eq!(c.len(), 2);
         assert!(c.get(0, 1, &[9, 0]).is_some());
     }
@@ -510,14 +452,14 @@ mod tests {
     #[test]
     fn stale_eviction_then_reinsert_keeps_the_queue_consistent() {
         let mut c = FeasibleCache::new(2);
-        c.put(0, 1, 2, stamp0(1), fg());
-        c.put(1, 1, 2, stamp0(1), fg());
+        c.put(0, 1, 2, stamp0(1), view());
+        c.put(1, 1, 2, stamp0(1), view());
         // Shard 0 moves: the first entry goes stale and is evicted.
         assert!(c.get(0, 1, &[2, 1]).is_none());
         assert_eq!(c.len(), 1);
         // Re-inserting it must occupy a real queue slot again.
-        c.put(0, 1, 2, stamp0(2), fg());
-        c.put(2, 1, 2, stamp0(2), fg());
+        c.put(0, 1, 2, stamp0(2), view());
+        c.put(2, 1, 2, stamp0(2), view());
         assert_eq!(c.len(), 2, "capacity still enforced");
         assert!(c.get(1, 1, &[2, 1]).is_none(), "oldest (key 1) evicted");
         assert!(c.get(0, 1, &[2, 1]).is_some());
@@ -537,11 +479,11 @@ mod tests {
         assert_ne!(cache.shard_of(NodeId(0)), cache.shard_of(NodeId(1)));
 
         let s3 = snap(3);
-        let (_, hit) = cache.get_or_extract(&s3, NodeId(0), 1, ExtractionMode::View);
+        let (_, hit) = cache.get_or_extract(&s3, NodeId(0), 1);
         assert!(!hit);
-        let (_, hit) = cache.get_or_extract(&s3, NodeId(0), 1, ExtractionMode::View);
+        let (_, hit) = cache.get_or_extract(&s3, NodeId(0), 1);
         assert!(hit);
-        let (_, hit) = cache.get_or_extract(&snap(4), NodeId(0), 1, ExtractionMode::View);
+        let (_, hit) = cache.get_or_extract(&snap(4), NodeId(0), 1);
         assert!(!hit, "a flooded version bump misses");
         let (hits, misses, len) = cache.stats();
         assert_eq!((hits, misses), (1, 2));

@@ -9,7 +9,7 @@ use stgq_core::{PivotArena, SelectConfig};
 use stgq_graph::SocialGraph;
 use stgq_schedule::Calendar;
 
-use crate::cache::{ExtractionMode, ShardedFeasibleCache};
+use crate::cache::ShardedFeasibleCache;
 use crate::metrics::{ExecCounters, ExecMetrics};
 use crate::obs::ExecObs;
 use crate::queue::{JobQueue, Ticket, TicketSlot};
@@ -49,12 +49,6 @@ pub struct ExecConfig {
     /// End-to-end latency at or above which a solve enters the
     /// slow-query log.
     pub slow_query_threshold: std::time::Duration,
-    /// How feasible-cache misses turn `(initiator, s)` into a candidate
-    /// topology: [`ExtractionMode::View`] (zero-copy, the default) or
-    /// [`ExtractionMode::Materialized`] (per-query `FeasibleGraph`, the
-    /// A/B reference path). Answers and search statistics are
-    /// bit-identical either way.
-    pub extraction: ExtractionMode,
 }
 
 impl Default for ExecConfig {
@@ -69,7 +63,6 @@ impl Default for ExecConfig {
             trace_ring: 256,
             slow_log: 16,
             slow_query_threshold: std::time::Duration::from_millis(10),
-            extraction: ExtractionMode::View,
         }
     }
 }
@@ -109,7 +102,6 @@ impl Executor {
             counters: ExecCounters::default(),
             obs: ExecObs::new(cfg.trace_ring, cfg.slow_log, cfg.slow_query_threshold),
             jobs: JobQueue::new(),
-            extraction: cfg.extraction,
         });
         let pool = WorkerPool::spawn(&shared, workers);
         Executor {
@@ -373,7 +365,6 @@ impl Executor {
             prep_words_delta: c.prep_words_delta.load(Ordering::Relaxed),
             prep_words_rebuilt: c.prep_words_rebuilt.load(Ordering::Relaxed),
             run_cache_cross_solve_hits: c.run_cache_cross_solve_hits.load(Ordering::Relaxed),
-            extract_words_copied: c.extract_words_copied.load(Ordering::Relaxed),
             extract_words_borrowed: c.extract_words_borrowed.load(Ordering::Relaxed),
             workers: self.workers,
             shards: self.shards,

@@ -80,7 +80,6 @@ mod serde_impls;
 mod snapshot;
 mod worker;
 
-pub use cache::ExtractionMode;
 pub use engine::Engine;
 pub use executor::{ExecConfig, Executor};
 pub use metrics::ExecMetrics;

@@ -80,11 +80,6 @@ pub struct ExecMetrics {
     /// the snapshot's calendar-shard versions vouched it was still
     /// current (see `stgq_core::PivotArena::install_world_versions`).
     pub run_cache_cross_solve_hits: u64,
-    /// Adjacency words **copied** into per-query `FeasibleGraph`
-    /// matrices on feasible-cache misses — the materialized extraction
-    /// path's word traffic. Zero when the executor runs the zero-copy
-    /// view path.
-    pub extract_words_copied: u64,
     /// Adjacency words generated in place by zero-copy
     /// [`FeasibleView`](stgq_graph::FeasibleView) extraction on
     /// feasible-cache misses: candidate rows masked directly against
@@ -117,7 +112,6 @@ pub(crate) struct ExecCounters {
     pub(crate) prep_words_delta: AtomicU64,
     pub(crate) prep_words_rebuilt: AtomicU64,
     pub(crate) run_cache_cross_solve_hits: AtomicU64,
-    pub(crate) extract_words_copied: AtomicU64,
     pub(crate) extract_words_borrowed: AtomicU64,
 }
 

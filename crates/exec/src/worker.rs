@@ -9,7 +9,7 @@ use stgq_core::{PivotArena, SelectConfig, SolveControl, StageTimings, StopCause}
 use stgq_obs::{QueryTrace, StageBreakdown};
 use stgq_schedule::{Calendar, Cals};
 
-use crate::cache::{Extracted, ExtractionMode, ResultCache, ShardedFeasibleCache};
+use crate::cache::{ResultCache, ShardedFeasibleCache};
 use crate::engine::{run_spec, Engine};
 use crate::metrics::ExecCounters;
 use crate::obs::ExecObs;
@@ -42,9 +42,6 @@ pub(crate) struct ExecShared {
     pub(crate) counters: ExecCounters,
     pub(crate) obs: ExecObs,
     pub(crate) jobs: JobQueue<Job>,
-    /// How feasible-cache misses extract: zero-copy view (default) or
-    /// materialized graph (the A/B reference path).
-    pub(crate) extraction: ExtractionMode,
 }
 
 /// Nanoseconds of a duration, saturating at `u64::MAX`.
@@ -167,23 +164,17 @@ pub(crate) fn run_entry(
         }
     }
     let extract_t0 = Instant::now();
-    let (extracted, feasible_cache_hit) = shared.cache.get_or_extract(
-        snapshot,
-        request.initiator,
-        request.spec.s(),
-        shared.extraction,
-    );
+    let (view, feasible_cache_hit) =
+        shared
+            .cache
+            .get_or_extract(snapshot, request.initiator, request.spec.s());
     let extract_ns = if feasible_cache_hit {
         0
     } else {
-        // Word-traffic accounting at the extraction site: the same
-        // count lands on the copied or the borrowed counter depending
-        // on which carrier paid for it.
-        let words_counter = match &extracted {
-            Extracted::Graph(_) => &shared.counters.extract_words_copied,
-            Extracted::View(_) => &shared.counters.extract_words_borrowed,
-        };
-        words_counter.fetch_add(extracted.words(), Ordering::Relaxed);
+        shared
+            .counters
+            .extract_words_borrowed
+            .fetch_add(view.words_generated(), Ordering::Relaxed);
         let d = ns(extract_t0.elapsed());
         shared.obs.feasible_extract.record_ns(d);
         d
@@ -213,26 +204,15 @@ pub(crate) fn run_entry(
     // shard content — the same invariant the stamped caches rely on).
     arena.install_world_versions(snapshot.calendar_shard_versions());
     let start = Instant::now();
-    let (outcome, evaluations) = match &extracted {
-        Extracted::Graph(fg) => run_spec(
-            fg.as_ref(),
-            calendars,
-            &request.spec,
-            request.engine,
-            select,
-            control,
-            arena,
-        ),
-        Extracted::View(view) => run_spec(
-            view.as_ref(),
-            calendars,
-            &request.spec,
-            request.engine,
-            select,
-            control,
-            arena,
-        ),
-    };
+    let (outcome, evaluations) = run_spec(
+        &view,
+        calendars,
+        &request.spec,
+        request.engine,
+        select,
+        control,
+        arena,
+    );
     let elapsed = start.elapsed();
     let timings = arena.timings;
 
@@ -260,7 +240,7 @@ pub(crate) fn run_entry(
         // the calendar axis for STGQ — and nothing at all for SGQ, which
         // no calendar edit can invalidate.
         let calendar_stamps = match &request.spec {
-            QuerySpec::Stgq(_) => extracted.calendar_stamps(snapshot),
+            QuerySpec::Stgq(_) => snapshot.calendar_stamps_for(view.as_ref()),
             QuerySpec::Sgq(_) => Vec::new(),
         };
         shared.results.put(
@@ -268,7 +248,7 @@ pub(crate) fn run_entry(
             request.spec,
             request.engine,
             snapshot.shard_count(),
-            extracted.graph_stamps(snapshot),
+            snapshot.graph_stamps_for(view.as_ref()),
             calendar_stamps,
             plan_outcome.clone(),
         );

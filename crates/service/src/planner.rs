@@ -182,10 +182,6 @@ pub struct MetricsSnapshot {
     /// under the world-version handshake, summed over all exact STGQ
     /// queries.
     pub run_cache_cross_solve_hits: u64,
-    /// Adjacency words copied into per-query `FeasibleGraph` matrices on
-    /// feasible-cache misses (the materialized extraction path; zero
-    /// under the default zero-copy view).
-    pub extract_words_copied: u64,
     /// Adjacency words generated in place by zero-copy `FeasibleView`
     /// extraction on feasible-cache misses (candidate rows masked
     /// against the snapshot's CSR segments).
@@ -313,8 +309,8 @@ impl Planner {
     }
 
     /// The engine configuration planning queries run with (the
-    /// search-reduction knobs — seeding, pivot ordering, buffer pooling —
-    /// are [`SelectConfig`] fields, so they are set at construction via
+    /// search-reduction knobs — seeding, pivot ordering, access-order
+    /// tie-breaking — are [`SelectConfig`] fields, so they are set at construction via
     /// [`with_config`](Self::with_config) and read back here).
     pub fn config(&self) -> SelectConfig {
         self.exec.select_config()
@@ -501,7 +497,6 @@ impl Planner {
             prep_words_delta: e.prep_words_delta,
             prep_words_rebuilt: e.prep_words_rebuilt,
             run_cache_cross_solve_hits: e.run_cache_cross_solve_hits,
-            extract_words_copied: e.extract_words_copied,
             extract_words_borrowed: e.extract_words_borrowed,
             batched_entries: e.batched_entries,
             collapsed_entries: e.collapsed_entries,
@@ -1160,7 +1155,7 @@ mod tests {
         assert!(!p.config().pivot_promise_order);
         p.set_config(SelectConfig::default());
         assert_eq!(p.config().seed_restarts, 2);
-        assert!(p.config().pool_pivot_buffers);
+        assert!(p.config().availability_ordering);
     }
 
     #[test]

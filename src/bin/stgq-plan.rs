@@ -325,8 +325,8 @@ fn batch(args: &[String]) -> Result<(), String> {
         metrics.prep_words_delta, metrics.prep_words_rebuilt, metrics.run_cache_cross_solve_hits,
     );
     println!(
-        "  extract:  {} words borrowed (zero-copy view), {} words copied (materialized)",
-        metrics.extract_words_borrowed, metrics.extract_words_copied,
+        "  extract:  {} words borrowed (zero-copy view)",
+        metrics.extract_words_borrowed,
     );
     println!(
         "  snapshot: {} publishes, {} shards rebuilt / {} reused",

@@ -24,10 +24,10 @@
 //! borrowed `FeasibleView` — a compact candidate index plus one masked
 //! adjacency word matrix generated straight over the snapshot's sharded
 //! CSR segments — instead of materializing a `FeasibleGraph` (per-row
-//! neighbor/weight vectors and bitsets), and the engines consume either
+//! neighbor/weight vectors and bitsets). The engines consume either
 //! carrier through the `CandidateTopology` trait with bit-identical
-//! results (the materialized path stays available as an A/B oracle via
-//! `exec::ExtractionMode`). The
+//! results; the materialized `FeasibleGraph` carries the flat-graph
+//! entry points, the baselines and the reference engines. The
 //! pre-optimization engines are kept in `stgq::query::reference` and the
 //! `hotpath` criterion suite (`cargo bench -p stgq-bench --bench hotpath`)
 //! measures one against the other; the committed `BENCH_core.json`
@@ -85,7 +85,7 @@
 //! | **admission** — submit → a worker picks the entry up | `queue_wait` | `batched_entries` |
 //! | **shard batch** — group by initiator shard, collapse repeats | — | `collapsed_entries` (and `queries`) |
 //! | **cache** — version-stamped result replay, feasible-graph lookup | `end_to_end` low mode | `result_cache_hits`/`misses`, `result_cache_evicted_*`, `feasible_cache_hits`/`misses` |
-//! | **extract** — zero-copy candidate view over the snapshot's CSR segments (the materialized graph kept as the A/B oracle, `exec::ExtractionMode`) | `feasible_extract` | `extract_words_borrowed`, `extract_words_copied` |
+//! | **extract** — zero-copy candidate view over the snapshot's CSR segments | `feasible_extract` | `extract_words_borrowed` |
 //! | **prepare** — pivot availability buffers, run cache shared across solves | `prep` | `prep_words_delta`, `prep_words_rebuilt`, `run_cache_cross_solve_hits` |
 //! | **peel** — fixpoint (p, k)-core reduction before descent | inside `solve` | `peeled_candidates`, `pivots_refused_by_core` |
 //! | **floor** — pivot-granularity distance bound skipping whole pivots | inside `solve` | `pivots_skipped` |

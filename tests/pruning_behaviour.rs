@@ -27,13 +27,28 @@ fn acquaintance_pruning_kills_star_instances_fast() {
     assert_eq!(default_run.stats.peeled_candidates, 39, "everyone peeled");
     assert_eq!(default_run.stats.frames, 0, "refused before any search");
 
-    // Lemma 3's own behaviour is pinned with the reduction layer off.
-    let base = SelectConfig::default().without_candidate_reduction();
+    // Lemma 3's own behaviour, on an instance the peel cannot settle:
+    // the initiator knows everyone on a ring of 8 where each person
+    // knows only their two ring neighbours. Every degree meets the peel
+    // threshold p − 1 − k = 3 (two neighbours plus the initiator), but
+    // the ring has no triangle, so no 4-clique exists. Once the first
+    // root candidate's subtree is exhausted, her neighbours' inner
+    // degrees drop and Lemma 3 retires the root frame.
+    let ring = 8u32;
+    let mut b = GraphBuilder::new(ring as usize + 1);
+    for v in 1..=ring {
+        b.add_edge(NodeId(0), NodeId(v), u64::from(v)).unwrap();
+        b.add_edge(NodeId(v), NodeId(v % ring + 1), 1).unwrap();
+    }
+    let g = b.build();
+    let query = SgqQuery::new(4, 1, 0).unwrap();
+    let base = SelectConfig::default();
     let with = solve_sgq(&g, NodeId(0), &query, &base).unwrap();
     assert!(
         with.solution.is_none(),
-        "p=6 among strangers with k=2 is infeasible"
+        "p=4 with k=0 on a triangle-free ring is infeasible"
     );
+    assert_eq!(with.stats.peeled_candidates, 0, "the peel keeps the ring");
     let without = solve_sgq(
         &g,
         NodeId(0),
@@ -44,7 +59,7 @@ fn acquaintance_pruning_kills_star_instances_fast() {
     assert!(without.solution.is_none());
     assert!(
         with.stats.acquaintance_prunes > 0,
-        "the star must trigger acquaintance pruning"
+        "the ring must trigger acquaintance pruning"
     );
     assert!(
         with.stats.candidates_examined <= without.stats.candidates_examined,
@@ -87,18 +102,36 @@ fn distance_pruning_skips_expensive_subtrees() {
         "the far clique must die to a distance-flavoured bound"
     );
 
-    // Lemma 2's own behaviour is pinned with the reduction layer off.
-    let base = SelectConfig::default().without_candidate_reduction();
+    // Lemma 2's own behaviour, on the same shape with the near clique
+    // at distances 1, 2, 2. The seed finds it (5); once the distance-1
+    // member's subtree is done, the root's cheapest remaining candidate
+    // costs 2, and 3 · 2 > 5 retires the root on Lemma 2 itself —
+    // before the k-plex floor, which is checked after it.
+    let mut b = GraphBuilder::new(9);
+    for (v, d) in [(1u32, 1u64), (2, 2), (3, 2)] {
+        b.add_edge(NodeId(0), NodeId(v), d).unwrap();
+    }
+    for v in [4u32, 5, 6, 7] {
+        b.add_edge(NodeId(0), NodeId(v), 100).unwrap();
+    }
+    for (u, v) in [(1, 2), (1, 3), (2, 3)] {
+        b.add_edge(NodeId(u), NodeId(v), 1).unwrap();
+    }
+    for (u, v) in [(4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)] {
+        b.add_edge(NodeId(u), NodeId(v), 1).unwrap();
+    }
+    let g = b.build();
+    let base = SelectConfig::default();
     let with = solve_sgq(&g, NodeId(0), &query, &base).unwrap();
     let sol = with.solution.unwrap();
-    assert_eq!(sol.total_distance, 3, "near clique wins");
+    assert_eq!(sol.total_distance, 5, "near clique wins");
     assert!(
         with.stats.distance_prunes > 0,
         "far clique must be distance-pruned"
     );
 
     let without = solve_sgq(&g, NodeId(0), &query, &base.with_distance_pruning(false)).unwrap();
-    assert_eq!(without.solution.unwrap().total_distance, 3);
+    assert_eq!(without.solution.unwrap().total_distance, 5);
     assert!(without.stats.frames >= with.stats.frames);
 }
 
@@ -198,12 +231,27 @@ fn exterior_expansibility_rejects_dead_end_candidates() {
     );
     assert!(default_run.stats.peeled_candidates >= 1, "v1 is peeled");
 
-    // The exterior condition itself is pinned with the peel off.
-    let base = SelectConfig::default().without_candidate_reduction();
-    let out = solve_sgq(&g, NodeId(0), &query, &base).unwrap();
-    let sol = out.solution.unwrap();
-    assert_eq!(sol.members, vec![NodeId(0), NodeId(2), NodeId(3)]);
-    assert!(out.stats.exterior_rejections > 0, "v1 must be A()-rejected");
+    // The exterior condition itself, on an instance the peel keeps
+    // whole: the initiator knows everyone on a ring of 6 where each
+    // person knows only their two ring neighbours (degree 3 with the
+    // initiator, at the peel threshold for p = 4, k = 0). Inside a
+    // child frame too few acquaintances remain around some ring member
+    // to seat the rest of a 4-clique, so A() rejects her there.
+    let ring = 6u32;
+    let mut b = GraphBuilder::new(ring as usize + 1);
+    for v in 1..=ring {
+        b.add_edge(NodeId(0), NodeId(v), u64::from(v)).unwrap();
+        b.add_edge(NodeId(v), NodeId(v % ring + 1), 1).unwrap();
+    }
+    let g = b.build();
+    let query = SgqQuery::new(4, 1, 0).unwrap();
+    let out = solve_sgq(&g, NodeId(0), &query, &SelectConfig::default()).unwrap();
+    assert!(out.solution.is_none(), "the ring holds no 4-clique");
+    assert_eq!(out.stats.peeled_candidates, 0, "the peel keeps the ring");
+    assert!(
+        out.stats.exterior_rejections > 0,
+        "dead-end ring members must be A()-rejected"
+    );
 }
 
 /// Interior unfamiliarity at θ=0 equals the hard constraint: a candidate

@@ -1,15 +1,17 @@
-//! Acceptance tests for the search-reduction release: the seeded,
-//! promise-ordered, availability-tie-broken, buffer-pooled engines must
+//! Acceptance tests for the search-reduction layers: the seeded,
+//! promise-ordered, availability-tie-broken engines, with the always-on
+//! candidate-space reduction, incremental prep and pooled buffers, must
 //! return the **identical optimal objective** as the scalar reference
-//! engines on random instances (sequential and parallel), the parallel
-//! STGQ solver must be deterministic in its objective across thread
-//! counts, and the new `SearchStats` counters must actually register the
-//! reduction.
+//! engines on random instances (sequential and parallel), across every
+//! surviving `SelectConfig` switch; the parallel STGQ solver must be
+//! deterministic in its objective across thread counts; and the
+//! `SearchStats` counters must actually register the reduction.
 
 use proptest::prelude::*;
 
 use stgq::graph::FeasibleGraph;
 use stgq::prelude::*;
+use stgq::query::reference::solve_stgq_reference_on;
 use stgq::query::reference::{solve_sgq_reference, solve_stgq_reference};
 use stgq::query::validate::validate_stgq;
 use stgq::query::{solve_stgq_on, solve_stgq_parallel, solve_stgq_pooled, PivotArena};
@@ -50,42 +52,18 @@ fn arb_calendars(n: usize, horizon: usize) -> impl Strategy<Value = Vec<Calendar
     })
 }
 
-/// Every on/off combination of the four semantically visible
-/// search-reduction pieces (pooling is allocation-only and is covered by
-/// the bit-identical test below).
+/// Every on/off combination of the three search-order switches
+/// (seeding, promise-ordered pivots, availability tie-breaking).
 fn reduction_grid() -> Vec<SelectConfig> {
     let mut grid = Vec::new();
     for seed in [0usize, 2] {
         for promise in [false, true] {
             for avail in [false, true] {
-                for sharp in [false, true] {
-                    grid.push(
-                        SelectConfig::default()
-                            .with_seed_restarts(seed)
-                            .with_pivot_promise_order(promise)
-                            .with_availability_ordering(avail)
-                            .with_sharp_pivot_floor(sharp),
-                    );
-                }
-            }
-        }
-    }
-    grid
-}
-
-/// Every combination of the candidate-space reduction layer's three
-/// knobs (fixpoint core peel, k-plex matching bound, shared pivot
-/// prep), everything else at defaults.
-fn candidate_reduction_grid() -> Vec<SelectConfig> {
-    let mut grid = Vec::new();
-    for peel in [false, true] {
-        for matching in [false, true] {
-            for prep in [false, true] {
                 grid.push(
                     SelectConfig::default()
-                        .with_core_peel_fixpoint(peel)
-                        .with_kplex_match_bound(matching)
-                        .with_shared_pivot_prep(prep),
+                        .with_seed_restarts(seed)
+                        .with_pivot_promise_order(promise)
+                        .with_availability_ordering(avail),
                 );
             }
         }
@@ -93,28 +71,40 @@ fn candidate_reduction_grid() -> Vec<SelectConfig> {
     grid
 }
 
-/// Every combination of the temporal-prep / descent knobs added by the
-/// incremental-prep release: the per-solve run cache and the
-/// parent-side completion bound, everything else at defaults.
+/// The always-on candidate-space reduction layer (fixpoint core peel,
+/// k-plex bound, shared peel memo) crossed with the paper's pruning
+/// switches: the default, everything off, and each Lemma off alone —
+/// the reduction's incumbent-relative halves are gated on distance
+/// pruning, so each corner takes a different path through them.
+fn candidate_reduction_grid() -> Vec<SelectConfig> {
+    vec![
+        SelectConfig::default(),
+        SelectConfig::NO_PRUNING,
+        SelectConfig::default().with_distance_pruning(false),
+        SelectConfig::default().with_acquaintance_pruning(false),
+        SelectConfig::default().with_availability_pruning(false),
+    ]
+}
+
+/// The always-on incremental prep and parent-side completion bound
+/// crossed with the search-order switches: the default, the whole
+/// search-order layer off, and seeding, promise order and availability
+/// ordering off one at a time.
 fn prep_descent_grid() -> Vec<SelectConfig> {
-    let mut grid = Vec::new();
-    for iprep in [false, true] {
-        for pbound in [false, true] {
-            grid.push(
-                SelectConfig::default()
-                    .with_incremental_prep(iprep)
-                    .with_parent_completion_bound(pbound),
-            );
-        }
-    }
-    grid
+    vec![
+        SelectConfig::default(),
+        SelectConfig::NO_SEARCH_REDUCTION,
+        SelectConfig::default().with_seed_restarts(0),
+        SelectConfig::default().with_pivot_promise_order(false),
+        SelectConfig::default().with_availability_ordering(false),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Sequential STGSelect with every combination of the new pieces
-    /// returns the reference optimum.
+    /// Sequential STGSelect with every combination of the search-order
+    /// switches returns the reference optimum.
     #[test]
     fn seeded_promise_ordered_stgq_matches_reference(
         (g, cals) in arb_graph(11).prop_flat_map(|g| {
@@ -142,11 +132,11 @@ proptest! {
         }
     }
 
-    /// Sequential STGSelect with every combination of the three
-    /// candidate-reduction knobs returns the reference optimum —
-    /// peeling never removes a member of any optimal group, the
-    /// matching bound never prunes a frame that leads to an improving
-    /// solution, and shared prep changes nothing at all.
+    /// Sequential STGSelect across the candidate-reduction grid returns
+    /// the reference optimum — peeling never removes a member of any
+    /// optimal group, and the matching bound never prunes a frame that
+    /// leads to an improving solution, with or without the paper's
+    /// pruning alongside.
     #[test]
     fn candidate_reduction_grid_stgq_matches_reference(
         (g, cals) in arb_graph(11).prop_flat_map(|g| {
@@ -195,11 +185,11 @@ proptest! {
         }
     }
 
-    /// Sequential STGSelect with every combination of the incremental
-    /// run cache and the parent-side completion bound returns the
-    /// reference optimum — delta-built availability buffers change
-    /// nothing semantically, and the parent bound never prunes a child
-    /// whose subtree holds a strictly better group.
+    /// Sequential STGSelect across the prep/descent grid returns the
+    /// reference optimum — delta-built eligibility and touch-time
+    /// availability rows change nothing semantically, and the parent
+    /// bound never prunes a child whose subtree holds a strictly better
+    /// group, whatever order pivots and candidates come in.
     #[test]
     fn prep_descent_grid_stgq_matches_reference(
         (g, cals) in arb_graph(11).prop_flat_map(|g| {
@@ -228,8 +218,7 @@ proptest! {
     }
 
     /// The same grid on the SGQ engine (the parent bound fires on the
-    /// SGSelect expand path too; the run cache is temporal-only but must
-    /// stay inert there).
+    /// SGSelect expand path too).
     #[test]
     fn prep_descent_grid_sgq_matches_reference(
         g in arb_graph(12),
@@ -249,36 +238,13 @@ proptest! {
         }
     }
 
-    /// Shared pivot preprocessing is caching only: outcomes **and
-    /// stats** are bit-identical with the memo on or off, across a
-    /// query stream re-using one arena (the planner's usage pattern).
-    #[test]
-    fn shared_prep_is_bit_identical(
-        (g, cals) in arb_graph(10).prop_flat_map(|g| {
-            let n = g.node_count();
-            arb_calendars(n, 20).prop_map(move |cals| (g.clone(), cals))
-        }),
-        k in 0usize..3,
-    ) {
-        let q = NodeId(0);
-        let mut arena_on = PivotArena::new();
-        let mut arena_off = PivotArena::new();
-        let on_cfg = SelectConfig::default();
-        let off_cfg = SelectConfig::default().with_shared_pivot_prep(false);
-        for (p, m) in [(4usize, 3usize), (3, 1), (5, 4), (4, 2)] {
-            let query = StgqQuery::new(p, 2, k, m).unwrap();
-            let fg = FeasibleGraph::extract(&g, q, query.s());
-            let shared = solve_stgq_pooled(&fg, &cals, &query, &on_cfg, &mut arena_on);
-            let fresh = solve_stgq_pooled(&fg, &cals, &query, &off_cfg, &mut arena_off);
-            prop_assert_eq!(shared.solution, fresh.solution, "p {} m {}", p, m);
-            prop_assert_eq!(shared.stats, fresh.stats, "p {} m {}", p, m);
-        }
-    }
-
     /// Peeling is *witness*-preserving, not just objective-preserving: a
-    /// peeled vertex belongs to no feasible group, so the returned
-    /// members are identical with the peel on or off (same engine, same
-    /// ordering — only dead candidates disappear).
+    /// peeled vertex belongs to no feasible group, and every other
+    /// always-on bound retires only subtrees that cannot strictly beat
+    /// the incumbent. So with the search-order layer off — calendar
+    /// pivot order, plain distance order, no seed — the engine returns
+    /// the very members and period the unpeeled `reference` engine
+    /// returns on the same candidate space.
     #[test]
     fn peeling_preserves_the_witness(
         (g, cals) in arb_graph(10).prop_flat_map(|g| {
@@ -291,13 +257,10 @@ proptest! {
     ) {
         let q = NodeId(0);
         let query = StgqQuery::new(p, 2, k, m).unwrap();
-        // Seeding off isolates the peel: the first-fit seed sees the
-        // peeled candidate order, which may legitimately pick a
-        // different equal-cost witness.
-        let base = SelectConfig::default().with_seed_restarts(0);
-        let peeled = solve_stgq(&g, q, &cals, &query, &base).unwrap();
-        let unpeeled =
-            solve_stgq(&g, q, &cals, &query, &base.with_core_peel_fixpoint(false)).unwrap();
+        let cfg = SelectConfig::NO_SEARCH_REDUCTION;
+        let fg = FeasibleGraph::extract(&g, q, query.s());
+        let peeled = solve_stgq_on(&fg, &cals, &query, &cfg);
+        let unpeeled = solve_stgq_reference_on(&fg, &cals, &query, &cfg);
         prop_assert_eq!(
             peeled.solution.as_ref().map(|s| &s.members),
             unpeeled.solution.as_ref().map(|s| &s.members)
@@ -374,14 +337,14 @@ proptest! {
     ) {
         let q = NodeId(0);
         let mut arena = PivotArena::new();
-        let unpooled_cfg = SelectConfig::default().with_pool_pivot_buffers(false);
+        let cfg = SelectConfig::default();
         // Varying (p, m) across the stream forces the arena to re-size its
         // buffers between queries, like a live planner would.
         for (p, m) in [(2usize, 3usize), (4, 1), (3, 4), (2, 2)] {
             let query = StgqQuery::new(p, 2, k, m).unwrap();
             let fg = FeasibleGraph::extract(&g, q, query.s());
-            let pooled = solve_stgq_pooled(&fg, &cals, &query, &SelectConfig::default(), &mut arena);
-            let fresh = solve_stgq_on(&fg, &cals, &query, &unpooled_cfg);
+            let pooled = solve_stgq_pooled(&fg, &cals, &query, &cfg, &mut arena);
+            let fresh = solve_stgq_pooled(&fg, &cals, &query, &cfg, &mut PivotArena::new());
             prop_assert_eq!(pooled.solution, fresh.solution, "p {} m {}", p, m);
             prop_assert_eq!(pooled.stats, fresh.stats, "p {} m {}", p, m);
         }
@@ -413,7 +376,8 @@ fn easy_instances_are_solved_without_opening_a_single_frame() {
         out.stats.pivots_skipped > 0,
         "the bound retires every pivot"
     );
-    // The PR-1 baseline pays the full search on the same instance.
+    // With the search-order layer off (no seed, calendar-order pivots,
+    // so no pivot skip) the same instance pays a real search.
     let old = solve_stgq(
         &g,
         NodeId(0),
