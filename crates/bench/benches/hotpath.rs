@@ -33,7 +33,7 @@ use stgq_bench::figures::{
     calendar_churn_dataset, plaza_dataset, sgq_dataset, sparse_fringe_dataset, stgq_dataset,
 };
 use stgq_core::reference::{solve_sgq_reference_on, solve_stgq_reference_on};
-use stgq_core::{solve_sgq_on, solve_stgq_on, SelectConfig, SgqQuery, StgqQuery};
+use stgq_core::{SelectConfig, SgqQuery, Solver, StgqQuery};
 use stgq_graph::{CandidateTopology, FeasibleGraph, FeasibleView, ShardedGraph};
 
 fn bench_stgselect(c: &mut Criterion) {
@@ -56,7 +56,7 @@ fn bench_stgselect(c: &mut Criterion) {
         for (label, p, k, m) in cases {
             let query = StgqQuery::new(p, 2, k, m).expect("valid");
             let fg = FeasibleGraph::extract(&ds.graph, q, query.s());
-            let new_out = solve_stgq_on(&fg, &ds.calendars, &query, &cfg);
+            let new_out = Solver::new(&fg, &cfg).stgq(&ds.calendars, &query);
             let ref_out = solve_stgq_reference_on(&fg, &ds.calendars, &query, &cfg);
             assert_eq!(
                 new_out.solution.as_ref().map(|s| s.total_distance),
@@ -65,7 +65,7 @@ fn bench_stgselect(c: &mut Criterion) {
             );
 
             g.bench_function(format!("stgselect/fig1f-days{days}-{label}"), |b| {
-                b.iter(|| solve_stgq_on(&fg, &ds.calendars, &query, &cfg))
+                b.iter(|| Solver::new(&fg, &cfg).stgq(&ds.calendars, &query))
             });
             g.bench_function(
                 format!("reference-stgselect/fig1f-days{days}-{label}"),
@@ -95,7 +95,7 @@ fn bench_sparse_fringe(c: &mut Criterion) {
         for (label, p, k, m) in cases {
             let query = StgqQuery::new(p, 2, k, m).expect("valid");
             let fg = FeasibleGraph::extract(&ds.graph, q, query.s());
-            let new_out = solve_stgq_on(&fg, &ds.calendars, &query, &cfg);
+            let new_out = Solver::new(&fg, &cfg).stgq(&ds.calendars, &query);
             let ref_out = solve_stgq_reference_on(&fg, &ds.calendars, &query, &cfg);
             assert_eq!(
                 new_out.solution.as_ref().map(|s| s.total_distance),
@@ -104,7 +104,7 @@ fn bench_sparse_fringe(c: &mut Criterion) {
             );
 
             g.bench_function(format!("stgselect/sparse-days{days}-{label}"), |b| {
-                b.iter(|| solve_stgq_on(&fg, &ds.calendars, &query, &cfg))
+                b.iter(|| Solver::new(&fg, &cfg).stgq(&ds.calendars, &query))
             });
             g.bench_function(
                 format!("reference-stgselect/sparse-days{days}-{label}"),
@@ -135,7 +135,7 @@ fn bench_calendar_churn(c: &mut Criterion) {
         for (label, p, k, m) in cases {
             let query = StgqQuery::new(p, 2, k, m).expect("valid");
             let fg = FeasibleGraph::extract(&ds.graph, q, query.s());
-            let new_out = solve_stgq_on(&fg, &ds.calendars, &query, &cfg);
+            let new_out = Solver::new(&fg, &cfg).stgq(&ds.calendars, &query);
             let ref_out = solve_stgq_reference_on(&fg, &ds.calendars, &query, &cfg);
             assert_eq!(
                 new_out.solution.as_ref().map(|s| s.total_distance),
@@ -144,7 +144,7 @@ fn bench_calendar_churn(c: &mut Criterion) {
             );
 
             g.bench_function(format!("stgselect/churn-days{days}-{label}"), |b| {
-                b.iter(|| solve_stgq_on(&fg, &ds.calendars, &query, &cfg))
+                b.iter(|| Solver::new(&fg, &cfg).stgq(&ds.calendars, &query))
             });
             g.bench_function(
                 format!("reference-stgselect/churn-days{days}-{label}"),
@@ -235,7 +235,7 @@ fn bench_sgselect(c: &mut Criterion) {
     for p in [5usize, 7] {
         let query = SgqQuery::new(p, 2, 2).expect("valid");
         let fg = FeasibleGraph::extract(&graph, q, query.s());
-        let new_out = solve_sgq_on(&fg, &query, &cfg, None);
+        let new_out = Solver::new(&fg, &cfg).sgq(&query, None);
         let ref_out = solve_sgq_reference_on(&fg, &query, &cfg, None);
         assert_eq!(
             new_out.solution.as_ref().map(|s| s.total_distance),
@@ -244,7 +244,7 @@ fn bench_sgselect(c: &mut Criterion) {
         );
 
         g.bench_function(format!("sgselect/p{p}"), |b| {
-            b.iter(|| solve_sgq_on(&fg, &query, &cfg, None))
+            b.iter(|| Solver::new(&fg, &cfg).sgq(&query, None))
         });
         g.bench_function(format!("reference-sgselect/p{p}"), |b| {
             b.iter(|| solve_sgq_reference_on(&fg, &query, &cfg, None))

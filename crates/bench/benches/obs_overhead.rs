@@ -35,7 +35,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use stgq_bench::figures::{calendar_churn_dataset, stgq_dataset};
-use stgq_core::{solve_stgq_pooled, PivotArena, SelectConfig, StgqQuery};
+use stgq_core::{PivotArena, SelectConfig, Solver, StgqQuery};
 use stgq_graph::FeasibleGraph;
 use stgq_schedule::Calendar;
 
@@ -59,7 +59,7 @@ fn arm_ns(
     arena.record_timings = recording;
     let start = Instant::now();
     for _ in 0..iters {
-        black_box(solve_stgq_pooled(fg, cals, query, cfg, arena));
+        black_box(Solver::new(fg, cfg).arena(arena).stgq(cals, query));
     }
     start.elapsed().as_nanos() as f64 / iters as f64
 }
@@ -72,9 +72,9 @@ fn overhead_milli_ratio(fg: &FeasibleGraph, cals: &[Calendar], query: &StgqQuery
     // Both arms must agree before being compared — recording never
     // changes the answer, only the clock reads around the pivot loop.
     arena.record_timings = true;
-    let on_out = solve_stgq_pooled(fg, cals, query, &cfg, &mut arena);
+    let on_out = Solver::new(fg, &cfg).arena(&mut arena).stgq(cals, query);
     arena.record_timings = false;
-    let off_out = solve_stgq_pooled(fg, cals, query, &cfg, &mut arena);
+    let off_out = Solver::new(fg, &cfg).arena(&mut arena).stgq(cals, query);
     assert_eq!(
         on_out, off_out,
         "recording mode must not change the solve outcome"

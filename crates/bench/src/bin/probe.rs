@@ -5,7 +5,7 @@
 use std::time::Instant;
 
 use stgq_bench::figures::{calendar_churn_dataset, stgq_dataset};
-use stgq_core::{solve_stgq, SelectConfig, StgqQuery};
+use stgq_core::{solve_stgq, SelectConfig, Solver, StgqQuery};
 use stgq_datagen::Dataset;
 use stgq_graph::{FeasibleGraph, FeasibleView, NodeId, ShardedGraph};
 
@@ -56,13 +56,11 @@ fn prep_split(what: &str, ds: &Dataset, q: NodeId, query: &StgqQuery) {
     let mut out = None;
     for _ in 0..12 {
         let t0 = Instant::now();
-        out = Some(stgq_core::solve_stgq_pooled(
-            &fg,
-            &ds.calendars,
-            query,
-            &cfg,
-            &mut arena,
-        ));
+        out = Some(
+            Solver::new(&fg, &cfg)
+                .arena(&mut arena)
+                .stgq(&ds.calendars, query),
+        );
         solve_ns = solve_ns.min(t0.elapsed().as_nanos());
         timing = arena.timings;
         prep_ns = prep_ns.min(timing.prepare_ns);
@@ -136,7 +134,7 @@ fn main() {
     let t0 = Instant::now();
     let mut on = None;
     for _ in 0..100 {
-        on = Some(stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &cfg));
+        on = Some(Solver::new(&fg, &cfg).stgq(&ds.calendars, &query));
     }
     let on_ns = t0.elapsed().as_nanos() / 100;
     println!("solve_on (pre-extracted): {on_ns} ns");
@@ -159,7 +157,7 @@ fn main() {
     ] {
         let t0 = Instant::now();
         for _ in 0..100 {
-            let _ = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &cfg);
+            let _ = Solver::new(&fg, &cfg).stgq(&ds.calendars, &query);
         }
         println!("{name}: {} ns", t0.elapsed().as_nanos() / 100);
     }
@@ -170,7 +168,7 @@ fn main() {
     let tight = SelectConfig::default().with_frame_budget(1);
     let t0 = Instant::now();
     for _ in 0..100 {
-        let _ = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &tight);
+        let _ = Solver::new(&fg, &tight).stgq(&ds.calendars, &query);
     }
     println!("prep + 1 frame/pivot: {} ns", t0.elapsed().as_nanos() / 100);
 
@@ -189,10 +187,10 @@ fn main() {
             let _ = stgq_core::reference::solve_stgq_reference_on(&fg, &ds.calendars, &query, &cfg);
             ref_ns = ref_ns.min(t0.elapsed().as_nanos());
             let t0 = Instant::now();
-            let _ = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &cfg);
+            let _ = Solver::new(&fg, &cfg).stgq(&ds.calendars, &query);
             new_ns = new_ns.min(t0.elapsed().as_nanos());
         }
-        let out = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &cfg);
+        let out = Solver::new(&fg, &cfg).stgq(&ds.calendars, &query);
         println!(
             "p={p} k={k} m={m:>2}: reference {ref_ns:>10} ns  optimized {new_ns:>10} ns  speedup {:.2}x  exams {} frames {} expanded {}",
             ref_ns as f64 / new_ns as f64,
@@ -206,13 +204,8 @@ fn main() {
     println!("\nsearch reduction (default vs NO_SEARCH_REDUCTION):");
     for (p, k, m) in [(4usize, 2usize, 4usize), (5, 2, 4), (5, 2, 12), (5, 2, 16)] {
         let query = StgqQuery::new(p, 2, k, m).expect("valid");
-        let new = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &SelectConfig::default());
-        let old = stgq_core::solve_stgq_on(
-            &fg,
-            &ds.calendars,
-            &query,
-            &SelectConfig::NO_SEARCH_REDUCTION,
-        );
+        let new = Solver::new(&fg, &SelectConfig::default()).stgq(&ds.calendars, &query);
+        let old = Solver::new(&fg, &SelectConfig::NO_SEARCH_REDUCTION).stgq(&ds.calendars, &query);
         assert_eq!(
             new.solution.as_ref().map(|s| s.total_distance),
             old.solution.as_ref().map(|s| s.total_distance),
@@ -234,7 +227,7 @@ fn main() {
             let mut ns = u128::MAX;
             for _ in 0..12 {
                 let t0 = Instant::now();
-                let _ = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &ablated);
+                let _ = Solver::new(&fg, &ablated).stgq(&ds.calendars, &query);
                 ns = ns.min(t0.elapsed().as_nanos());
             }
             println!("    p={p} m={m:>2} [{name}]: {ns:>9} ns");
@@ -269,7 +262,7 @@ fn main() {
     for (p, k, m) in [(5usize, 1usize, 4usize), (6, 2, 4)] {
         let query = StgqQuery::new(p, 2, k, m).expect("valid");
         let fg = FeasibleGraph::extract(&ds.graph, q, query.s());
-        let new = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &cfg);
+        let new = Solver::new(&fg, &cfg).stgq(&ds.calendars, &query);
         let reference =
             stgq_core::reference::solve_stgq_reference_on(&fg, &ds.calendars, &query, &cfg);
         assert_eq!(
@@ -281,7 +274,7 @@ fn main() {
         let mut ref_ns = u128::MAX;
         for _ in 0..12 {
             let t0 = Instant::now();
-            let _ = stgq_core::solve_stgq_on(&fg, &ds.calendars, &query, &cfg);
+            let _ = Solver::new(&fg, &cfg).stgq(&ds.calendars, &query);
             new_ns = new_ns.min(t0.elapsed().as_nanos());
             let t0 = Instant::now();
             let _ = stgq_core::reference::solve_stgq_reference_on(&fg, &ds.calendars, &query, &cfg);

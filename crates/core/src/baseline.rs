@@ -18,7 +18,7 @@ use stgq_schedule::{Calendar, SlotRange};
 
 use crate::combinations::Combinations;
 use crate::inputs::check_temporal_inputs;
-use crate::sgselect::solve_sgq_on;
+use crate::Solver;
 use crate::{
     QueryError, SearchStats, SelectConfig, SgqOutcome, SgqQuery, SgqSolution, StgqOutcome,
     StgqQuery, StgqSolution,
@@ -174,7 +174,7 @@ pub fn solve_stgq_sequential(
             continue;
         }
         let outcome = match engine {
-            SgqEngine::SgSelect => solve_sgq_on(&fg, query.social(), cfg, Some(&mask)),
+            SgqEngine::SgSelect => Solver::new(&fg, cfg).sgq(query.social(), Some(&mask)),
             SgqEngine::Exhaustive => solve_sgq_exhaustive_on(&fg, query.social(), Some(&mask)),
         };
         stats.absorb(&outcome.stats);
@@ -245,7 +245,7 @@ pub fn solve_stgq_sequential_on(
             continue;
         }
         let outcome = match engine {
-            SgqEngine::SgSelect => solve_sgq_on(fg, query.social(), cfg, Some(&mask)),
+            SgqEngine::SgSelect => Solver::new(fg, cfg).sgq(query.social(), Some(&mask)),
             SgqEngine::Exhaustive => solve_sgq_exhaustive_on(fg, query.social(), Some(&mask)),
         };
         stats.absorb(&outcome.stats);

@@ -117,11 +117,7 @@ impl SelectConfig {
     /// seeding, pivots in calendar order (so no pivot-floor skip), pure
     /// distance access order. The always-on mechanisms listed on
     /// [`SelectConfig`] still run. The search-reduction benchmarks and
-    /// the stats-regression tests diff against this. Caveat for parallel
-    /// ablations: the parallel solvers historically always seeded (a
-    /// hard-coded 2-restart greedy), so with this preset they run
-    /// *unseeded*; set `seed_restarts: 2` to reproduce their old
-    /// behavior.
+    /// the stats-regression tests diff against this.
     pub const NO_SEARCH_REDUCTION: SelectConfig = SelectConfig {
         seed_restarts: 0,
         pivot_promise_order: false,

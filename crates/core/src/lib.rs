@@ -15,10 +15,9 @@
 //!
 //! | engine | function | paper |
 //! |--------|----------|-------|
-//! | SGSelect | [`solve_sgq`] | §3.2 |
-//! | STGSelect | [`solve_stgq`] | §4.2 |
-//! | parallel SGSelect | [`solve_sgq_parallel`] | extension (§5.2 notes IP used 8 cores) |
-//! | parallel STGSelect | [`solve_stgq_parallel`] | extension |
+//! | SGSelect | [`solve_sgq`], [`Solver::sgq`] | §3.2 |
+//! | STGSelect | [`solve_stgq`], [`Solver::stgq`] | §4.2 |
+//! | parallel SGSelect / STGSelect | [`Solver::threads`] | extension (§5.2 notes IP used 8 cores) |
 //! | SGQ exhaustive baseline | [`solve_sgq_exhaustive`] | §5.2 |
 //! | STGQ sequential baseline | [`solve_stgq_sequential`] | §5.2 |
 //! | PCArrange | [`pc_arrange`] | §5.1 |
@@ -29,6 +28,16 @@
 //! optimal objective; cross-checking them is the backbone of this crate's
 //! test suite. An independent [`validate`] module re-checks any claimed
 //! solution straight from the problem definitions.
+//!
+//! SGSelect and STGSelect are one branch-and-bound descent, generic over
+//! a temporal axis: SGQ runs it on a zero-sized unit axis, STGQ on the
+//! pivot axis that adds the common run, temporal extensibility and
+//! availability pruning (the paper builds STGSelect as SGSelect plus a
+//! temporal dimension). There is one way to call it: [`Solver`] takes an
+//! extracted candidate space and the config, optionally a thread count,
+//! a [`SolveControl`] and a pooled [`PivotArena`], and answers
+//! [`Solver::sgq`] or [`Solver::stgq`]. The flat-graph [`solve_sgq`] /
+//! [`solve_stgq`] validate outside input and run a default `Solver`.
 //!
 //! # Hot-path architecture
 //!
@@ -91,7 +100,7 @@
 //! * **Pivot-arena pooling** ([`PivotArena`]). The flattened
 //!   availability buffers, bitmaps, undo logs and order permutations are
 //!   recycled across the sequential pivot loop, and — via
-//!   [`solve_stgq_pooled`] — across whole query streams (the executor's
+//!   [`Solver::arena`] — across whole query streams (the executor's
 //!   workers each hold one arena).
 //! * **Compatibility-restricted pivot floor.** Per-pivot runs are
 //!   intervals all containing the pivot, so (Helly property) a group
@@ -145,7 +154,7 @@
 //!
 //! For serving deployments the engines also stop **cooperatively**: an
 //! optional [`SolveControl`] (cancellation token and/or wall-clock
-//! deadline, [`solve_sgq_controlled_on`] / [`solve_stgq_controlled`])
+//! deadline, [`Solver::control`])
 //! is polled on the same frame-counter path as the anytime budget, and
 //! a stopped solve returns the incumbent with
 //! [`SearchStats::cancelled`] set — provenance kept distinct from
@@ -198,6 +207,7 @@ mod baseline;
 mod combinations;
 mod config;
 mod control;
+mod descent;
 mod error;
 pub mod heuristics;
 mod incumbent;
@@ -211,6 +221,7 @@ mod result;
 #[cfg(feature = "serde")]
 mod serde_impls;
 mod sgselect;
+mod solver;
 mod stats;
 mod stgselect;
 pub mod timings;
@@ -225,15 +236,10 @@ pub use config::SelectConfig;
 pub use control::{CancelToken, SolveControl, DEADLINE_CHECK_INTERVAL};
 pub use error::QueryError;
 pub use manual::{pc_arrange, stg_arrange, PcArrangeResult, StgArrangeResult};
-pub use parallel::{
-    solve_sgq_parallel, solve_sgq_parallel_controlled_on, solve_sgq_parallel_on,
-    solve_stgq_parallel, solve_stgq_parallel_controlled_on, solve_stgq_parallel_on,
-};
 pub use query::{SgqQuery, StgqQuery};
 pub use result::{SgqOutcome, SgqSolution, SolveOutcome, StgqOutcome, StgqSolution, StopCause};
-pub use sgselect::{solve_sgq, solve_sgq_controlled_on, solve_sgq_on};
+pub use sgselect::solve_sgq;
+pub use solver::Solver;
 pub use stats::SearchStats;
-pub use stgselect::{
-    solve_stgq, solve_stgq_controlled, solve_stgq_on, solve_stgq_pooled, PivotArena,
-};
+pub use stgselect::{solve_stgq, PivotArena};
 pub use timings::StageTimings;

@@ -1,4 +1,5 @@
-//! Parallel variants of SGSelect and STGSelect.
+//! Parallel SGSelect and STGSelect — what a [`Solver`](crate::Solver)
+//! with more than one worker thread runs.
 //!
 //! The paper's evaluation (§5.2) notes that the CPLEX comparator exploited
 //! all 8 cores of the test machine while SGSelect and STGSelect ran
@@ -22,9 +23,14 @@
 //!   optimum usually lives there, and later roots are pruned by its
 //!   incumbent). The solver therefore splits the first
 //!   [`PAIR_SPLIT_ROOTS`] roots into their depth-2 pair subtrees and keeps
-//!   depth-1 tasks for the long cheap tail. Each forced prefix is vetted
-//!   with the hard acquaintance check (θ = 0) and Lemma 1 before being
-//!   searched by an ordinary [`Searcher`] sharing the global incumbent.
+//!   depth-1 tasks for the long cheap tail.
+//!
+//! Both split the same way, through the descent core's
+//! [`vet_roots`] (each forced prefix is vetted with the hard acquaintance
+//! check, Lemma 1 and, for STGQ, the hard temporal requirement) and
+//! [`search_subtree`] (an ordinary searcher sharing the global incumbent
+//! and counting into its worker's stats, so a
+//! [`frame_budget`](crate::SelectConfig::frame_budget) caps each worker).
 //!
 //! Sharing the incumbent is sound in both directions: a racing thread can
 //! only ever read a *stale, larger* bound, which weakens Lemma-2 pruning
@@ -43,22 +49,20 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use stgq_graph::{BitSet, CandidateTopology, FeasibleGraph, NodeId, SocialGraph};
+use stgq_graph::{BitSet, CandidateTopology};
 use stgq_schedule::{Calendar, Cals};
 
+use crate::descent::{search_subtree, vet_roots, SearchCtx, UnitAxis, VaState};
 use crate::heuristics::{greedy_sgq_on, greedy_stgq_on};
 use crate::incumbent::Incumbent;
-use crate::inputs::check_temporal_inputs;
 use crate::reduce::sgq_peel_preamble;
-use crate::sgselect::{Searcher, VaState};
 use crate::stgselect::{
-    finalize_pivot, materialize_pivot, pivot_bound_skips, prepare_pivot, promise_ordered_pivots,
-    search_pivot_controlled, search_pivot_subtree, vet_pivot_roots, PivotArena, PivotJob,
-    PivotPrep, StBest,
+    descend_pivot, finalize_pivot, materialize_pivot, pivot_bound_skips, prepare_pivot,
+    promise_ordered_pivots, PivotArena, PivotAxis, PivotPrep, StBest, Unavail,
 };
 use crate::{
-    solve_sgq_controlled_on, solve_stgq_controlled, QueryError, SearchStats, SelectConfig,
-    SgqOutcome, SgqQuery, SgqSolution, SolveControl, StgqOutcome, StgqQuery, StgqSolution,
+    SearchStats, SelectConfig, SgqOutcome, SgqQuery, SgqSolution, SolveControl, StgqOutcome,
+    StgqQuery, StgqSolution,
 };
 
 /// How many of the earliest access-order roots are split into depth-2
@@ -67,7 +71,18 @@ use crate::{
 /// list at `PAIR_SPLIT_ROOTS · f + f` entries regardless of graph size.
 const PAIR_SPLIT_ROOTS: usize = 24;
 
-/// One unit of parallel SGQ work: a forced prefix of the access order.
+/// Below this many prepared pivots per thread, STGQ tasks are split
+/// *within* pivots (forced-prefix subtrees, as in the SGQ solver) instead
+/// of one-task-per-pivot. Pivot-level tasks alone cap parallelism at
+/// `horizon / m`, which starves cores on small-horizon workloads.
+const INTRA_PIVOT_SPLIT_FACTOR: usize = 4;
+
+/// How many of the earliest access-order roots of each pivot get depth-2
+/// pair tasks when splitting within pivots (the SGQ rationale applies
+/// per pivot: the first subtree holds nearly all the work).
+const STGQ_PAIR_SPLIT_ROOTS: usize = 8;
+
+/// One unit of forced-prefix work.
 #[derive(Clone, Copy)]
 enum RootTask {
     /// Force `order[i]`; exclude everything before it.
@@ -77,56 +92,86 @@ enum RootTask {
     Pair(usize, usize),
 }
 
-/// Resolve a thread-count request: `0` means "all available parallelism".
-fn effective_threads(requested: usize) -> usize {
-    if requested > 0 {
-        requested
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+impl RootTask {
+    /// `(i, forced_j)` as [`search_subtree`] takes it.
+    fn forced(self) -> (usize, Option<usize>) {
+        match self {
+            RootTask::Single(i) => (i, None),
+            RootTask::Pair(i, j) => (i, Some(j)),
+        }
     }
 }
 
-/// Parallel SGSelect: identical optimum to [`crate::solve_sgq`], searched
-/// by `threads` workers (`0` = all available cores).
-pub fn solve_sgq_parallel(
-    graph: &SocialGraph,
-    initiator: NodeId,
-    query: &SgqQuery,
-    cfg: &SelectConfig,
-    threads: usize,
-) -> Result<SgqOutcome, QueryError> {
-    if initiator.index() >= graph.node_count() {
-        return Err(QueryError::InitiatorOutOfRange {
-            initiator,
-            node_count: graph.node_count(),
-        });
+/// Append job `ji`'s forced-prefix tasks: depth-2 pairs for the vetted
+/// heavy early roots (the first `split_roots`), depth-1 singles for the
+/// tail — or singles only at `p = 2`, where groups are `{q, u_i}`.
+fn root_tasks(
+    ji: u32,
+    root_ok: &[bool],
+    p: usize,
+    split_roots: usize,
+    tasks: &mut Vec<(u32, RootTask)>,
+) {
+    let n = root_ok.len();
+    if p == 2 {
+        tasks.extend((0..n).map(|i| (ji, RootTask::Single(i))));
+        return;
     }
-    let fg = FeasibleGraph::extract(graph, initiator, query.s());
-    Ok(solve_sgq_parallel_on(&fg, query, cfg, None, threads))
+    let split = split_roots.min(n);
+    for (i, ok) in root_ok.iter().enumerate().take(split) {
+        if *ok {
+            tasks.extend((i + 1..n).map(|j| (ji, RootTask::Pair(i, j))));
+        }
+    }
+    tasks.extend((split..n).map(|i| (ji, RootTask::Single(i))));
 }
 
-/// As [`solve_sgq_parallel`] on a pre-extracted feasible graph, with an
-/// optional candidate mask (see [`crate::solve_sgq_on`]).
-pub fn solve_sgq_parallel_on<G: CandidateTopology>(
-    fg: &G,
-    query: &SgqQuery,
-    cfg: &SelectConfig,
-    candidate_mask: Option<&BitSet>,
+/// Run `work(i, stats, state)` for every `i < n` on `threads` scoped
+/// workers claiming indices from a shared counter, each with its own
+/// stats and `init()` state. `control` is polled before every claimed
+/// index is worked (unamortised — work between frames, such as pivot
+/// preparation or subtree setup, is outside the frame path's check), and
+/// a tripped control ends the worker with `cancelled` set. Returns every
+/// worker's stats and state.
+fn claim<S: Send>(
     threads: usize,
-) -> SgqOutcome {
-    solve_sgq_parallel_controlled_on(fg, query, cfg, candidate_mask, threads, None)
+    n: usize,
+    control: Option<&SolveControl>,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(usize, &mut SearchStats, &mut S) + Sync,
+) -> Vec<(SearchStats, S)> {
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = SearchStats::default();
+                    let mut state = init();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        if control.is_some_and(SolveControl::should_stop_now) {
+                            local.cancelled = true;
+                            break;
+                        }
+                        work(i, &mut local, &mut state);
+                    }
+                    (local, state)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("solver workers never panic"))
+            .collect()
+    })
 }
 
-/// As [`solve_sgq_parallel_on`], with an optional [`SolveControl`]
-/// (cooperative cancellation / deadline). Every worker polls the control
-/// on its frame-counter path and between claimed subtree tasks, so a
-/// tripped token or expired deadline stops the whole solve at the next
-/// frame boundary on every thread; the result carries
-/// [`SearchStats::cancelled`](crate::SearchStats::cancelled) — never
-/// `truncated`, which stays reserved for frame-budget exhaustion.
-pub fn solve_sgq_parallel_controlled_on<G: CandidateTopology>(
+/// Parallel SGSelect on `threads ≥ 2` workers: identical optimum to the
+/// sequential engine. `control` is already filtered of no-op policies.
+pub(crate) fn solve_sgq<G: CandidateTopology>(
     fg: &G,
     query: &SgqQuery,
     cfg: &SelectConfig,
@@ -134,13 +179,7 @@ pub fn solve_sgq_parallel_controlled_on<G: CandidateTopology>(
     threads: usize,
     control: Option<&SolveControl>,
 ) -> SgqOutcome {
-    let control = control.filter(|c| !c.is_noop());
-    let threads = effective_threads(threads);
     let p = query.p();
-    if threads == 1 || p <= 1 {
-        return solve_sgq_controlled_on(fg, query, cfg, candidate_mask, control);
-    }
-
     // Fixpoint (p, k)-core peel — the sequential engine's shared helper,
     // computed once here and read by every worker through the peeled
     // `base_va`.
@@ -167,124 +206,42 @@ pub fn solve_sgq_parallel_controlled_on<G: CandidateTopology>(
             incumbent.offer(seed.total_distance, || compact);
         }
     }
+    let ctx = SearchCtx {
+        fg,
+        p,
+        k: query.k(),
+        cfg: *cfg,
+        incumbent: &incumbent,
+        control,
+    };
 
-    // Vet each root against the hard acquaintance constraint once (the
-    // check only involves VS = {q}, so it is task-independent) and use
-    // Lemma 1 with the root's full suffix — sound to skip on, because a
-    // pair task's effective VA is a subset of the root's.
-    let mut root_ok = vec![false; order.len()];
-    {
-        let mut va = base_va.clone();
-        let mut probe = Searcher::new(fg, p, query.k(), cfg, &incumbent);
-        probe.push(0);
-        for (i, &u) in order.iter().enumerate() {
-            if va.set.contains(u as usize) {
-                let (u_val, a_val) = probe.u_and_a(u, &va);
-                root_ok[i] = probe.hard_feasible(u_val, a_val);
-                va.remove(u, fg);
-            }
-        }
-    }
-
-    // Depth-2 pair tasks for the heavy early roots, depth-1 for the tail.
-    let split = PAIR_SPLIT_ROOTS.min(order.len());
-    let mut tasks: Vec<RootTask> = Vec::new();
-    if p == 2 {
-        // Groups are {q, u_i}: depth-1 covers everything.
-        tasks.extend((0..order.len()).map(RootTask::Single));
-    } else {
-        for (i, ok) in root_ok.iter().enumerate().take(split) {
-            if *ok {
-                tasks.extend((i + 1..order.len()).map(|j| RootTask::Pair(i, j)));
-            }
-        }
-        tasks.extend((split..order.len()).map(RootTask::Single));
-    }
-    let next = AtomicUsize::new(0);
+    // Vet each root once (the check only involves VS = {q}, so it is
+    // task-independent) with Lemma 1 against the root's full suffix —
+    // sound to skip on, because a pair task's effective VA is a subset of
+    // the root's.
+    let root_ok = vet_roots(ctx, order, UnitAxis, &base_va);
+    let mut tasks = Vec::new();
+    root_tasks(0, &root_ok, p, PAIR_SPLIT_ROOTS, &mut tasks);
 
     let mut stats = SearchStats {
         peeled_candidates,
         ..SearchStats::default()
     };
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = SearchStats::default();
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&task) = tasks.get(t) else {
-                            return local;
-                        };
-                        // Between-task stop: the frame path below polls the
-                        // control too, but a task claimed after the stop
-                        // would still pay its setup — bail here instead.
-                        if let Some(control) = control {
-                            if control.should_stop_now() {
-                                local.cancelled = true;
-                                return local;
-                            }
-                        }
-                        let (i, forced_j) = match task {
-                            RootTask::Single(i) => (i, None),
-                            RootTask::Pair(i, j) => (i, Some(j)),
-                        };
-                        if !root_ok[i] || !base_va.set.contains(order[i] as usize) {
-                            continue;
-                        }
-                        let last_forced = forced_j.unwrap_or(i);
-                        if !base_va.set.contains(order[last_forced] as usize) {
-                            continue;
-                        }
-
-                        // VA: everything ordered after the last forced
-                        // vertex (the forced pair's second member stays in
-                        // until its feasibility check below).
-                        let mut va = base_va.clone();
-                        for (pos, &w) in order[..=last_forced].iter().enumerate() {
-                            if pos != last_forced && va.set.contains(w as usize) {
-                                va.remove(w, fg);
-                            }
-                        }
-                        let forced_members = if forced_j.is_some() { 2 } else { 1 };
-                        if va.len() + forced_members < p {
-                            continue;
-                        }
-
-                        let mut searcher = Searcher::new(fg, p, query.k(), cfg, &incumbent);
-                        searcher.control = control;
-                        searcher.push(0);
-                        let u_i = order[i];
-                        let mut td = fg.dist(u_i);
-                        if forced_j.is_some() {
-                            // root_ok[i] vouched for u_i against VS = {q}.
-                            searcher.push(u_i);
-                        }
-                        let u_last = order[last_forced];
-                        searcher.stats.candidates_examined += 1;
-                        let (u_val, a_val) = searcher.u_and_a(u_last, &va);
-                        if searcher.hard_feasible(u_val, a_val) {
-                            if forced_j.is_some() {
-                                td += fg.dist(u_last);
-                            }
-                            searcher.push(u_last);
-                            va.remove(u_last, fg);
-                            searcher.stats.vertices_expanded += 1;
-                            if searcher.vs.len() >= p {
-                                searcher.record(td);
-                            } else {
-                                searcher.expand(&mut va, td);
-                            }
-                        }
-                        local.absorb(&searcher.stats);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            stats.absorb(&h.join().expect("SGQ worker never panics"));
-        }
-    });
+    let workers = claim(
+        threads,
+        tasks.len(),
+        control,
+        || (),
+        |t, local, _| {
+            let (i, forced_j) = tasks[t].1.forced();
+            if root_ok[i] {
+                search_subtree(ctx, order, || UnitAxis, &base_va, (i, forced_j), local);
+            }
+        },
+    );
+    for (local, ()) in workers {
+        stats.absorb(&local);
+    }
 
     let solution = incumbent
         .into_best()
@@ -295,73 +252,18 @@ pub fn solve_sgq_parallel_controlled_on<G: CandidateTopology>(
     SgqOutcome { solution, stats }
 }
 
-/// Parallel STGSelect: identical optimum to [`crate::solve_stgq`], with
-/// pivot time slots distributed over `threads` workers (`0` = all cores).
-pub fn solve_stgq_parallel(
-    graph: &SocialGraph,
-    initiator: NodeId,
-    calendars: &[Calendar],
-    query: &StgqQuery,
-    cfg: &SelectConfig,
-    threads: usize,
-) -> Result<StgqOutcome, QueryError> {
-    check_temporal_inputs(graph, initiator, calendars)?;
-    let fg = FeasibleGraph::extract(graph, initiator, query.s());
-    Ok(solve_stgq_parallel_on(&fg, calendars, query, cfg, threads))
-}
-
-/// Below this many prepared pivots per thread, STGQ tasks are split
-/// *within* pivots (forced-prefix subtrees, as in the SGQ solver) instead
-/// of one-task-per-pivot. Pivot-level tasks alone cap parallelism at
-/// `horizon / m`, which starves cores on small-horizon workloads.
-const INTRA_PIVOT_SPLIT_FACTOR: usize = 4;
-
-/// How many of the earliest access-order roots of each pivot get depth-2
-/// pair tasks when splitting within pivots (the SGQ rationale applies
-/// per pivot: the first subtree holds nearly all the work).
-const STGQ_PAIR_SPLIT_ROOTS: usize = 8;
-
-/// As [`solve_stgq_parallel`] on a pre-extracted feasible graph.
-///
-/// `calendars` is any [`Cals`] source — a flat slice or the execution
-/// layer's shard-partitioned storage — indexed by original vertex id.
-pub fn solve_stgq_parallel_on<'a, G: CandidateTopology>(
+/// Parallel STGSelect on `threads ≥ 2` workers: identical optimum to the
+/// sequential engine. `control` is already filtered of no-op policies.
+pub(crate) fn solve_stgq<G: CandidateTopology>(
     fg: &G,
-    calendars: impl Into<Cals<'a>>,
-    query: &StgqQuery,
-    cfg: &SelectConfig,
-    threads: usize,
-) -> StgqOutcome {
-    solve_stgq_parallel_controlled_on(fg, calendars, query, cfg, threads, None)
-}
-
-/// As [`solve_stgq_parallel_on`], with an optional [`SolveControl`]
-/// polled by every worker — on the frame-counter path, between claimed
-/// pivots, and between forced-prefix subtree tasks. A stopped solve
-/// returns the shared incumbent found so far with
-/// [`SearchStats::cancelled`](crate::SearchStats::cancelled) set
-/// (distinct from budget truncation), exactly like the sequential
-/// [`solve_stgq_controlled`].
-pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
-    fg: &G,
-    calendars: impl Into<Cals<'a>>,
+    calendars: Cals<'_>,
     query: &StgqQuery,
     cfg: &SelectConfig,
     threads: usize,
     control: Option<&SolveControl>,
 ) -> StgqOutcome {
-    // `Cals` is `Copy`, so the scoped workers below capture it by value.
-    let calendars: Cals<'a> = calendars.into();
-    let control = control.filter(|c| !c.is_noop());
-    let threads = effective_threads(threads);
-    let p = query.p();
-    if threads == 1 || p <= 1 {
-        let mut arena = PivotArena::new();
-        return solve_stgq_controlled(fg, calendars, query, cfg, &mut arena, control);
-    }
-
     let cfg = cfg.normalized();
-    let m = query.m();
+    let (p, m) = (query.p(), query.m());
     let horizon = calendars.first().map(Calendar::horizon).unwrap_or(0);
     // Same promise order as the sequential engine (shared helper): pivots
     // the initiator cannot host are dropped, and with promise ordering on
@@ -399,190 +301,116 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
     // every worker — the sequential engine's per-solve prep, lifted
     // above the spawn.
     let prep = PivotPrep::new(fg, p, query.k(), m, horizon, &cfg);
-    let prep = &prep;
+    let ctx = SearchCtx {
+        fg,
+        p,
+        k: query.k(),
+        cfg,
+        incumbent: &incumbent,
+        control,
+    };
 
     if pivots.len() >= threads * INTRA_PIVOT_SPLIT_FACTOR {
         // Plenty of pivots: one task per pivot saturates every core, and
         // skipping the job hand-off keeps preparation fused with search.
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = SearchStats::default();
-                        let mut arena = PivotArena::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= pivots.len() {
-                                return local;
-                            }
-                            // Between-pivot stop, as in the sequential
-                            // engine's pivot loop (unamortised check —
-                            // pivot preparation runs outside any frame).
-                            if let Some(control) = control {
-                                if control.should_stop_now() {
-                                    local.cancelled = true;
-                                    return local;
-                                }
-                            }
-                            if let Some(mut job) = prepare_pivot(
-                                fg, calendars, prep, pivots[i], &mut local, &mut arena,
-                            ) {
-                                // Phase-1 bound, finalize, re-check —
-                                // the sequential engine's ladder.
-                                if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
-                                    local.pivots_skipped += 1;
-                                } else if finalize_pivot(fg, prep, &mut job, &mut local, &mut arena)
-                                {
-                                    if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
-                                        local.pivots_skipped += 1;
-                                    } else {
-                                        // First frame touch — as in the
-                                        // sequential loop, a bound-retired
-                                        // pivot above never built its
-                                        // availability rows.
-                                        materialize_pivot(fg, calendars, &mut job, &mut local);
-                                        search_pivot_controlled(
-                                            fg, query, &cfg, &mut job, &incumbent, &mut local,
-                                            control,
-                                        );
-                                    }
-                                }
-                                arena.recycle(job);
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                stats.absorb(&h.join().expect("STGQ worker never panics"));
-            }
-        });
+        let workers = claim(
+            threads,
+            pivots.len(),
+            control,
+            PivotArena::new,
+            |i, local, arena| {
+                let Some(mut job) = prepare_pivot(fg, calendars, &prep, pivots[i], local, arena)
+                else {
+                    return;
+                };
+                // Phase-1 bound, finalize, re-check — the sequential
+                // engine's ladder.
+                if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
+                    local.pivots_skipped += 1;
+                } else if finalize_pivot(fg, &prep, &mut job, local, arena) {
+                    if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
+                        local.pivots_skipped += 1;
+                    } else {
+                        // First frame touch — as in the sequential loop, a
+                        // bound-retired pivot above never built its
+                        // availability rows.
+                        materialize_pivot(fg, calendars, &mut job, local);
+                        descend_pivot(ctx, query, &mut job, local);
+                    }
+                }
+                arena.recycle(job);
+            },
+        );
+        for (local, _) in workers {
+            stats.absorb(&local);
+        }
     } else {
         // Few pivots: split each pivot into forced-prefix subtrees so all
         // cores stay busy. Jobs are prepared once (concurrently), their
         // roots vetted, and the flattened (pivot, subtree) task list is
-        // then claimed exactly like SGQ's root tasks.
-        let next_prep = AtomicUsize::new(0);
-        let mut jobs: Vec<(PivotJob, Vec<bool>)> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads.min(pivots.len().max(1)))
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = SearchStats::default();
-                        let mut found = Vec::new();
-                        // Jobs outlive this loop (they are searched
-                        // concurrently below), so only the pivots
-                        // `prepare_pivot` refuses are recycled.
-                        let mut arena = PivotArena::new();
-                        loop {
-                            let i = next_prep.fetch_add(1, Ordering::Relaxed);
-                            if i >= pivots.len() {
-                                return (local, found);
-                            }
-                            if let Some(control) = control {
-                                if control.should_stop_now() {
-                                    local.cancelled = true;
-                                    return (local, found);
-                                }
-                            }
-                            if let Some(mut job) = prepare_pivot(
-                                fg, calendars, prep, pivots[i], &mut local, &mut arena,
-                            ) {
-                                if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
-                                    local.pivots_skipped += 1;
-                                    continue;
-                                }
-                                if !finalize_pivot(fg, prep, &mut job, &mut local, &mut arena) {
-                                    continue;
-                                }
-                                if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
-                                    local.pivots_skipped += 1;
-                                    continue;
-                                }
-                                // Root vetting and the shared subtree
-                                // searches below read `job.va` and the
-                                // availability rows, so a job that made
-                                // the task list is materialized here —
-                                // its first frame touch.
-                                materialize_pivot(fg, calendars, &mut job, &mut local);
-                                let ok = vet_pivot_roots(fg, query, &cfg, &job, &incumbent);
-                                found.push((job, ok));
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (local, found) = h.join().expect("STGQ prep worker never panics");
-                stats.absorb(&local);
-                jobs.extend(found);
+        // then claimed exactly like SGQ's root tasks. Jobs outlive the
+        // preparation workers (they are searched concurrently below), so
+        // only the pivots `prepare_pivot` refuses are recycled.
+        let preparers = threads.min(pivots.len().max(1));
+        let init = || (PivotArena::new(), Vec::new());
+        let workers = claim(preparers, pivots.len(), control, init, |i, local, state| {
+            let (arena, found) = state;
+            let Some(mut job) = prepare_pivot(fg, calendars, &prep, pivots[i], local, arena) else {
+                return;
+            };
+            if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
+                local.pivots_skipped += 1;
+                return;
             }
+            if !finalize_pivot(fg, &prep, &mut job, local, arena) {
+                return;
+            }
+            if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
+                local.pivots_skipped += 1;
+                return;
+            }
+            // Root vetting and the shared subtree searches below read
+            // `job.va` and the availability rows, so a job that made the
+            // task list is materialized here — its first frame touch.
+            materialize_pivot(fg, calendars, &mut job, local);
+            let axis = PivotAxis::new(&job, query, &cfg, Unavail::default());
+            let ok = vet_roots(ctx, &job.order, axis, &job.va);
+            found.push((job, ok));
         });
-
-        // Depth-2 pair tasks for each pivot's heavy early roots, depth-1
-        // singles for the tail — the same partition as the SGQ solver,
-        // instantiated per pivot.
-        let order_len = fg.candidate_order().len();
-        let split = STGQ_PAIR_SPLIT_ROOTS.min(order_len);
-        let mut tasks: Vec<(u32, RootTask)> = Vec::new();
-        for (ji, (_, root_ok)) in jobs.iter().enumerate() {
-            let ji = ji as u32;
-            if p == 2 {
-                tasks.extend((0..order_len).map(|i| (ji, RootTask::Single(i))));
-            } else {
-                for (i, ok) in root_ok.iter().enumerate().take(split) {
-                    if *ok {
-                        tasks.extend((i + 1..order_len).map(|j| (ji, RootTask::Pair(i, j))));
-                    }
-                }
-                tasks.extend((split..order_len).map(|i| (ji, RootTask::Single(i))));
-            }
+        let mut jobs = Vec::new();
+        for (local, (_, found)) in workers {
+            stats.absorb(&local);
+            jobs.extend(found);
         }
 
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = SearchStats::default();
-                        loop {
-                            let t = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(ji, task)) = tasks.get(t) else {
-                                return local;
-                            };
-                            if let Some(control) = control {
-                                if control.should_stop_now() {
-                                    local.cancelled = true;
-                                    return local;
-                                }
-                            }
-                            let (job, root_ok) = &jobs[ji as usize];
-                            let (i, forced_j) = match task {
-                                RootTask::Single(i) => (i, None),
-                                RootTask::Pair(i, j) => (i, Some(j)),
-                            };
-                            if !root_ok[i] {
-                                continue;
-                            }
-                            // Claim-time pivot bound: the shared incumbent
-                            // may have tightened past this pivot's floor
-                            // since its tasks were generated (not counted
-                            // as a pivot skip — the pivot was admitted).
-                            if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
-                                continue;
-                            }
-                            search_pivot_subtree(
-                                fg, query, &cfg, job, i, forced_j, &incumbent, &mut local, control,
-                            );
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                stats.absorb(&h.join().expect("STGQ worker never panics"));
-            }
-        });
+        // The SGQ partition, instantiated per pivot.
+        let mut tasks = Vec::new();
+        for (ji, (_, root_ok)) in jobs.iter().enumerate() {
+            root_tasks(ji as u32, root_ok, p, STGQ_PAIR_SPLIT_ROOTS, &mut tasks);
+        }
+        let workers = claim(
+            threads,
+            tasks.len(),
+            control,
+            || (),
+            |t, local, _| {
+                let (ji, task) = tasks[t];
+                let (job, root_ok) = &jobs[ji as usize];
+                let (i, forced_j) = task.forced();
+                // Claim-time pivot bound: the shared incumbent may have
+                // tightened past this pivot's floor since its tasks were
+                // generated (not counted as a pivot skip — the pivot was
+                // admitted).
+                if !root_ok[i] || pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
+                    return;
+                }
+                let axis = || PivotAxis::new(job, query, &cfg, job.unavail.clone());
+                search_subtree(ctx, &job.order, axis, &job.va, (i, forced_j), local);
+            },
+        );
+        for (local, ()) in workers {
+            stats.absorb(&local);
+        }
     }
 
     let solution = incumbent.into_best().map(|(dist, b)| StgqSolution {
@@ -597,10 +425,31 @@ pub fn solve_stgq_parallel_controlled_on<'a, G: CandidateTopology>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_sgq, solve_stgq};
+    use crate::{solve_sgq, solve_stgq, CancelToken, Solver};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use stgq_graph::GraphBuilder;
+    use stgq_graph::{FeasibleGraph, GraphBuilder, NodeId, SocialGraph};
+
+    /// SGQ on `threads` workers over the radius-`s` candidate space.
+    fn sgq_on(g: &SocialGraph, query: &SgqQuery, threads: usize) -> SgqOutcome {
+        let fg = FeasibleGraph::extract(g, NodeId(0), query.s());
+        Solver::new(&fg, &SelectConfig::default())
+            .threads(threads)
+            .sgq(query, None)
+    }
+
+    /// STGQ on `threads` workers over the radius-`s` candidate space.
+    fn stgq_on(
+        g: &SocialGraph,
+        cals: &[Calendar],
+        query: &StgqQuery,
+        threads: usize,
+    ) -> StgqOutcome {
+        let fg = FeasibleGraph::extract(g, NodeId(0), query.s());
+        Solver::new(&fg, &SelectConfig::default())
+            .threads(threads)
+            .stgq(cals, query)
+    }
 
     /// Random weighted graph + calendars for equivalence tests.
     fn random_instance(
@@ -642,7 +491,7 @@ mod tests {
             let query = SgqQuery::new(5, 2, 1).unwrap();
             let seq = solve_sgq(&g, NodeId(0), &query, &cfg).unwrap();
             for threads in [2, 4] {
-                let par = solve_sgq_parallel(&g, NodeId(0), &query, &cfg, threads).unwrap();
+                let par = sgq_on(&g, &query, threads);
                 assert_eq!(
                     par.solution.as_ref().map(|s| s.total_distance),
                     seq.solution.as_ref().map(|s| s.total_distance),
@@ -663,7 +512,7 @@ mod tests {
             let query = StgqQuery::new(4, 2, 1, 4).unwrap();
             let seq = solve_stgq(&g, NodeId(0), &cals, &query, &cfg).unwrap();
             for threads in [2, 4] {
-                let par = solve_stgq_parallel(&g, NodeId(0), &cals, &query, &cfg, threads).unwrap();
+                let par = stgq_on(&g, &cals, &query, threads);
                 assert_eq!(
                     par.solution.as_ref().map(|s| s.total_distance),
                     seq.solution.as_ref().map(|s| s.total_distance),
@@ -684,7 +533,7 @@ mod tests {
         let query = StgqQuery::new(4, 1, 1, 3).unwrap();
         let cfg = SelectConfig::default();
         let seq = solve_stgq(&g, NodeId(0), &cals, &query, &cfg).unwrap();
-        let par = solve_stgq_parallel(&g, NodeId(0), &cals, &query, &cfg, 1).unwrap();
+        let par = stgq_on(&g, &cals, &query, 1);
         assert_eq!(
             par.solution, seq.solution,
             "one worker is literally sequential"
@@ -698,7 +547,7 @@ mod tests {
         let query = SgqQuery::new(4, 1, 1).unwrap();
         let cfg = SelectConfig::default();
         let seq = solve_sgq(&g, NodeId(0), &query, &cfg).unwrap();
-        let par = solve_sgq_parallel(&g, NodeId(0), &query, &cfg, 0).unwrap();
+        let par = sgq_on(&g, &query, 0);
         assert_eq!(
             par.solution.map(|s| s.total_distance),
             seq.solution.map(|s| s.total_distance)
@@ -714,7 +563,7 @@ mod tests {
         }
         let g = b.build();
         let query = SgqQuery::new(4, 1, 0).unwrap();
-        let out = solve_sgq_parallel(&g, NodeId(0), &query, &SelectConfig::default(), 4).unwrap();
+        let out = sgq_on(&g, &query, 4);
         assert!(out.solution.is_none());
     }
 
@@ -724,7 +573,7 @@ mod tests {
         let query = StgqQuery::new(3, 1, 1, 6).unwrap(); // only 2 pivots
         let cfg = SelectConfig::default();
         let seq = solve_stgq(&g, NodeId(0), &cals, &query, &cfg).unwrap();
-        let par = solve_stgq_parallel(&g, NodeId(0), &cals, &query, &cfg, 16).unwrap();
+        let par = stgq_on(&g, &cals, &query, 16);
         assert_eq!(
             par.solution.map(|s| s.total_distance),
             seq.solution.map(|s| s.total_distance)
@@ -737,7 +586,6 @@ mod tests {
         // parallel workers must poll `SolveControl` (between tasks and on
         // the frame path), and a stopped solve must surface as
         // *cancelled*, never as budget truncation.
-        use crate::CancelToken;
         let (g, cals) = random_instance(21, 20, 0.35, 48);
         let fg = FeasibleGraph::extract(&g, NodeId(0), 2);
         let cfg = SelectConfig::default();
@@ -746,33 +594,44 @@ mod tests {
         let control = SolveControl::new().with_cancel(token);
 
         let sgq = SgqQuery::new(5, 2, 1).unwrap();
-        let out = solve_sgq_parallel_controlled_on(&fg, &sgq, &cfg, None, 4, Some(&control));
+        let out = Solver::new(&fg, &cfg)
+            .threads(4)
+            .control(Some(&control))
+            .sgq(&sgq, None);
         assert!(out.stats.cancelled, "SGQ workers must poll the control");
         assert!(!out.stats.truncated, "cancellation is not truncation");
 
         let stgq = StgqQuery::new(4, 2, 1, 4).unwrap();
-        let out = solve_stgq_parallel_controlled_on(&fg, &cals, &stgq, &cfg, 4, Some(&control));
+        let out = Solver::new(&fg, &cfg)
+            .threads(4)
+            .control(Some(&control))
+            .stgq(&cals, &stgq);
         assert!(out.stats.cancelled, "STGQ pivot workers must poll");
         assert!(!out.stats.truncated);
 
         // Few pivots ⇒ the intra-pivot split path must poll too.
         let wide = StgqQuery::new(3, 2, 1, 20).unwrap();
-        let out = solve_stgq_parallel_controlled_on(&fg, &cals, &wide, &cfg, 16, Some(&control));
+        let out = Solver::new(&fg, &cfg)
+            .threads(16)
+            .control(Some(&control))
+            .stgq(&cals, &wide);
         assert!(out.stats.cancelled || out.stats.pivots_processed == 0);
         assert!(!out.stats.truncated);
     }
 
     #[test]
     fn quiet_control_does_not_change_parallel_results() {
-        use crate::CancelToken;
         let (g, cals) = random_instance(22, 18, 0.4, 36);
         let fg = FeasibleGraph::extract(&g, NodeId(0), 2);
         let cfg = SelectConfig::default();
         let control = SolveControl::new().with_cancel(CancelToken::new());
 
         let sgq = SgqQuery::new(4, 2, 1).unwrap();
-        let plain = solve_sgq_parallel_on(&fg, &sgq, &cfg, None, 3);
-        let quiet = solve_sgq_parallel_controlled_on(&fg, &sgq, &cfg, None, 3, Some(&control));
+        let plain = Solver::new(&fg, &cfg).threads(3).sgq(&sgq, None);
+        let quiet = Solver::new(&fg, &cfg)
+            .threads(3)
+            .control(Some(&control))
+            .sgq(&sgq, None);
         assert_eq!(
             plain.solution.map(|s| s.total_distance),
             quiet.solution.map(|s| s.total_distance)
@@ -780,21 +639,15 @@ mod tests {
         assert!(!quiet.stats.cancelled);
 
         let stgq = StgqQuery::new(4, 2, 1, 4).unwrap();
-        let plain = solve_stgq_parallel_on(&fg, &cals, &stgq, &cfg, 3);
-        let quiet = solve_stgq_parallel_controlled_on(&fg, &cals, &stgq, &cfg, 3, Some(&control));
+        let plain = Solver::new(&fg, &cfg).threads(3).stgq(&cals, &stgq);
+        let quiet = Solver::new(&fg, &cfg)
+            .threads(3)
+            .control(Some(&control))
+            .stgq(&cals, &stgq);
         assert_eq!(
             plain.solution.map(|s| s.total_distance),
             quiet.solution.map(|s| s.total_distance)
         );
         assert!(!quiet.stats.cancelled);
-    }
-
-    #[test]
-    fn initiator_out_of_range_is_an_error() {
-        let (g, _) = random_instance(3, 8, 0.4, 1);
-        let query = SgqQuery::new(3, 1, 1).unwrap();
-        let err =
-            solve_sgq_parallel(&g, NodeId(99), &query, &SelectConfig::default(), 2).unwrap_err();
-        assert!(matches!(err, QueryError::InitiatorOutOfRange { .. }));
     }
 }

@@ -153,10 +153,9 @@ pub(crate) fn sgq_peel_preamble<G: CandidateTopology>(
     }
 }
 
-/// The frame-level k-plex bound shared verbatim by SGSelect's and
-/// STGSelect's searchers (which differ only in where their access order
-/// and `VA` bitsets live), two stacked necessary conditions on any
-/// completion of `VS`:
+/// The descent's frame-level k-plex bound
+/// ([`Searcher`](crate::descent::Searcher)'s `kplex_prune`), two stacked
+/// necessary conditions on any completion of `VS`:
 ///
 /// 1. **Admissible-completion floor** (every call): a candidate already
 ///    missing more than `k` acquaintances against `VS` can join no

@@ -91,7 +91,7 @@ impl RefVaState {
 
 /// `VA` plus per-slot Lemma-5 unavailability counters, updated by a
 /// branch on **every** interval offset per removal (the reference cost
-/// model the word-parallel `StVaState` is measured against).
+/// model the word-parallel `PivotAxis` counters are measured against).
 #[derive(Clone)]
 pub(crate) struct RefStVaState {
     pub(crate) base: RefVaState,

@@ -22,6 +22,13 @@
 //! strengthens distance pruning at later pivots without affecting
 //! optimality (Theorem 3).
 //!
+//! The frame loop is SGSelect's: [`crate::descent`] holds the one
+//! generic descent, and this module's [`PivotAxis`] is the temporal
+//! dimension it runs on — `TS` per `VS` member, Definition 5 with φ
+//! relaxation, and the Lemma-5 counters and prune. What stays here is
+//! the pivot pipeline below, which prepares each pivot's candidate
+//! space before one searcher descends it ([`descend_pivot`]).
+//!
 //! # The query pipeline: extract-index → prepare → peel → floor → materialize-on-touch → descend
 //!
 //! A query flows through six stages — the first once per query, the
@@ -90,15 +97,14 @@ use stgq_graph::{
 use stgq_schedule::pivot::{pivot_interval, pivot_of_window, pivot_slots};
 use stgq_schedule::{Calendar, Cals, SlotId, SlotRange};
 
+use crate::descent::{SearchCtx, Searcher, TemporalAxis, VaState};
 use crate::incumbent::Incumbent;
 use crate::inputs::check_temporal_inputs;
-use crate::reduce::{
-    initiator_core_ok, kplex_frame_prune, peel_min_deg, peel_to_core, MatchScratch, ParentFloor,
-};
-use crate::sgselect::{VaState, VsAggregates};
+use crate::reduce::{initiator_core_ok, peel_min_deg, peel_to_core};
 use crate::timings::StageTimings;
 use crate::{
-    QueryError, SearchStats, SelectConfig, SolveControl, StgqOutcome, StgqQuery, StgqSolution,
+    QueryError, SearchStats, SelectConfig, SolveControl, Solver, StgqOutcome, StgqQuery,
+    StgqSolution,
 };
 
 /// Nanoseconds of a span, saturating (a span can't realistically exceed
@@ -112,6 +118,12 @@ fn span_ns(from: Instant, to: Instant) -> u64 {
 ///
 /// `calendars` is indexed by **original** vertex id and must share one
 /// horizon. Returns the optimal (group, period) or `None` when infeasible.
+///
+/// Validates the initiator and the calendars, extracts the radius-`s`
+/// candidate space, then runs a default [`Solver`] on it (use [`Solver`]
+/// directly for a pre-extracted candidate space, shard-partitioned
+/// calendars, a pooled [`PivotArena`], parallel workers or a
+/// [`SolveControl`]).
 pub fn solve_stgq(
     graph: &SocialGraph,
     initiator: NodeId,
@@ -121,64 +133,20 @@ pub fn solve_stgq(
 ) -> Result<StgqOutcome, QueryError> {
     check_temporal_inputs(graph, initiator, calendars)?;
     let fg = FeasibleGraph::extract(graph, initiator, query.s());
-    Ok(solve_stgq_on(&fg, calendars, query, cfg))
+    Ok(Solver::new(&fg, cfg).stgq(calendars, query))
 }
 
-/// As [`solve_stgq`] on a pre-extracted feasible graph (radius extraction is
-/// time-independent, so callers sweeping parameters can reuse it).
-///
-/// `calendars` is any [`Cals`] source — a flat `&[Calendar]` slice or the
-/// execution layer's shard-partitioned
-/// [`CalendarShards`](stgq_schedule::CalendarShards) — indexed by
-/// **original** vertex id either way.
-///
-/// `fg` is any [`CandidateTopology`] carrier: the materialized
-/// [`FeasibleGraph`] (reference/compat path) or the zero-copy
-/// [`FeasibleView`](stgq_graph::FeasibleView) borrowed from a snapshot —
-/// the search is bit-identical on both.
-pub fn solve_stgq_on<'a, G: CandidateTopology>(
+/// The sequential STGSelect solve behind [`Solver::stgq`]: the pivot
+/// loop on `arena`, which also receives the solve's stage split.
+/// `control` is already filtered of no-op policies.
+pub(crate) fn solve<G: CandidateTopology>(
     fg: &G,
-    calendars: impl Into<Cals<'a>>,
-    query: &StgqQuery,
-    cfg: &SelectConfig,
-) -> StgqOutcome {
-    let mut arena = PivotArena::new();
-    solve_stgq_pooled(fg, calendars, query, cfg, &mut arena)
-}
-
-/// As [`solve_stgq_on`], reusing `arena`'s pivot buffers. A long-lived
-/// caller (the service planner, a benchmark loop) holds one [`PivotArena`]
-/// and amortises the flattened availability buffers, bitmaps, undo logs
-/// and access-order permutations across queries; within one call the same
-/// buffers are already recycled across the pivot loop. Purely an
-/// allocation strategy — results are identical to [`solve_stgq_on`].
-pub fn solve_stgq_pooled<'a, G: CandidateTopology>(
-    fg: &G,
-    calendars: impl Into<Cals<'a>>,
-    query: &StgqQuery,
-    cfg: &SelectConfig,
-    arena: &mut PivotArena,
-) -> StgqOutcome {
-    solve_stgq_controlled(fg, calendars, query, cfg, arena, None)
-}
-
-/// As [`solve_stgq_pooled`], with an optional [`SolveControl`]
-/// (cooperative cancellation / deadline) polled on the frame-counter path
-/// and between pivots. A stopped solve returns the incumbent found so far
-/// with [`SearchStats::cancelled`] set; `control: None` is byte-for-byte
-/// [`solve_stgq_pooled`].
-///
-/// [`SearchStats::cancelled`]: crate::SearchStats::cancelled
-pub fn solve_stgq_controlled<'a, G: CandidateTopology>(
-    fg: &G,
-    calendars: impl Into<Cals<'a>>,
+    calendars: Cals<'_>,
     query: &StgqQuery,
     cfg: &SelectConfig,
     arena: &mut PivotArena,
     control: Option<&SolveControl>,
 ) -> StgqOutcome {
-    let calendars: Cals<'a> = calendars.into();
-    let control = control.filter(|c| !c.is_noop());
     let cfg = cfg.normalized();
     let m = query.m();
     let p = query.p();
@@ -229,6 +197,14 @@ pub fn solve_stgq_controlled<'a, G: CandidateTopology>(
     let mut mark = if timing { Some(Instant::now()) } else { None };
 
     let incumbent = Incumbent::new();
+    let ctx = SearchCtx {
+        fg,
+        p,
+        k: query.k(),
+        cfg,
+        incumbent: &incumbent,
+        control,
+    };
     for pivot in pivots {
         // Cooperative stop between pivots: a cancelled search frame set
         // `stats.cancelled`; a deadline/token may also trip while this
@@ -328,7 +304,7 @@ pub fn solve_stgq_controlled<'a, G: CandidateTopology>(
         }
         let search_t0 = detail.then(Instant::now);
         tm.descended += 1;
-        search_pivot_controlled(fg, query, &cfg, &mut job, &incumbent, &mut stats, control);
+        descend_pivot(ctx, query, &mut job, &mut stats);
         if let Some(t0) = search_t0 {
             tm.descend_ns += span_ns(t0, Instant::now());
         } else if timing {
@@ -588,9 +564,11 @@ pub(crate) struct PivotJob {
     pub(crate) dist_bound: Dist,
     /// Pivot-eligible candidates (Definition 4) over compact indices.
     pub(crate) eligible: BitSet,
-    /// `VA` restricted to the pivot-eligible candidates, with the Lemma-5
-    /// per-slot unavailability counters.
-    pub(crate) va: StVaState,
+    /// `VA` restricted to the pivot-eligible candidates, over
+    /// [`order`](Self::order).
+    pub(crate) va: VaState,
+    /// The Lemma-5 per-slot unavailability counters of [`va`](Self::va).
+    pub(crate) unavail: Unavail,
 }
 
 impl PivotJob {
@@ -613,11 +591,8 @@ impl PivotJob {
             order: Vec::new(),
             dist_bound: 0,
             eligible: BitSet::new(0),
-            va: StVaState {
-                base: VaState::init_empty(),
-                unavail: Vec::new(),
-                max_unavail_ub: 0,
-            },
+            va: VaState::default(),
+            unavail: Unavail::default(),
         }
     }
 }
@@ -627,7 +602,7 @@ impl PivotJob {
 ///
 /// The ROADMAP measured pivot preparation at ~25% of small-`m` STGQ
 /// solves, most of it allocation and zeroing; one arena makes the
-/// sequential pivot loop — and, via [`solve_stgq_pooled`], a whole stream
+/// sequential pivot loop — and, via [`Solver::arena`], a whole stream
 /// of planner queries — reuse a single set of buffers. The arena holds at
 /// most one spare job, which is exactly what a sequential loop produces;
 /// parallel workers each keep their own.
@@ -1170,8 +1145,8 @@ pub(crate) fn finalize_pivot<G: CandidateTopology>(
 /// incumbent). A pivot retired before that pays zero availability words.
 ///
 /// Must be called exactly once per searched pivot, before
-/// [`search_pivot_controlled`] / [`vet_pivot_roots`] /
-/// [`search_pivot_subtree`] read `job.va` or the availability rows.
+/// [`descend_pivot`] or the parallel solver's forced-prefix subtrees read
+/// `job.va`, `job.unavail` or the availability rows.
 pub(crate) fn materialize_pivot<G: CandidateTopology>(
     fg: &G,
     calendars: Cals<'_>,
@@ -1205,20 +1180,20 @@ pub(crate) fn materialize_pivot<G: CandidateTopology>(
     // Lemma-5 counters: members are mostly available inside the interval
     // (they all carry an m-run through the pivot), so iterate only the
     // *zero* offsets of each bitmap — O(words + zeros), not O(ilen).
-    job.va.base.fill(fg, Some(&job.eligible), &job.order);
-    job.va.unavail.clear();
-    job.va.unavail.resize(ilen, 0);
-    let unavail = &mut job.va.unavail;
+    job.va.fill(fg, Some(&job.eligible), &job.order);
+    let counts = &mut job.unavail.counts;
+    counts.clear();
+    counts.resize(ilen, 0);
     for v in job.eligible.iter() {
         for_each_zero_bit(
             &job.avail_words[v * stride..(v + 1) * stride],
             ilen,
             |off| {
-                unavail[off] += 1;
+                counts[off] += 1;
             },
         );
     }
-    job.va.max_unavail_ub = unavail.iter().copied().max().unwrap_or(0);
+    job.unavail.max_ub = counts.iter().copied().max().unwrap_or(0);
 }
 
 /// The compatibility-restricted per-pivot distance floor.
@@ -1272,487 +1247,144 @@ fn compat_dist_floor<G: CandidateTopology>(
     best
 }
 
-/// Run the STGSelect branch-and-bound for one prepared pivot, recording
-/// improvements into the (possibly shared) incumbent, polling `control`
-/// (if any) at every frame entry. The job's `VA` state is consumed in
-/// place (the caller recycles the buffers through the arena afterwards).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn search_pivot_controlled<G: CandidateTopology>(
-    fg: &G,
+/// Run the exact descent for one prepared, materialized pivot, recording
+/// improvements into the (possibly shared) incumbent. The job's `VA` and
+/// Lemma-5 counters are consumed in place (the caller recycles the
+/// buffers through the arena afterwards).
+pub(crate) fn descend_pivot<G: CandidateTopology>(
+    ctx: SearchCtx<'_, G, StBest>,
     query: &StgqQuery,
-    cfg: &SelectConfig,
     job: &mut PivotJob,
-    incumbent: &Incumbent<StBest>,
     stats: &mut SearchStats,
-    control: Option<&SolveControl>,
 ) {
-    let PivotJob {
-        pivot,
-        interval,
-        q_run,
-        ref runs,
-        ref avail_words,
-        avail_stride,
-        ref order,
-        ref mut va,
-        ..
-    } = *job;
-    let mut searcher = StSearcher::new(
-        fg,
-        query,
-        cfg,
-        pivot,
-        interval,
-        runs,
-        avail_words,
-        avail_stride,
-        order,
-        incumbent,
-        stats,
-    );
-    searcher.control = control;
-    searcher.push(0, q_run);
-    searcher.expand(va, 0);
+    let unavail = std::mem::take(&mut job.unavail);
+    let mut va = std::mem::take(&mut job.va);
+    job.unavail = {
+        let axis = PivotAxis::new(job, query, &ctx.cfg, unavail);
+        let mut searcher = Searcher::new(ctx, &job.order, axis, stats);
+        searcher.expand(&mut va, 0);
+        searcher.axis.unavail
+    };
+    job.va = va;
 }
 
-/// Vet each access-order position as a depth-1 forced root for `job`'s
-/// pivot: `root_ok[pos]` ⇔ pushing `order[pos]` onto `VS = {q}` survives
-/// the hard acquaintance check, Lemma 1 against the position's suffix
-/// `VA`, and the hard temporal requirement (`|q_run ∩ run_u| ≥ m`).
-///
-/// Mirrors the SGQ parallel solver's root vetting: sound to skip on,
-/// because a deeper forced prefix only shrinks the effective `VA`.
-pub(crate) fn vet_pivot_roots<G: CandidateTopology>(
-    fg: &G,
-    query: &StgqQuery,
-    cfg: &SelectConfig,
-    job: &PivotJob,
-    incumbent: &Incumbent<StBest>,
-) -> Vec<bool> {
-    let order = &job.order;
-    let mut ok = vec![false; order.len()];
-    let mut scratch = SearchStats::default();
-    let mut probe = StSearcher::new(
-        fg,
-        query,
-        cfg,
-        job.pivot,
-        job.interval,
-        &job.runs,
-        &job.avail_words,
-        job.avail_stride,
-        &job.order,
-        incumbent,
-        &mut scratch,
-    );
-    probe.push(0, job.q_run);
-    let mut va = job.va.clone();
-    for (pos, &u) in order.iter().enumerate() {
-        if !va.base.set.contains(u as usize) {
-            continue;
-        }
-        let (u_val, a_val) = probe.u_and_a(u, &va);
-        let run_u = job.runs[u as usize].expect("VA members are eligible");
-        let ts = job.q_run.intersect(&run_u);
-        ok[pos] = probe.hard_feasible(u_val, a_val) && ts.is_some_and(|ts| ts.len() >= query.m());
-        va.remove(u, fg, job.avail(u));
-    }
-    ok
+/// The Lemma-5 per-slot unavailability counters of a pivot's `VA`.
+#[derive(Clone, Default)]
+pub(crate) struct Unavail {
+    /// For each interval offset: how many `VA` members are unavailable there.
+    pub(crate) counts: Vec<u32>,
+    /// Upper bound on `max(counts)`: never undershoots the true maximum
+    /// (removals lower counters without shrinking it; undos raise it as
+    /// needed). Lemma 5 needs a counter `≥ n` to fire at all, so
+    /// `max_ub < n` skips the blocked-slot scan entirely — the common
+    /// case, since pivot-eligible members are mostly available.
+    pub(crate) max_ub: u32,
 }
 
-/// Search one forced-prefix subtree of `job`'s pivot: force `order[i]`
-/// (and `order[j]` for a depth-2 task), exclude everything ordered before
-/// the last forced vertex, and expand the rest. The union of the subtrees
-/// over all `i` (with the depth-1/depth-2 composition the caller builds)
-/// partitions the pivot's search space, so running them concurrently
-/// against a shared incumbent preserves the sequential optimum.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn search_pivot_subtree<G: CandidateTopology>(
-    fg: &G,
-    query: &StgqQuery,
-    cfg: &SelectConfig,
-    job: &PivotJob,
-    i: usize,
-    forced_j: Option<usize>,
-    incumbent: &Incumbent<StBest>,
-    stats: &mut SearchStats,
-    control: Option<&SolveControl>,
-) {
-    let p = query.p();
-    let m = query.m();
-    let order = &job.order;
-    let last_forced = forced_j.unwrap_or(i);
-    if !job.va.base.set.contains(order[last_forced] as usize) {
-        return;
-    }
-
-    // VA: everything ordered after the last forced vertex (its own
-    // feasibility check below extracts it).
-    let mut va = job.va.clone();
-    for (pos, &w) in order[..=last_forced].iter().enumerate() {
-        if pos != last_forced && va.base.set.contains(w as usize) {
-            va.remove(w, fg, job.avail(w));
-        }
-    }
-    let forced_members = if forced_j.is_some() { 2 } else { 1 };
-    if va.len() + forced_members < p {
-        return;
-    }
-
-    let mut searcher = StSearcher::new(
-        fg,
-        query,
-        cfg,
-        job.pivot,
-        job.interval,
-        &job.runs,
-        &job.avail_words,
-        job.avail_stride,
-        &job.order,
-        incumbent,
-        stats,
-    );
-    searcher.control = control;
-    searcher.push(0, job.q_run);
-    let u_i = order[i];
-    let mut td = fg.dist(u_i);
-    let mut ts = job.q_run;
-    if forced_j.is_some() {
-        // The caller vetted u_i against VS = {q} (root_ok), including the
-        // temporal intersection — recompute the narrowed run for the stack.
-        let run_i = job.runs[u_i as usize].expect("vetted roots are eligible");
-        ts = ts.intersect(&run_i).expect("vetted roots share the pivot");
-        searcher.push(u_i, ts);
-    }
-    let u_last = order[last_forced];
-    searcher.stats.candidates_examined += 1;
-    let (u_val, a_val) = searcher.u_and_a(u_last, &va);
-    let run_last = job.runs[u_last as usize].expect("VA members are eligible");
-    let new_ts = ts.intersect(&run_last).filter(|t| t.len() >= m);
-    if let Some(new_ts) = new_ts {
-        if searcher.hard_feasible(u_val, a_val) {
-            if forced_j.is_some() {
-                td += fg.dist(u_last);
-            }
-            searcher.push(u_last, new_ts);
-            va.remove(u_last, fg, job.avail(u_last));
-            searcher.stats.vertices_expanded += 1;
-            if searcher.vs.len() >= p {
-                searcher.record(td, new_ts);
-            } else {
-                searcher.expand(&mut va, td);
-            }
-        }
-    }
-}
-
-/// `VA` plus the per-slot unavailability counters for Lemma 5.
+/// STGQ's [`TemporalAxis`]: one pivot's temporal dimension on top of the
+/// SGSelect descent — the common run `TS` per `VS` member, temporal
+/// extensibility (Definition 5) with φ relaxation, and availability
+/// pruning (Lemma 5) over the pivot's unavailability counters.
 ///
 /// Counter maintenance is **word-parallel**: a member's removal touches
 /// only the *zero words* of its availability bitmap (skipped wholesale
 /// when all-available), instead of branching on all `2m−1` interval
-/// offsets. Removals share the base [`VaState`] undo log, so one state
-/// serves the whole pivot search allocation-free.
-#[derive(Clone)]
-pub(crate) struct StVaState {
-    base: VaState,
-    /// For each interval offset: how many `VA` members are unavailable there.
-    unavail: Vec<u32>,
-    /// Upper bound on `max(unavail)`: never undershoots the true maximum
-    /// (removals lower counters without shrinking it; undos raise it as
-    /// needed). Lemma 5 needs a counter `≥ n` to fire at all, so
-    /// `max_unavail_ub < n` skips the blocked-slot scan entirely — the
-    /// common case, since pivot-eligible members are mostly available.
-    max_unavail_ub: u32,
-}
-
-impl StVaState {
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    /// Forwarded mutation version (see [`VaState::version`]).
-    #[inline]
-    fn version(&self) -> u64 {
-        self.base.version
-    }
-
-    fn remove<G: CandidateTopology>(&mut self, u: u32, fg: &G, avail_u: &[u64]) {
-        self.base.remove(u, fg);
-        let len = self.unavail.len();
-        for_each_zero_bit(avail_u, len, |off| self.unavail[off] -= 1);
-        // max_unavail_ub stays: counters only dropped.
-    }
-
-    /// Checkpoint for [`undo_to`](Self::undo_to).
-    #[inline]
-    fn mark(&self) -> usize {
-        self.base.mark()
-    }
-
-    /// Rewind every removal after `mark`, restoring the Lemma-5 counters
-    /// from each re-inserted member's availability words.
-    fn undo_to<G: CandidateTopology>(
-        &mut self,
-        mark: usize,
-        fg: &G,
-        avail_words: &[u64],
-        stride: usize,
-    ) {
-        let mut max_ub = self.max_unavail_ub;
-        while self.base.log.len() > mark {
-            let u = self.base.undo_last(fg) as usize;
-            let len = self.unavail.len();
-            let unavail = &mut self.unavail;
-            for_each_zero_bit(&avail_words[u * stride..(u + 1) * stride], len, |off| {
-                unavail[off] += 1;
-                max_ub = max_ub.max(unavail[off]);
-            });
-        }
-        self.max_unavail_ub = max_ub;
-    }
-}
-
-/// One pivot's search state (shares the incumbent across pivots — and, in
-/// the parallel solver, across worker threads).
-struct StSearcher<'a, G> {
-    fg: &'a G,
+/// offsets. Undo is the `VA` undo log's, so one state serves the whole
+/// pivot search allocation-free.
+pub(crate) struct PivotAxis<'a> {
+    job: &'a PivotJob,
     p: usize,
-    k: i64,
     m: usize,
-    cfg: SelectConfig,
-    pivot: SlotId,
-    interval: SlotRange,
-    /// Maximal available run through the pivot, per eligible compact vertex.
-    runs: &'a [Option<SlotRange>],
-    /// Flattened availability words (`avail_stride` per vertex).
-    avail_words: &'a [u64],
-    avail_stride: usize,
-    /// The pivot's access order (availability-tie-broken; see
-    /// [`PivotJob::order`]).
-    order: &'a [u32],
-    vs: Vec<u32>,
-    cnt_in_s: Vec<u32>,
-    /// The shared `U`/`A` aggregate caches (see [`VsAggregates`]).
-    agg: VsAggregates,
+    phi0: u32,
+    phi_cap: u32,
     /// `TS` after each push; `last()` is the current common run.
     ts_stack: Vec<SlotRange>,
-    incumbent: &'a Incumbent<StBest>,
-    stats: &'a mut SearchStats,
-    /// Early-stop policy, polled at frame entry (see [`SolveControl`]).
-    control: Option<&'a SolveControl>,
-    /// Scratch for the k-plex matching bound (see [`MatchScratch`]).
-    match_scratch: MatchScratch,
-    /// Per-depth parent-bound admissibility state (see [`ParentFloor`]):
-    /// `floors[|VS|]` serves the frame whose member count is `|VS|`,
-    /// rebuilt at that frame's entry and maintained across its siblings.
-    floors: Vec<ParentFloor>,
+    /// The searched `VA`'s counters (a vetting probe, which never
+    /// removes through the axis, may pass empty ones).
+    pub(crate) unavail: Unavail,
 }
 
-impl<'a, G: CandidateTopology> StSearcher<'a, G> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        fg: &'a G,
+impl<'a> PivotAxis<'a> {
+    /// The axis of `job`'s pivot for `query` under `cfg` (normalized),
+    /// owning `unavail`.
+    pub(crate) fn new(
+        job: &'a PivotJob,
         query: &StgqQuery,
         cfg: &SelectConfig,
-        pivot: SlotId,
-        interval: SlotRange,
-        runs: &'a [Option<SlotRange>],
-        avail_words: &'a [u64],
-        avail_stride: usize,
-        order: &'a [u32],
-        incumbent: &'a Incumbent<StBest>,
-        stats: &'a mut SearchStats,
+        unavail: Unavail,
     ) -> Self {
-        let p = query.p();
-        StSearcher {
-            fg,
-            p,
-            // Clamped as in SGSelect: beyond p−1 the constraint is vacuous.
-            k: query.k().min(p - 1) as i64,
+        PivotAxis {
+            job,
+            p: query.p(),
             m: query.m(),
-            cfg: *cfg,
-            pivot,
-            interval,
-            runs,
-            avail_words,
-            avail_stride,
-            order,
-            vs: Vec::with_capacity(p),
-            cnt_in_s: vec![0; fg.len()],
-            agg: VsAggregates::new(fg.len()),
-            ts_stack: Vec::with_capacity(p),
-            incumbent,
-            stats,
-            control: None,
-            match_scratch: MatchScratch::default(),
-            floors: Vec::new(),
+            phi0: cfg.phi0,
+            phi_cap: cfg.phi_cap,
+            ts_stack: Vec::with_capacity(query.p()),
+            unavail,
+        }
+    }
+}
+
+impl TemporalAxis for PivotAxis<'_> {
+    type Ts = SlotRange;
+    type Best = StBest;
+
+    fn root_ts(&self) -> SlotRange {
+        self.job.q_run
+    }
+
+    fn first_level(&self) -> u32 {
+        self.phi0
+    }
+
+    fn next_level(&self, phi: u32) -> Option<u32> {
+        (phi < self.phi_cap).then_some(phi + 1)
+    }
+
+    /// Temporal extensibility:
+    /// `X(VS ∪ {u}) ≥ (m−1) · ((p − |VS ∪ {u}|)/p)^φ`, RHS 0 once φ caps,
+    /// with `X = |TS ∩ run_u| − m`. Runs all contain the pivot, so the
+    /// intersection is non-empty and contains it too; `X < 0` means `u`
+    /// can never leave an `m`-slot common period.
+    fn extend(&self, u: u32, vs_len: usize, phi: u32) -> Result<SlotRange, bool> {
+        let run_u = self.job.runs[u as usize].expect("VA members are eligible");
+        let ts = *self.ts_stack.last().expect("VS always holds the initiator");
+        let new_ts = SlotRange::new(ts.lo.max(run_u.lo), ts.hi.min(run_u.hi));
+        let x = new_ts.len() as i64 - self.m as i64;
+        let ok = x >= 0
+            && (phi >= self.phi_cap || {
+                let ratio = (self.p - (vs_len + 1)) as f64 / self.p as f64;
+                (x as f64) >= (self.m - 1) as f64 * ratio.powi(phi as i32) - 1e-9
+            });
+        if ok {
+            Ok(new_ts)
+        } else {
+            Err(x < 0)
         }
     }
 
-    /// Whether the frame with member count `depth` maintains a
-    /// [`ParentFloor`] (children are opened only while `|VS| + 1 < p`,
-    /// so deeper frames never consult the bound).
-    #[inline]
-    fn floor_active(&self, depth: usize) -> bool {
-        depth + 1 < self.p
-    }
-
-    /// Mirror a permanent frame-level `VA` removal into the frame's
-    /// floor (position of `u` in the frame's access order).
-    #[inline]
-    fn floor_remove(&mut self, depth: usize, va: &StVaState, u: u32) {
-        if self.floor_active(depth) {
-            self.floors[depth].remove(va.base.order_pos[u as usize] as usize);
-        }
-    }
-
-    /// Hard feasibility of pushing `u` onto the current `VS` (acquaintance
-    /// at θ = 0 plus Lemma 1), as in SGSelect's forced-root vetting. The
-    /// temporal requirement is checked separately by the callers.
-    fn hard_feasible(&self, u_val: i64, a_val: i64) -> bool {
-        u_val <= self.k && a_val >= (self.p - self.vs.len() - 1) as i64
-    }
-
-    /// The packed availability words of compact vertex `u`.
-    #[inline]
-    fn avail_of(&self, u: u32) -> &'a [u64] {
-        let start = u as usize * self.avail_stride;
-        &self.avail_words[start..start + self.avail_stride]
-    }
-
-    fn push(&mut self, u: u32, ts: SlotRange) {
-        let cnt_in_s = &mut self.cnt_in_s;
-        self.fg.for_each_neighbor(u, |nb| {
-            cnt_in_s[nb as usize] += 1;
-        });
-        self.vs.push(u);
+    fn push(&mut self, ts: SlotRange) {
         self.ts_stack.push(ts);
-        self.agg.on_push(u, &self.vs, &self.cnt_in_s);
     }
 
-    fn pop(&mut self, u: u32) {
-        let popped = self.vs.pop();
-        debug_assert_eq!(popped, Some(u));
+    fn pop(&mut self) {
         self.ts_stack.pop();
-        let cnt_in_s = &mut self.cnt_in_s;
-        self.fg.for_each_neighbor(u, |nb| {
-            cnt_in_s[nb as usize] -= 1;
+    }
+
+    fn removed(&mut self, u: u32) {
+        let counts = &mut self.unavail.counts;
+        let len = counts.len();
+        for_each_zero_bit(self.job.avail(u), len, |off| counts[off] -= 1);
+        // max_ub stays: counters only dropped.
+    }
+
+    fn restored(&mut self, u: u32) {
+        let Unavail { counts, max_ub } = &mut self.unavail;
+        let len = counts.len();
+        for_each_zero_bit(self.job.avail(u), len, |off| {
+            counts[off] += 1;
+            *max_ub = (*max_ub).max(counts[off]);
         });
-        self.agg.on_pop(u, &self.vs, &self.cnt_in_s);
-    }
-
-    /// Remove `u` from `VA`, keeping the slack aggregate incrementally
-    /// valid (see [`VsAggregates::note_va_removal`]).
-    fn remove_from_va(&mut self, va: &mut StVaState, u: u32) {
-        let pre_key = self.agg.key(&va.base);
-        va.remove(u, self.fg, self.avail_of(u));
-        self.agg
-            .note_va_removal(self.fg, u, &self.cnt_in_s, &va.base, pre_key);
-    }
-
-    fn current_ts(&self) -> SlotRange {
-        *self.ts_stack.last().expect("VS always holds the initiator")
-    }
-
-    /// `U(VS ∪ {u})` and `A(VS ∪ {u})` — see [`VsAggregates`] for the
-    /// derivation (the temporal engine shares SGSelect's aggregates via
-    /// the base [`VaState`]).
-    fn u_and_a(&mut self, u: u32, va: &StVaState) -> (i64, i64) {
-        self.agg
-            .u_and_a(self.fg, u, self.k, &self.vs, &self.cnt_in_s, &va.base)
-    }
-
-    fn interior_ok(&self, u_val: i64, theta: u32) -> bool {
-        if theta == 0 {
-            return u_val <= self.k;
-        }
-        let ratio = (self.vs.len() + 1) as f64 / self.p as f64;
-        (u_val as f64) <= self.k as f64 * ratio.powi(theta as i32) + 1e-9
-    }
-
-    /// Temporal extensibility condition:
-    /// `X(VS ∪ {u}) ≥ (m−1) · ((p − |VS ∪ {u}|)/p)^φ`, RHS 0 once φ caps.
-    fn temporal_ok(&self, x: i64, phi: u32) -> bool {
-        if x < 0 {
-            return false;
-        }
-        if phi >= self.cfg.phi_cap {
-            return true;
-        }
-        let ratio = (self.p - (self.vs.len() + 1)) as f64 / self.p as f64;
-        (x as f64) >= (self.m - 1) as f64 * ratio.powi(phi as i32) - 1e-9
-    }
-
-    fn distance_prune(&mut self, td: Dist, min_dist: Dist) -> bool {
-        if !self.cfg.distance_pruning {
-            return false;
-        }
-        let Some(best) = self.incumbent.dist() else {
-            return false;
-        };
-        let need = (self.p - self.vs.len()) as u64;
-        let fires = match best.checked_sub(td) {
-            None => true,
-            Some(slack) => slack < need * min_dist,
-        };
-        if fires {
-            self.stats.distance_prunes += 1;
-        }
-        fires
-    }
-
-    fn acquaintance_prune(&mut self, va: &StVaState) -> bool {
-        if !self.cfg.acquaintance_pruning {
-            return false;
-        }
-        let need = (self.p - self.vs.len()) as i64;
-        let rhs = need * (need - 1 - self.k);
-        if rhs <= 0 {
-            return false;
-        }
-        let na = va.len() as i64;
-        let not_extracted = na - need;
-        debug_assert!(not_extracted >= 0);
-        // Average-degree quick no-fire test — see SGSelect's derivation.
-        if va.base.total_inner as i64 * need >= rhs * na {
-            return false;
-        }
-        let lhs = va.base.total_inner as i64 - not_extracted * va.base.min_inner_degree() as i64;
-        let fires = lhs < rhs;
-        if fires {
-            self.stats.acquaintance_prunes += 1;
-        }
-        fires
-    }
-
-    /// The frame-level k-plex bound, exactly as in SGSelect: the
-    /// admissible-completion floor on every re-check, the missing-pair
-    /// matching bound at frame entry — see
-    /// [`crate::reduce::kplex_frame_prune`] for the shared machinery
-    /// (this searcher passes its per-pivot order and the temporal `VA`'s
-    /// base bitsets).
-    fn kplex_prune(&mut self, va: &StVaState, td: Dist, with_matching: bool) -> bool {
-        let fires = kplex_frame_prune(
-            self.fg,
-            &self.vs,
-            &self.cnt_in_s,
-            &va.base.pos_set,
-            self.order,
-            &va.base.set,
-            va.len(),
-            self.p,
-            self.k,
-            td,
-            self.incumbent.dist(),
-            self.cfg.distance_pruning,
-            with_matching,
-            &mut self.match_scratch,
-        );
-        if fires {
-            self.stats.frames_pruned_by_match += 1;
-        }
-        fires
     }
 
     /// Lemma 5. With `n = |VA| − (p − |VS|) + 1`, a slot where ≥ n members
@@ -1760,219 +1392,44 @@ impl<'a, G: CandidateTopology> StSearcher<'a, G> {
     /// — too few — so no feasible period may cross it. If the nearest such
     /// blocked slots around the pivot (interval edges act blocked) leave a
     /// gap of ≤ m slots, the frame is dead.
-    fn availability_prune(&mut self, va: &StVaState) -> bool {
-        if !self.cfg.availability_pruning {
-            return false;
-        }
-        let need = self.p - self.vs.len();
-        debug_assert!(va.len() >= need);
-        let n = (va.len() - need + 1) as u32;
+    fn prune(&self, va_len: usize, need: usize) -> bool {
+        debug_assert!(va_len >= need);
+        let n = (va_len - need + 1) as u32;
         // No counter can reach n ⇒ no blocked slot ⇒ the gap spans the
         // whole interval (`2m−1 ≥ m` slots plus two virtual edges) and the
         // prune cannot fire. This upper bound skips the offset scan on the
         // overwhelming majority of frames.
-        if va.max_unavail_ub < n {
+        if self.unavail.max_ub < n {
             return false;
         }
-        let pivot_off = self.pivot - self.interval.lo;
-        let len = va.unavail.len();
+        let unavail = &self.unavail.counts;
+        let pivot_off = self.job.pivot - self.job.interval.lo;
+        let len = unavail.len();
 
         let mut t_minus = -1i64; // virtual blocked slot just before the interval
         for off in (0..pivot_off).rev() {
-            if va.unavail[off] >= n {
+            if unavail[off] >= n {
                 t_minus = off as i64;
                 break;
             }
         }
         let mut t_plus = len as i64; // virtual blocked slot just after
         for off in pivot_off + 1..len {
-            if va.unavail[off] >= n {
+            if unavail[off] >= n {
                 t_plus = off as i64;
                 break;
             }
         }
-        let fires = t_plus - t_minus <= self.m as i64;
-        if fires {
-            self.stats.availability_prunes += 1;
-        }
-        fires
+        t_plus - t_minus <= self.m as i64
     }
 
-    fn record(&mut self, td: Dist, ts: SlotRange) {
-        self.stats.solutions_recorded += 1;
+    fn witness(&self, vs: &[u32]) -> StBest {
+        let ts = *self.ts_stack.last().expect("VS always holds the initiator");
         debug_assert!(ts.len() >= self.m);
-        let period = SlotRange::new(ts.lo, ts.lo + self.m - 1);
-        let (vs, pivot) = (&self.vs, self.pivot);
-        self.incumbent.offer(td, || StBest {
-            group: vs.clone(),
-            period,
-            pivot,
-        });
-    }
-
-    /// One `ExpandSTG` frame (Algorithm 4). As in SGSelect, `va` is the
-    /// pivot search's shared state: removals happen in place and the
-    /// caller rewinds to its mark, so descent never allocates.
-    fn expand(&mut self, va: &mut StVaState, td: Dist) {
-        // Cooperative stop on the frame-counter path (see SGSelect):
-        // `cancelled` and `truncated` stay distinct provenance.
-        if self.stats.cancelled {
-            return;
-        }
-        if let Some(control) = self.control {
-            if control.should_stop(self.stats.frames) {
-                self.stats.cancelled = true;
-                return;
-            }
-        }
-        if let Some(budget) = self.cfg.frame_budget {
-            if self.stats.frames >= budget {
-                self.stats.truncated = true;
-                return;
-            }
-        }
-        self.stats.frames += 1;
-        let order = self.order;
-        // Invalidate this frame's admissibility classes for the
-        // parent-side completion bound; the first consultations rescan,
-        // repeat consultations classify lazily, and the sibling loop
-        // below keeps the classes current by mirroring its permanent
-        // removals (see [`ParentFloor`]).
-        let depth = self.vs.len();
-        if self.floor_active(depth) {
-            if self.floors.len() <= depth {
-                self.floors.resize_with(depth + 1, ParentFloor::default);
-            }
-            self.floors[depth].invalidate();
-        }
-        let mut theta = self.cfg.theta0;
-        let mut phi = self.cfg.phi0;
-        // Access-order scans run on `pos_set` — word-parallel successor
-        // queries instead of per-position membership probes (see SGSelect).
-        let mut cursor = 0usize;
-        // Frame-level checks re-run only when VA mutated — sequentially
-        // they are provably no-ops in between; under the parallel solvers
-        // a cross-thread incumbent improvement is picked up one mutation
-        // later, which weakens pruning momentarily but is always sound
-        // (see SGSelect).
-        let mut checked_version = u64::MAX;
-
-        loop {
-            if va.version() != checked_version {
-                let entry_check = checked_version == u64::MAX;
-                checked_version = va.version();
-                if self.vs.len() + va.len() < self.p {
-                    return;
-                }
-                let min_pos = va.base.pos_set.first().expect("VA non-empty here");
-                let min_dist = self.fg.dist(order[min_pos]);
-                if self.distance_prune(td, min_dist) {
-                    return;
-                }
-                if self.acquaintance_prune(va) {
-                    return;
-                }
-                if self.kplex_prune(va, td, entry_check) {
-                    return;
-                }
-                if self.availability_prune(va) {
-                    return;
-                }
-            }
-
-            let u = if let Some(pos) = va.base.pos_set.next_set_at_or_after(cursor) {
-                cursor = pos + 1;
-                order[pos]
-            } else if theta > 0 {
-                theta -= 1;
-                cursor = 0;
-                continue;
-            } else if phi < self.cfg.phi_cap {
-                phi += 1;
-                cursor = 0;
-                continue;
-            } else {
-                return;
-            };
-            self.stats.candidates_examined += 1;
-
-            let (u_val, a_val) = self.u_and_a(u, va);
-            if a_val < (self.p - self.vs.len() - 1) as i64 {
-                self.stats.exterior_rejections += 1;
-                self.remove_from_va(va, u);
-                self.floor_remove(depth, va, u);
-                continue;
-            }
-            if !self.interior_ok(u_val, theta) {
-                self.stats.interior_rejections += 1;
-                if theta == 0 {
-                    self.remove_from_va(va, u);
-                    self.floor_remove(depth, va, u);
-                }
-                continue;
-            }
-            // Temporal extensibility. Runs both contain the pivot, so the
-            // intersection is non-empty and contains it too.
-            let run_u = self.runs[u as usize].expect("VA members are eligible");
-            let ts = self.current_ts();
-            let new_ts = SlotRange::new(ts.lo.max(run_u.lo), ts.hi.min(run_u.hi));
-            let x = new_ts.len() as i64 - self.m as i64;
-            if !self.temporal_ok(x, phi) {
-                self.stats.temporal_rejections += 1;
-                if x < 0 {
-                    // Adding u can never leave an m-slot common period.
-                    self.remove_from_va(va, u);
-                    self.floor_remove(depth, va, u);
-                }
-                continue;
-            }
-
-            let new_td = td + self.fg.dist(u);
-            // Parent-side completion bound: price the child frame before
-            // opening it, from the frame's (lazily-built) admissibility
-            // classes. When it fires, the push / undo-mark / frame entry
-            // are all skipped, and u is disposed of exactly as if its
-            // branch had been descended and exhausted.
-            if self.floor_active(depth)
-                && self.floors[depth].consult(
-                    self.fg,
-                    u,
-                    depth + 1,
-                    &self.cnt_in_s,
-                    &va.base.pos_set,
-                    order,
-                    self.p,
-                    self.k,
-                    new_td,
-                    self.incumbent.dist(),
-                    self.cfg.distance_pruning,
-                )
-            {
-                self.stats.children_pruned_by_parent_bound += 1;
-                self.remove_from_va(va, u);
-                self.floor_remove(depth, va, u);
-                continue;
-            }
-            self.push(u, new_ts);
-            if self.vs.len() == self.p {
-                self.record(new_td, new_ts);
-                self.pop(u);
-                self.remove_from_va(va, u);
-                return;
-            }
-            // Descend with u extracted; rewind the child subtree's
-            // removals on return (what used to be a full clone).
-            let frame_mark = va.mark();
-            self.remove_from_va(va, u);
-            self.stats.vertices_expanded += 1;
-            self.expand(va, new_td);
-            va.undo_to(frame_mark, self.fg, self.avail_words, self.avail_stride);
-            self.pop(u);
-            // The branch containing u is fully explored. (The pre-descend
-            // removal above was rewound by the undo, so only this one is
-            // mirrored into the floor.)
-            self.remove_from_va(va, u);
-            self.floor_remove(depth, va, u);
+        StBest {
+            group: vs.to_vec(),
+            period: SlotRange::new(ts.lo, ts.lo + self.m - 1),
+            pivot: self.job.pivot,
         }
     }
 }
@@ -2055,7 +1512,9 @@ mod tests {
         // Coarse mode (the default): the solve fills the split and the
         // spans cover every descended pivot.
         let mut arena = PivotArena::new();
-        let out = solve_stgq_pooled(&fg, &cals[..], &query, &cfg, &mut arena);
+        let out = Solver::new(&fg, &cfg)
+            .arena(&mut arena)
+            .stgq(&cals[..], &query);
         assert!(out.solution.is_some());
         let coarse = arena.timings;
         assert_eq!(coarse.pivots, 2, "horizon 7, m=3 → pivot slots {{2, 5}}");
@@ -2072,7 +1531,9 @@ mod tests {
 
         // Detail mode isolates the phases; counters are identical.
         arena.timing_detail = true;
-        let detailed_out = solve_stgq_pooled(&fg, &cals[..], &query, &cfg, &mut arena);
+        let detailed_out = Solver::new(&fg, &cfg)
+            .arena(&mut arena)
+            .stgq(&cals[..], &query);
         assert_eq!(detailed_out, out, "timing mode never changes the answer");
         let detail = arena.timings;
         assert_eq!(
@@ -2085,7 +1546,9 @@ mod tests {
         // Recording off: the split is wiped, not stale.
         arena.timing_detail = false;
         arena.record_timings = false;
-        let off_out = solve_stgq_pooled(&fg, &cals[..], &query, &cfg, &mut arena);
+        let off_out = Solver::new(&fg, &cfg)
+            .arena(&mut arena)
+            .stgq(&cals[..], &query);
         assert_eq!(off_out, out);
         assert!(arena.timings.is_empty(), "off leaves no stale timings");
     }
@@ -2155,13 +1618,13 @@ mod tests {
             StgqQuery::new(1, 1, 0, 2).unwrap(), // p = 1 path
             StgqQuery::new(3, 1, 1, 2).unwrap(), // pivot path
         ] {
-            let out = solve_stgq_on(&fg, &[] as &[Calendar], &query, &SelectConfig::default());
+            let out = Solver::new(&fg, &SelectConfig::default()).stgq(&[] as &[Calendar], &query);
             assert!(out.solution.is_none());
             assert_eq!(out.stats.pivots_processed, 0);
         }
     }
 
-    /// The word-parallel `StVaState` (zero-word counter updates, undo log)
+    /// The word-parallel `PivotAxis` counters (zero-word updates, undo log)
     /// agrees with the scalar reference (per-slot branch on every offset)
     /// on random calendars, through interleaved removals and rewinds.
     #[test]
@@ -2231,11 +1694,17 @@ mod tests {
                 }
                 let job = job.expect("surviving candidates ⇒ prepared job");
                 let mut va = job.va.clone();
+                let query = StgqQuery::new(2, 2, 0, m).unwrap();
+                let cfg = SelectConfig::default().normalized();
+                let mut axis = PivotAxis::new(&job, &query, &cfg, job.unavail.clone());
 
                 // Initial counters must agree (word-parallel vs per-slot build).
-                assert_eq!(va.unavail, ref_va.unavail, "seed {seed} pivot {pivot} init");
+                assert_eq!(
+                    axis.unavail.counts, ref_va.unavail,
+                    "seed {seed} pivot {pivot} init"
+                );
                 let ilen = job.interval.len();
-                for v in va.base.set.iter() {
+                for v in va.set.iter() {
                     let from_words = BitSet::from_words(ilen, job.avail(v as u32).iter().copied());
                     assert_eq!(
                         from_words, ref_avail[v],
@@ -2245,27 +1714,35 @@ mod tests {
 
                 // Interleave removals with a mid-sequence rewind and check
                 // counters stay in lock-step with the scalar reference.
-                let members: Vec<u32> = va.base.set.iter().map(|v| v as u32).collect();
+                let members: Vec<u32> = va.set.iter().map(|v| v as u32).collect();
                 let mark = va.mark();
                 let keep_from = members.len() / 2;
                 for &u in &members {
-                    va.remove(u, &fg, job.avail(u));
+                    va.remove(u, &fg);
+                    axis.removed(u);
                 }
-                va.undo_to(mark, &fg, &job.avail_words, job.avail_stride);
-                assert_eq!(va.unavail, job.va.unavail, "seed {seed} pivot {pivot} undo");
-                assert_eq!(va.base.set, job.va.base.set);
-                assert_eq!(va.base.cnt_in_a, job.va.base.cnt_in_a);
-                assert_eq!(va.base.total_inner, job.va.base.total_inner);
+                while va.mark() > mark {
+                    let u = va.undo_last(&fg);
+                    axis.restored(u);
+                }
+                assert_eq!(
+                    axis.unavail.counts, job.unavail.counts,
+                    "seed {seed} pivot {pivot} undo"
+                );
+                assert_eq!(va.set, job.va.set);
+                assert_eq!(va.cnt_in_a, job.va.cnt_in_a);
+                assert_eq!(va.total_inner, job.va.total_inner);
 
                 for &u in &members[keep_from..] {
-                    va.remove(u, &fg, job.avail(u));
+                    va.remove(u, &fg);
+                    axis.removed(u);
                     ref_va.remove(u, &fg, &ref_avail[u as usize]);
                     assert_eq!(
-                        va.unavail, ref_va.unavail,
+                        axis.unavail.counts, ref_va.unavail,
                         "seed {seed} pivot {pivot} rm {u}"
                     );
-                    assert_eq!(va.base.cnt_in_a, ref_va.base.cnt_in_a);
-                    assert_eq!(va.base.total_inner, ref_va.base.total_inner);
+                    assert_eq!(va.cnt_in_a, ref_va.base.cnt_in_a);
+                    assert_eq!(va.total_inner, ref_va.base.total_inner);
                 }
             }
         }
@@ -2353,14 +1830,10 @@ mod tests {
         token.cancel();
         let control = SolveControl::new().with_cancel(token);
         let mut arena = PivotArena::new();
-        let out = solve_stgq_controlled(
-            &fg,
-            &cals,
-            &query,
-            &SelectConfig::default(),
-            &mut arena,
-            Some(&control),
-        );
+        let out = Solver::new(&fg, &SelectConfig::default())
+            .arena(&mut arena)
+            .control(Some(&control))
+            .stgq(&cals, &query);
         assert!(out.stats.cancelled, "token was tripped before the solve");
         assert!(
             !out.stats.truncated,
@@ -2378,14 +1851,10 @@ mod tests {
         let fg = FeasibleGraph::extract(&g, q, 1);
         let control = SolveControl::new().with_deadline(Instant::now() - Duration::from_millis(1));
         let mut arena = PivotArena::new();
-        let out = solve_stgq_controlled(
-            &fg,
-            &cals,
-            &query,
-            &SelectConfig::default(),
-            &mut arena,
-            Some(&control),
-        );
+        let out = Solver::new(&fg, &SelectConfig::default())
+            .arena(&mut arena)
+            .control(Some(&control))
+            .stgq(&cals, &query);
         assert!(out.stats.cancelled);
         assert_eq!(out.stats.frames, 0);
     }
@@ -2398,15 +1867,11 @@ mod tests {
         let fg = FeasibleGraph::extract(&g, q, 1);
         let control = SolveControl::new().with_cancel(CancelToken::new());
         let mut arena = PivotArena::new();
-        let controlled = solve_stgq_controlled(
-            &fg,
-            &cals,
-            &query,
-            &SelectConfig::default(),
-            &mut arena,
-            Some(&control),
-        );
-        let plain = solve_stgq_on(&fg, &cals, &query, &SelectConfig::default());
+        let controlled = Solver::new(&fg, &SelectConfig::default())
+            .arena(&mut arena)
+            .control(Some(&control))
+            .stgq(&cals, &query);
+        let plain = Solver::new(&fg, &SelectConfig::default()).stgq(&cals, &query);
         assert_eq!(controlled, plain, "a quiet control changes nothing");
         assert!(!controlled.stats.cancelled);
     }
@@ -2424,8 +1889,12 @@ mod tests {
 
         // Plain pooled arena: repeat solves never consult the cache.
         let mut plain = PivotArena::new();
-        let first_plain = solve_stgq_pooled(&fg, &cals[..], &query, &cfg, &mut plain);
-        let second_plain = solve_stgq_pooled(&fg, &cals[..], &query, &cfg, &mut plain);
+        let first_plain = Solver::new(&fg, &cfg)
+            .arena(&mut plain)
+            .stgq(&cals[..], &query);
+        let second_plain = Solver::new(&fg, &cfg)
+            .arena(&mut plain)
+            .stgq(&cals[..], &query);
         assert_eq!(first_plain, second_plain, "pooled repeat solves agree");
         assert_eq!(second_plain.stats.run_cache_cross_solve_hits, 0);
 
@@ -2433,13 +1902,17 @@ mod tests {
         // first solve's cross entries instead of scanning calendars.
         let mut arena = PivotArena::new();
         arena.install_world_versions(&[7, 7]);
-        let first = solve_stgq_pooled(&fg, &cals[..], &query, &cfg, &mut arena);
+        let first = Solver::new(&fg, &cfg)
+            .arena(&mut arena)
+            .stgq(&cals[..], &query);
         assert_eq!(first.solution, first_plain.solution);
         assert_eq!(
             first.stats.run_cache_cross_solve_hits, 0,
             "nothing to hit on a cold cross cache"
         );
-        let second = solve_stgq_pooled(&fg, &cals[..], &query, &cfg, &mut arena);
+        let second = Solver::new(&fg, &cfg)
+            .arena(&mut arena)
+            .stgq(&cals[..], &query);
         assert_eq!(second.solution, first_plain.solution);
         assert!(
             second.stats.run_cache_cross_solve_hits > 0,
@@ -2456,12 +1929,16 @@ mod tests {
         // Bumping a shard version invalidates its entries — answers
         // hold, the stale shard is rescanned and restamped.
         arena.install_world_versions(&[8, 7]);
-        let third = solve_stgq_pooled(&fg, &cals[..], &query, &cfg, &mut arena);
+        let third = Solver::new(&fg, &cfg)
+            .arena(&mut arena)
+            .stgq(&cals[..], &query);
         assert_eq!(third.solution, first_plain.solution);
 
         // Dropping the handshake deactivates and empties the cache.
         arena.install_world_versions(&[]);
-        let fourth = solve_stgq_pooled(&fg, &cals[..], &query, &cfg, &mut arena);
+        let fourth = Solver::new(&fg, &cfg)
+            .arena(&mut arena)
+            .stgq(&cals[..], &query);
         assert_eq!(fourth, second_plain, "inert again after the reset");
     }
 

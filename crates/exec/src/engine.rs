@@ -5,8 +5,7 @@ use stgq_core::heuristics::{
     greedy_sgq_on, greedy_stgq_on, local_search_sgq_on, local_search_stgq_on,
 };
 use stgq_core::{
-    solve_sgq_controlled_on, solve_sgq_parallel_controlled_on, solve_stgq_controlled,
-    solve_stgq_parallel_controlled_on, PivotArena, SelectConfig, SolveControl, SolveOutcome,
+    PivotArena, SelectConfig, SgqOutcome, SolveControl, SolveOutcome, Solver, StgqOutcome,
 };
 use stgq_graph::FeasibleView;
 use stgq_schedule::Cals;
@@ -22,7 +21,8 @@ pub enum Engine {
     /// (`0` = all cores). Per-request cancellation/deadlines are polled
     /// by every worker (between claimed subtree/pivot tasks and on the
     /// frame path), so intra-query parallelism honours `SolveControl`
-    /// exactly like `Exact` does.
+    /// exactly like `Exact` does. One worker (or `0` on a one-core host)
+    /// is `Exact`, on the executing worker's arena.
     ExactParallel {
         /// Worker count; `0` means all available parallelism.
         threads: usize,
@@ -69,7 +69,9 @@ impl Engine {
 
 /// Run one query spec with the chosen engine on a pre-extracted
 /// zero-copy candidate view. Returns the uniform [`SolveOutcome`] plus,
-/// for heuristic engines, the feasibility-evaluation count.
+/// for heuristic engines, the feasibility-evaluation count. The exact
+/// family runs one [`Solver`] on `arena`; a one-worker `ExactParallel`
+/// is the sequential solve on that same arena.
 pub(crate) fn run_spec(
     fg: &FeasibleView,
     calendars: Cals<'_>,
@@ -79,88 +81,57 @@ pub(crate) fn run_spec(
     control: Option<&SolveControl>,
     arena: &mut PivotArena,
 ) -> (SolveOutcome, Option<u64>) {
+    let (cfg, threads) = match engine {
+        Engine::Exact => (*cfg, 1),
+        Engine::ExactParallel { threads } => (*cfg, threads),
+        Engine::Anytime { frame_budget } => (cfg.with_frame_budget(frame_budget), 1),
+        Engine::Greedy { restarts } => return run_heuristic(fg, calendars, spec, restarts, None),
+        Engine::LocalSearch { restarts, passes } => {
+            return run_heuristic(fg, calendars, spec, restarts, Some(passes))
+        }
+    };
+    let solver = Solver::new(fg, &cfg)
+        .threads(threads)
+        .control(control)
+        .arena(arena);
+    let outcome = match spec {
+        QuerySpec::Sgq(query) => SolveOutcome::Sgq(solver.sgq(query, None)),
+        QuerySpec::Stgq(query) => SolveOutcome::Stgq(solver.stgq(calendars, query)),
+    };
+    (outcome, None)
+}
+
+/// The greedy (`passes: None`) or local-search heuristic for `spec`,
+/// with its feasibility-evaluation count.
+fn run_heuristic(
+    fg: &FeasibleView,
+    calendars: Cals<'_>,
+    spec: &QuerySpec,
+    restarts: usize,
+    passes: Option<usize>,
+) -> (SolveOutcome, Option<u64>) {
     match spec {
-        QuerySpec::Sgq(query) => match engine {
-            Engine::Exact => (
-                SolveOutcome::Sgq(solve_sgq_controlled_on(fg, query, cfg, None, control)),
-                None,
-            ),
-            Engine::ExactParallel { threads } => (
-                SolveOutcome::Sgq(solve_sgq_parallel_controlled_on(
-                    fg, query, cfg, None, threads, control,
-                )),
-                None,
-            ),
-            Engine::Anytime { frame_budget } => {
-                let cfg = cfg.with_frame_budget(frame_budget);
-                (
-                    SolveOutcome::Sgq(solve_sgq_controlled_on(fg, query, &cfg, None, control)),
-                    None,
-                )
-            }
-            Engine::Greedy { restarts } => {
-                let out = greedy_sgq_on(fg, query, None, restarts);
-                (
-                    SolveOutcome::Sgq(stgq_core::SgqOutcome {
-                        solution: out.solution,
-                        stats: Default::default(),
-                    }),
-                    Some(out.evaluations),
-                )
-            }
-            Engine::LocalSearch { restarts, passes } => {
-                let out = local_search_sgq_on(fg, query, None, restarts, passes);
-                (
-                    SolveOutcome::Sgq(stgq_core::SgqOutcome {
-                        solution: out.solution,
-                        stats: Default::default(),
-                    }),
-                    Some(out.evaluations),
-                )
-            }
-        },
-        QuerySpec::Stgq(query) => match engine {
-            Engine::Exact => (
-                SolveOutcome::Stgq(solve_stgq_controlled(
-                    fg, calendars, query, cfg, arena, control,
-                )),
-                None,
-            ),
-            Engine::ExactParallel { threads } => (
-                SolveOutcome::Stgq(solve_stgq_parallel_controlled_on(
-                    fg, calendars, query, cfg, threads, control,
-                )),
-                None,
-            ),
-            Engine::Anytime { frame_budget } => {
-                let cfg = cfg.with_frame_budget(frame_budget);
-                (
-                    SolveOutcome::Stgq(solve_stgq_controlled(
-                        fg, calendars, query, &cfg, arena, control,
-                    )),
-                    None,
-                )
-            }
-            Engine::Greedy { restarts } => {
-                let out = greedy_stgq_on(fg, calendars, query, restarts);
-                (
-                    SolveOutcome::Stgq(stgq_core::StgqOutcome {
-                        solution: out.solution,
-                        stats: Default::default(),
-                    }),
-                    Some(out.evaluations),
-                )
-            }
-            Engine::LocalSearch { restarts, passes } => {
-                let out = local_search_stgq_on(fg, calendars, query, restarts, passes);
-                (
-                    SolveOutcome::Stgq(stgq_core::StgqOutcome {
-                        solution: out.solution,
-                        stats: Default::default(),
-                    }),
-                    Some(out.evaluations),
-                )
-            }
-        },
+        QuerySpec::Sgq(query) => {
+            let out = match passes {
+                None => greedy_sgq_on(fg, query, None, restarts),
+                Some(passes) => local_search_sgq_on(fg, query, None, restarts, passes),
+            };
+            let outcome = SgqOutcome {
+                solution: out.solution,
+                stats: Default::default(),
+            };
+            (SolveOutcome::Sgq(outcome), Some(out.evaluations))
+        }
+        QuerySpec::Stgq(query) => {
+            let out = match passes {
+                None => greedy_stgq_on(fg, calendars, query, restarts),
+                Some(passes) => local_search_stgq_on(fg, calendars, query, restarts, passes),
+            };
+            let outcome = StgqOutcome {
+                solution: out.solution,
+                stats: Default::default(),
+            };
+            (SolveOutcome::Stgq(outcome), Some(out.evaluations))
+        }
     }
 }

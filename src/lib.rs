@@ -33,8 +33,8 @@
 //! measures one against the other; the committed `BENCH_core.json`
 //! baseline shows ~1.8–3.1× on fig1f-style instances, with the largest
 //! gains where the temporal counters dominate (long activities, long
-//! schedules). For multi-core scaling use `solve_sgq_parallel` /
-//! `solve_stgq_parallel`, which keep the exact optimum while splitting the
+//! schedules). For multi-core scaling run a `stgq::query::Solver` with
+//! `.threads(n)`, which keeps the exact optimum while splitting the
 //! search across forced-prefix subtrees and pivot time slots.
 //!
 //! This crate is a facade over the workspace:

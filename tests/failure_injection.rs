@@ -6,7 +6,7 @@ use stgq::graph::text::{read_edge_list, TextFormatError};
 use stgq::graph::{GraphBuilder, GraphError, NodeId};
 use stgq::prelude::*;
 use stgq::query::heuristics::{greedy_sgq, greedy_stgq};
-use stgq::query::{solve_sgq_parallel, solve_stgq_parallel, solve_stgq_sequential, QueryError};
+use stgq::query::{solve_stgq_sequential, QueryError};
 use stgq::schedule::text::read_roster;
 use stgq::schedule::ScheduleError;
 
@@ -32,15 +32,9 @@ fn every_engine_rejects_an_out_of_range_initiator() {
     assert!(is_range_err(
         solve_sgq_exhaustive(&g, bad, &sgq).unwrap_err()
     ));
-    assert!(is_range_err(
-        solve_sgq_parallel(&g, bad, &sgq, &cfg, 2).unwrap_err()
-    ));
     assert!(is_range_err(greedy_sgq(&g, bad, &sgq, 1).unwrap_err()));
     assert!(is_range_err(
         solve_stgq(&g, bad, &cals, &stgq, &cfg).unwrap_err()
-    ));
-    assert!(is_range_err(
-        solve_stgq_parallel(&g, bad, &cals, &stgq, &cfg, 2).unwrap_err()
     ));
     assert!(is_range_err(
         greedy_stgq(&g, bad, &cals, &stgq, 1).unwrap_err()

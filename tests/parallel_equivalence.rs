@@ -7,7 +7,29 @@ use proptest::prelude::*;
 use stgq::graph::{BitSet, FeasibleGraph, GraphBuilder, NodeId, SocialGraph};
 use stgq::prelude::*;
 use stgq::query::validate::{validate_sgq, validate_stgq};
-use stgq::query::{solve_sgq_on, solve_sgq_parallel, solve_sgq_parallel_on, solve_stgq_parallel};
+use stgq::query::{SgqOutcome, Solver, StgqOutcome};
+
+/// SGQ on `threads` workers over the radius-`s` candidate space of `q`.
+fn parallel_sgq(g: &SocialGraph, q: NodeId, query: &SgqQuery, threads: usize) -> SgqOutcome {
+    let fg = FeasibleGraph::extract(g, q, query.s());
+    Solver::new(&fg, &SelectConfig::default())
+        .threads(threads)
+        .sgq(query, None)
+}
+
+/// STGQ on `threads` workers over the radius-`s` candidate space of `q`.
+fn parallel_stgq(
+    g: &SocialGraph,
+    q: NodeId,
+    cals: &[Calendar],
+    query: &StgqQuery,
+    threads: usize,
+) -> StgqOutcome {
+    let fg = FeasibleGraph::extract(g, q, query.s());
+    Solver::new(&fg, &SelectConfig::default())
+        .threads(threads)
+        .stgq(cals, query)
+}
 
 fn graph_from(n: u32, edges: &[(u32, u32, u64)]) -> SocialGraph {
     let mut b = GraphBuilder::new(n as usize);
@@ -34,7 +56,7 @@ proptest! {
         let query = SgqQuery::new(p, s, k).unwrap();
         let cfg = SelectConfig::default();
         let seq = solve_sgq(&g, NodeId(0), &query, &cfg).unwrap();
-        let par = solve_sgq_parallel(&g, NodeId(0), &query, &cfg, threads).unwrap();
+        let par = parallel_sgq(&g, NodeId(0), &query, threads);
         prop_assert_eq!(
             seq.solution.as_ref().map(|x| x.total_distance),
             par.solution.as_ref().map(|x| x.total_distance)
@@ -67,7 +89,7 @@ proptest! {
         let query = StgqQuery::new(p, 2, k, m).unwrap();
         let cfg = SelectConfig::default();
         let seq = solve_stgq(&g, NodeId(0), &cals, &query, &cfg).unwrap();
-        let par = solve_stgq_parallel(&g, NodeId(0), &cals, &query, &cfg, threads).unwrap();
+        let par = parallel_stgq(&g, NodeId(0), &cals, &query, threads);
         prop_assert_eq!(
             seq.solution.as_ref().map(|x| x.total_distance),
             par.solution.as_ref().map(|x| x.total_distance)
@@ -96,8 +118,8 @@ proptest! {
         }
         let query = SgqQuery::new(p, 2, 1).unwrap();
         let cfg = SelectConfig::default();
-        let seq = solve_sgq_on(&fg, &query, &cfg, Some(&mask));
-        let par = solve_sgq_parallel_on(&fg, &query, &cfg, Some(&mask), 3);
+        let seq = Solver::new(&fg, &cfg).sgq(&query, Some(&mask));
+        let par = Solver::new(&fg, &cfg).threads(3).sgq(&query, Some(&mask));
         prop_assert_eq!(
             seq.solution.as_ref().map(|x| x.total_distance),
             par.solution.as_ref().map(|x| x.total_distance)
@@ -130,11 +152,53 @@ fn tie_rich_instance_agrees_on_objective() {
         .solution
         .unwrap();
     for threads in [2, 3, 8] {
-        let par = stgq::query::solve_sgq_parallel(&g, NodeId(0), &query, &cfg, threads)
-            .unwrap()
+        let par = parallel_sgq(&g, NodeId(0), &query, threads)
             .solution
             .unwrap();
         assert_eq!(par.total_distance, seq.total_distance);
         assert_eq!(par.members.len(), 6);
     }
+}
+
+/// `SelectConfig::frame_budget` caps each parallel worker, not each
+/// forced-prefix subtree a worker searches: `threads` workers with a
+/// budget of `b` frames enter at most `threads · b` frames in total, and
+/// the truncated solve says so.
+#[test]
+fn frame_budget_caps_each_parallel_worker() {
+    let n = 40u32;
+    let mut b = GraphBuilder::new(n as usize);
+    for i in 0..n {
+        for j in i + 1..n {
+            if j == i + 1 || (7 * i + 3 * j) % 5 < 2 {
+                b.add_edge(NodeId(i), NodeId(j), 1 + u64::from((13 * i + 17 * j) % 40))
+                    .unwrap();
+            }
+        }
+    }
+    let g = b.build();
+    let (threads, budget) = (2usize, 1u64);
+    let cfg = SelectConfig::NO_SEARCH_REDUCTION.with_frame_budget(budget);
+    let cap = threads as u64 * budget;
+
+    let sgq = SgqQuery::new(6, 2, 2).unwrap();
+    let fg = FeasibleGraph::extract(&g, NodeId(0), sgq.s());
+    let out = Solver::new(&fg, &cfg).threads(threads).sgq(&sgq, None);
+    assert!(out.stats.truncated, "SGQ: the budget stopped the search");
+    assert!(
+        out.stats.frames <= cap,
+        "SGQ: {} frames on {threads} workers with a {budget}-frame budget",
+        out.stats.frames
+    );
+
+    // Two pivots for two workers: the intra-pivot subtree split.
+    let stgq = StgqQuery::new(6, 2, 2, 3).unwrap();
+    let cals = vec![Calendar::all_available(6); n as usize];
+    let out = Solver::new(&fg, &cfg).threads(threads).stgq(&cals, &stgq);
+    assert!(out.stats.truncated, "STGQ: the budget stopped the search");
+    assert!(
+        out.stats.frames <= cap,
+        "STGQ: {} frames on {threads} workers with a {budget}-frame budget",
+        out.stats.frames
+    );
 }

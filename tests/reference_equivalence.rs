@@ -8,10 +8,36 @@
 
 use proptest::prelude::*;
 
+use stgq::graph::FeasibleGraph;
 use stgq::prelude::*;
 use stgq::query::reference::{solve_sgq_reference, solve_stgq_reference};
 use stgq::query::validate::{validate_sgq, validate_stgq};
-use stgq::query::{solve_sgq_parallel, solve_stgq_parallel};
+use stgq::query::{SgqOutcome, Solver, StgqOutcome};
+
+/// SGQ on `threads` workers over the radius-`s` candidate space of `q`.
+fn parallel_sgq(
+    g: &SocialGraph,
+    q: NodeId,
+    query: &SgqQuery,
+    cfg: &SelectConfig,
+    threads: usize,
+) -> SgqOutcome {
+    let fg = FeasibleGraph::extract(g, q, query.s());
+    Solver::new(&fg, cfg).threads(threads).sgq(query, None)
+}
+
+/// STGQ on `threads` workers over the radius-`s` candidate space of `q`.
+fn parallel_stgq(
+    g: &SocialGraph,
+    q: NodeId,
+    cals: &[Calendar],
+    query: &StgqQuery,
+    cfg: &SelectConfig,
+    threads: usize,
+) -> StgqOutcome {
+    let fg = FeasibleGraph::extract(g, q, query.s());
+    Solver::new(&fg, cfg).threads(threads).stgq(cals, query)
+}
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = SocialGraph> {
     (3usize..=max_n).prop_flat_map(|n| {
@@ -105,7 +131,7 @@ proptest! {
         // 24 slots: m ≥ 2 leaves ≤ 12 pivots, so 4 threads exercises the
         // intra-pivot splitting path; 2 threads the per-pivot path.
         for threads in [2usize, 4] {
-            let par = solve_stgq_parallel(&g, q, &cals, &query, &cfg, threads).unwrap();
+            let par = parallel_stgq(&g, q, &cals, &query, &cfg, threads);
             prop_assert_eq!(
                 par.solution.as_ref().map(|x| x.total_distance),
                 reference.solution.as_ref().map(|x| x.total_distance),
@@ -130,7 +156,7 @@ proptest! {
         let cfg = SelectConfig::default();
         let reference = solve_sgq_reference(&g, q, &query, &cfg).unwrap();
         for threads in [2usize, 4] {
-            let par = solve_sgq_parallel(&g, q, &query, &cfg, threads).unwrap();
+            let par = parallel_sgq(&g, q, &query, &cfg, threads);
             prop_assert_eq!(
                 par.solution.as_ref().map(|x| x.total_distance),
                 reference.solution.as_ref().map(|x| x.total_distance),

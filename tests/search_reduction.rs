@@ -14,7 +14,7 @@ use stgq::prelude::*;
 use stgq::query::reference::solve_stgq_reference_on;
 use stgq::query::reference::{solve_sgq_reference, solve_stgq_reference};
 use stgq::query::validate::validate_stgq;
-use stgq::query::{solve_stgq_on, solve_stgq_parallel, solve_stgq_pooled, PivotArena};
+use stgq::query::{PivotArena, Solver};
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = SocialGraph> {
     (3usize..=max_n).prop_flat_map(|n| {
@@ -259,7 +259,7 @@ proptest! {
         let query = StgqQuery::new(p, 2, k, m).unwrap();
         let cfg = SelectConfig::NO_SEARCH_REDUCTION;
         let fg = FeasibleGraph::extract(&g, q, query.s());
-        let peeled = solve_stgq_on(&fg, &cals, &query, &cfg);
+        let peeled = Solver::new(&fg, &cfg).stgq(&cals, &query);
         let unpeeled = solve_stgq_reference_on(&fg, &cals, &query, &cfg);
         prop_assert_eq!(
             peeled.solution.as_ref().map(|s| &s.members),
@@ -311,8 +311,10 @@ proptest! {
         let objectives: Vec<Option<Dist>> = [1usize, 2, 4]
             .iter()
             .map(|&threads| {
-                solve_stgq_parallel(&g, q, &cals, &query, &cfg, threads)
-                    .unwrap()
+                let fg = FeasibleGraph::extract(&g, q, query.s());
+                Solver::new(&fg, &cfg)
+                    .threads(threads)
+                    .stgq(&cals, &query)
                     .solution
                     .map(|s| s.total_distance)
             })
@@ -343,8 +345,8 @@ proptest! {
         for (p, m) in [(2usize, 3usize), (4, 1), (3, 4), (2, 2)] {
             let query = StgqQuery::new(p, 2, k, m).unwrap();
             let fg = FeasibleGraph::extract(&g, q, query.s());
-            let pooled = solve_stgq_pooled(&fg, &cals, &query, &cfg, &mut arena);
-            let fresh = solve_stgq_pooled(&fg, &cals, &query, &cfg, &mut PivotArena::new());
+            let pooled = Solver::new(&fg, &cfg).arena(&mut arena).stgq(&cals, &query);
+            let fresh = Solver::new(&fg, &cfg).stgq(&cals, &query);
             prop_assert_eq!(pooled.solution, fresh.solution, "p {} m {}", p, m);
             prop_assert_eq!(pooled.stats, fresh.stats, "p {} m {}", p, m);
         }

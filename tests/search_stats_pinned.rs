@@ -16,7 +16,7 @@ use stgq::datagen::pick_initiator;
 use stgq::datagen::scenario::real_analog_194;
 use stgq::graph::FeasibleGraph;
 use stgq::prelude::*;
-use stgq::query::{solve_stgq_pooled, PivotArena, SearchStats};
+use stgq::query::{PivotArena, SearchStats, Solver};
 
 /// One pinned solve: label, objective, the 19 counters of
 /// [`SearchStats`] in declaration order, `truncated`, `cancelled`.
@@ -149,7 +149,9 @@ fn handshake_replay_pins_cross_solve_hits() {
         }
         let query = StgqQuery::new(*p, *s, *k, *m).unwrap();
         let fg = FeasibleGraph::extract(&ds.graph, q, *s);
-        let out = solve_stgq_pooled(&fg, &ds.calendars[..], &query, &cfg, &mut arena);
+        let out = Solver::new(&fg, &cfg)
+            .arena(&mut arena)
+            .stgq(&ds.calendars[..], &query);
         let mut expected = stats_of(row);
         expected.run_cache_cross_solve_hits = hits;
         let objective = out.solution.map(|s| s.total_distance);
