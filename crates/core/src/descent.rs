@@ -38,7 +38,7 @@
 use stgq_graph::{BitSet, CandidateTopology, Dist};
 
 use crate::incumbent::Incumbent;
-use crate::reduce::{kplex_frame_prune, MatchScratch, ParentFloor};
+use crate::reduce::{match_bound, MatchScratch, ParentFloor};
 use crate::{SearchStats, SelectConfig, SolveControl};
 
 /// The temporal dimension of a search: everything STGSelect adds to
@@ -145,10 +145,9 @@ impl<G, B> Copy for SearchCtx<'_, G, B> {}
 /// One `VaState` is shared by an entire search: a frame removes candidates
 /// in place and the parent rewinds to its [`mark`](Self::mark) when the
 /// frame returns, so steady-state descent performs **zero heap
-/// allocation** (the old design cloned the whole state per frame). Undo
-/// is LIFO: re-inserting `u` restores exactly the counter increments its
-/// removal applied, because any interleaved removals have already been
-/// undone by the time `u` is popped.
+/// allocation**. Undo is LIFO: re-inserting `u` restores exactly the
+/// counter increments its removal applied, because any interleaved
+/// removals have already been undone by the time `u` is popped.
 #[derive(Clone)]
 pub(crate) struct VaState {
     /// Membership of `VA` over compact indices.
@@ -675,30 +674,68 @@ impl<'a, G: CandidateTopology, A: TemporalAxis> Searcher<'a, G, A> {
         fires
     }
 
-    /// The frame-level k-plex bound: the admissible-completion floor on
-    /// every re-check, the missing-pair matching bound at frame entry —
-    /// see [`crate::reduce::kplex_frame_prune`].
+    /// The frame-level k-plex bound, two stacked necessary conditions on
+    /// any completion of `VS`:
+    ///
+    /// 1. **Admissible-completion floor** (every call): a candidate already
+    ///    missing more than `k` acquaintances against `VS` can join no
+    ///    descendant group (its deficit only grows), so fewer than `need`
+    ///    admissible candidates kills the frame outright, and the sum of
+    ///    the `need` *cheapest admissible* distances is a completion floor
+    ///    that strictly dominates Lemma 2's `need · min_dist` — compared
+    ///    against the incumbent when `distance_pruning` allows.
+    /// 2. **Missing-pair matching bound** (`with_matching` — frame entry
+    ///    only): [`match_bound`], a strictly-stronger Lemma 3 against the
+    ///    group's aggregate `⌊k·p/2⌋` budget.
     fn kplex_prune(&mut self, va: &VaState, td: Dist, with_matching: bool) -> bool {
-        let fires = kplex_frame_prune(
-            self.fg,
-            &self.vs,
-            &self.cnt_in_s,
-            &va.pos_set,
-            self.order,
-            &va.set,
-            va.len(),
-            self.p,
-            self.k,
-            td,
-            self.incumbent.dist(),
-            self.cfg.distance_pruning,
-            with_matching,
-            &mut self.match_scratch,
-        );
+        let fires = self.completion_floor_prunes(va, td)
+            || (with_matching
+                && self.k < (self.p - 1) as i64
+                && match_bound(
+                    self.fg,
+                    &self.vs,
+                    &self.cnt_in_s,
+                    &va.set,
+                    va.len(),
+                    self.p,
+                    self.k,
+                    &mut self.match_scratch,
+                ));
         if fires {
             self.stats.frames_pruned_by_match += 1;
         }
         fires
+    }
+
+    /// The admissible-completion floor of [`kplex_prune`](Self::kplex_prune).
+    fn completion_floor_prunes(&self, va: &VaState, td: Dist) -> bool {
+        let best = self.incumbent.dist();
+        let vs_len = self.vs.len() as i64;
+        let need = self.p - self.vs.len();
+        let mut sum: Dist = 0;
+        let mut taken = 0usize;
+        let mut cursor = 0usize;
+        while taken < need {
+            let Some(pos) = va.pos_set.next_set_at_or_after(cursor) else {
+                break;
+            };
+            cursor = pos + 1;
+            let u = self.order[pos];
+            if vs_len - i64::from(self.cnt_in_s[u as usize]) <= self.k {
+                sum += self.fg.dist(u);
+                taken += 1;
+            }
+        }
+        if taken < need {
+            return true;
+        }
+        match best {
+            Some(best) if self.cfg.distance_pruning => match best.checked_sub(td) {
+                None => true,
+                Some(slack) => slack < sum,
+            },
+            _ => false,
+        }
     }
 
     /// The axis's frame prune (Lemma 5 for STGQ).
@@ -872,7 +909,7 @@ impl<'a, G: CandidateTopology, A: TemporalAxis> Searcher<'a, G, A> {
                 return;
             }
             // Descend with u extracted; the child frame's removals are
-            // rewound wholesale when it returns (what used to be a clone).
+            // rewound wholesale when it returns.
             let frame_mark = va.mark();
             self.remove_from_va(va, u);
             self.stats.vertices_expanded += 1;

@@ -50,7 +50,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use stgq_graph::{BitSet, CandidateTopology};
-use stgq_schedule::{Calendar, Cals};
+use stgq_schedule::{Calendar, Cals, SlotId};
 
 use crate::descent::{search_subtree, vet_roots, SearchCtx, UnitAxis, VaState};
 use crate::heuristics::{greedy_sgq_on, greedy_stgq_on};
@@ -58,7 +58,7 @@ use crate::incumbent::Incumbent;
 use crate::reduce::sgq_peel_preamble;
 use crate::stgselect::{
     descend_pivot, finalize_pivot, materialize_pivot, pivot_bound_skips, prepare_pivot,
-    promise_ordered_pivots, PivotArena, PivotAxis, PivotPrep, StBest, Unavail,
+    promise_ordered_pivots, PivotArena, PivotAxis, PivotJob, PivotPrep, StBest, Unavail,
 };
 use crate::{
     SearchStats, SelectConfig, SgqOutcome, SgqQuery, SgqSolution, SolveControl, StgqOutcome,
@@ -167,6 +167,40 @@ fn claim<S: Send>(
             .map(|h| h.join().expect("solver workers never panic"))
             .collect()
     })
+}
+
+/// Take a claimed pivot through the sequential engine's pre-descent
+/// ladder — prepare, the phase-1 bound, finalize, the finalized bound —
+/// and materialize it for its first frame. `None` when the pivot is
+/// refused or the shared incumbent retires it (its buffers go back to
+/// `arena`); a retired pivot never builds its availability rows.
+fn admit_pivot<G: CandidateTopology>(
+    ctx: SearchCtx<'_, G, StBest>,
+    calendars: Cals<'_>,
+    prep: &PivotPrep,
+    pivot: SlotId,
+    stats: &mut SearchStats,
+    arena: &mut PivotArena,
+) -> Option<PivotJob> {
+    let mut job = prepare_pivot(ctx.fg, calendars, prep, pivot, stats, arena)?;
+    let skips = |job: &PivotJob| pivot_bound_skips(&ctx.cfg, ctx.incumbent, job.dist_bound);
+    let admitted = if skips(&job) {
+        stats.pivots_skipped += 1;
+        false
+    } else if !finalize_pivot(ctx.fg, prep, &mut job, stats, arena) {
+        false
+    } else if skips(&job) {
+        stats.pivots_skipped += 1;
+        false
+    } else {
+        true
+    };
+    if !admitted {
+        arena.recycle(job);
+        return None;
+    }
+    materialize_pivot(ctx.fg, calendars, &mut job, stats);
+    Some(job)
 }
 
 /// Parallel SGSelect on `threads ≥ 2` workers: identical optimum to the
@@ -319,26 +353,10 @@ pub(crate) fn solve_stgq<G: CandidateTopology>(
             control,
             PivotArena::new,
             |i, local, arena| {
-                let Some(mut job) = prepare_pivot(fg, calendars, &prep, pivots[i], local, arena)
-                else {
-                    return;
-                };
-                // Phase-1 bound, finalize, re-check — the sequential
-                // engine's ladder.
-                if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
-                    local.pivots_skipped += 1;
-                } else if finalize_pivot(fg, &prep, &mut job, local, arena) {
-                    if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
-                        local.pivots_skipped += 1;
-                    } else {
-                        // First frame touch — as in the sequential loop, a
-                        // bound-retired pivot above never built its
-                        // availability rows.
-                        materialize_pivot(fg, calendars, &mut job, local);
-                        descend_pivot(ctx, query, &mut job, local);
-                    }
+                if let Some(mut job) = admit_pivot(ctx, calendars, &prep, pivots[i], local, arena) {
+                    descend_pivot(ctx, query, &mut job, local);
+                    arena.recycle(job);
                 }
-                arena.recycle(job);
             },
         );
         for (local, _) in workers {
@@ -350,32 +368,16 @@ pub(crate) fn solve_stgq<G: CandidateTopology>(
         // roots vetted, and the flattened (pivot, subtree) task list is
         // then claimed exactly like SGQ's root tasks. Jobs outlive the
         // preparation workers (they are searched concurrently below), so
-        // only the pivots `prepare_pivot` refuses are recycled.
+        // only the pivots the ladder retires are recycled.
         let preparers = threads.min(pivots.len().max(1));
         let init = || (PivotArena::new(), Vec::new());
         let workers = claim(preparers, pivots.len(), control, init, |i, local, state| {
             let (arena, found) = state;
-            let Some(mut job) = prepare_pivot(fg, calendars, &prep, pivots[i], local, arena) else {
-                return;
-            };
-            if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
-                local.pivots_skipped += 1;
-                return;
+            if let Some(job) = admit_pivot(ctx, calendars, &prep, pivots[i], local, arena) {
+                let axis = PivotAxis::new(&job, query, &cfg, Unavail::default());
+                let ok = vet_roots(ctx, &job.order, axis, &job.va);
+                found.push((job, ok));
             }
-            if !finalize_pivot(fg, &prep, &mut job, local, arena) {
-                return;
-            }
-            if pivot_bound_skips(&cfg, &incumbent, job.dist_bound) {
-                local.pivots_skipped += 1;
-                return;
-            }
-            // Root vetting and the shared subtree searches below read
-            // `job.va` and the availability rows, so a job that made the
-            // task list is materialized here — its first frame touch.
-            materialize_pivot(fg, calendars, &mut job, local);
-            let axis = PivotAxis::new(&job, query, &cfg, Unavail::default());
-            let ok = vet_roots(ctx, &job.order, axis, &job.va);
-            found.push((job, ok));
         });
         let mut jobs = Vec::new();
         for (local, (_, found)) in workers {

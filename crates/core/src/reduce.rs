@@ -153,76 +153,6 @@ pub(crate) fn sgq_peel_preamble<G: CandidateTopology>(
     }
 }
 
-/// The descent's frame-level k-plex bound
-/// ([`Searcher`](crate::descent::Searcher)'s `kplex_prune`), two stacked
-/// necessary conditions on any completion of `VS`:
-///
-/// 1. **Admissible-completion floor** (every call): a candidate already
-///    missing more than `k` acquaintances against `VS` can join no
-///    descendant group (its deficit only grows), so fewer than `need`
-///    admissible candidates kills the frame outright, and the sum of
-///    the `need` *cheapest admissible* distances is a completion floor
-///    that strictly dominates Lemma 2's `need · min_dist` — compared
-///    against the incumbent when `distance_pruning` allows.
-/// 2. **Missing-pair matching bound** (`with_matching` — callers pass
-///    it at frame entry only): [`match_bound`], a strictly-stronger
-///    Lemma 3 against the group's aggregate `⌊k·p/2⌋` budget.
-///
-/// `pos_set` mirrors `va_set` over positions of `order`
-/// (distance-ascending), `best` is the incumbent objective, and `k` is
-/// already clamped to `p − 1`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn kplex_frame_prune<G: CandidateTopology>(
-    fg: &G,
-    vs: &[u32],
-    cnt_in_s: &[u32],
-    pos_set: &BitSet,
-    order: &[u32],
-    va_set: &BitSet,
-    va_len: usize,
-    p: usize,
-    k: i64,
-    td: Dist,
-    best: Option<Dist>,
-    distance_pruning: bool,
-    with_matching: bool,
-    scratch: &mut MatchScratch,
-) -> bool {
-    let vs_len = vs.len() as i64;
-    let need = p - vs.len();
-    let mut sum: Dist = 0;
-    let mut taken = 0usize;
-    let mut cursor = 0usize;
-    while taken < need {
-        let Some(pos) = pos_set.next_set_at_or_after(cursor) else {
-            break;
-        };
-        cursor = pos + 1;
-        let u = order[pos];
-        if vs_len - i64::from(cnt_in_s[u as usize]) <= k {
-            sum += fg.dist(u);
-            taken += 1;
-        }
-    }
-    if taken < need {
-        return true;
-    }
-    if distance_pruning {
-        if let Some(best) = best {
-            let fires = match best.checked_sub(td) {
-                None => true,
-                Some(slack) => slack < sum,
-            };
-            if fires {
-                return true;
-            }
-        }
-    }
-    with_matching
-        && k < (p - 1) as i64
-        && match_bound(fg, vs, cnt_in_s, va_set, va_len, p, k, scratch)
-}
-
 /// The parent-side per-candidate completion bound: decide whether the child
 /// frame for candidate `u` — the frame that *would* be opened by pushing
 /// `u` onto `VS` — is provably not worth opening, **without** pushing.
@@ -231,7 +161,7 @@ pub(crate) fn kplex_frame_prune<G: CandidateTopology>(
 /// completions drawn from the current `VA \ {u}`. A completion `v` must
 /// stay within its k-plex deficiency budget against the *child's* member
 /// set: `|VS ∪ {u}| − (|N_v ∩ VS| + [v ∼ u]) ≤ k` — the frame-level
-/// [`kplex_frame_prune`] admissibility sharpened by `u`'s own adjacency
+/// descent's frame-level admissibility sharpened by `u`'s own adjacency
 /// row. Deficits only grow as `VS` grows and `VA` only shrinks, so the
 /// sum of the `need` cheapest admissible distances is a true floor on
 /// the subtree's completion cost. Fires (`true`) when fewer than `need`
