@@ -1329,14 +1329,17 @@ impl TemporalAxis for PivotAxis<'_> {
     type Ts = SlotRange;
     type Best = StBest;
 
+    #[inline]
     fn root_ts(&self) -> SlotRange {
         self.job.q_run
     }
 
+    #[inline]
     fn first_level(&self) -> u32 {
         self.phi0
     }
 
+    #[inline]
     fn next_level(&self, phi: u32) -> Option<u32> {
         (phi < self.phi_cap).then_some(phi + 1)
     }
@@ -1346,6 +1349,7 @@ impl TemporalAxis for PivotAxis<'_> {
     /// with `X = |TS ∩ run_u| − m`. Runs all contain the pivot, so the
     /// intersection is non-empty and contains it too; `X < 0` means `u`
     /// can never leave an `m`-slot common period.
+    #[inline]
     fn extend(&self, u: u32, vs_len: usize, phi: u32) -> Result<SlotRange, bool> {
         let run_u = self.job.runs[u as usize].expect("VA members are eligible");
         let ts = *self.ts_stack.last().expect("VS always holds the initiator");
@@ -1363,14 +1367,17 @@ impl TemporalAxis for PivotAxis<'_> {
         }
     }
 
+    #[inline]
     fn push(&mut self, ts: SlotRange) {
         self.ts_stack.push(ts);
     }
 
+    #[inline]
     fn pop(&mut self) {
         self.ts_stack.pop();
     }
 
+    #[inline]
     fn removed(&mut self, u: u32) {
         let counts = &mut self.unavail.counts;
         let len = counts.len();
@@ -1378,6 +1385,7 @@ impl TemporalAxis for PivotAxis<'_> {
         // max_ub stays: counters only dropped.
     }
 
+    #[inline]
     fn restored(&mut self, u: u32) {
         let Unavail { counts, max_ub } = &mut self.unavail;
         let len = counts.len();
@@ -1392,6 +1400,7 @@ impl TemporalAxis for PivotAxis<'_> {
     /// — too few — so no feasible period may cross it. If the nearest such
     /// blocked slots around the pivot (interval edges act blocked) leave a
     /// gap of ≤ m slots, the frame is dead.
+    #[inline]
     fn prune(&self, va_len: usize, need: usize) -> bool {
         debug_assert!(va_len >= need);
         let n = (va_len - need + 1) as u32;
