@@ -169,7 +169,7 @@ pub(crate) struct VaState {
     /// `Σ_{v ∈ VA} |N_v ∩ VA|` — the LHS bulk of Lemma 3.
     pub(crate) total_inner: u64,
     /// Removed vertices, most recent last (rewound by [`undo_last`](Self::undo_last)).
-    pub(crate) log: Vec<u32>,
+    log: Vec<u32>,
     /// Bumped on every mutation; lets searchers cache VA-derived aggregates.
     pub(crate) version: u64,
 }

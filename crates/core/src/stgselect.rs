@@ -1272,13 +1272,13 @@ pub(crate) fn descend_pivot<G: CandidateTopology>(
 #[derive(Clone, Default)]
 pub(crate) struct Unavail {
     /// For each interval offset: how many `VA` members are unavailable there.
-    pub(crate) counts: Vec<u32>,
+    counts: Vec<u32>,
     /// Upper bound on `max(counts)`: never undershoots the true maximum
     /// (removals lower counters without shrinking it; undos raise it as
     /// needed). Lemma 5 needs a counter `≥ n` to fire at all, so
     /// `max_ub < n` skips the blocked-slot scan entirely — the common
     /// case, since pivot-eligible members are mostly available.
-    pub(crate) max_ub: u32,
+    max_ub: u32,
 }
 
 /// STGQ's [`TemporalAxis`]: one pivot's temporal dimension on top of the
@@ -1301,7 +1301,7 @@ pub(crate) struct PivotAxis<'a> {
     ts_stack: Vec<SlotRange>,
     /// The searched `VA`'s counters (a vetting probe, which never
     /// removes through the axis, may pass empty ones).
-    pub(crate) unavail: Unavail,
+    unavail: Unavail,
 }
 
 impl<'a> PivotAxis<'a> {
