@@ -1,12 +1,12 @@
 use std::collections::BTreeMap;
 
-use crate::{Dist, GraphError, NodeId, SocialGraph};
+use crate::{Dist, GraphError, NodeId, SocialGraph, MAX_DISTANCE};
 
 /// Validated, order-insensitive construction of a [`SocialGraph`].
 ///
-/// The builder rejects self-loops, zero weights, out-of-range endpoints and
-/// conflicting duplicate edges (the same unordered pair with two different
-/// weights). Supplying the same edge twice with the *same* weight is
+/// The builder rejects self-loops, zero weights, weights above
+/// [`MAX_DISTANCE`], out-of-range endpoints and conflicting duplicate
+/// edges (the same unordered pair with two different weights). Supplying the same edge twice with the *same* weight is
 /// accepted and deduplicated, which makes composing generators easier.
 ///
 /// ```
@@ -80,6 +80,9 @@ impl GraphBuilder {
         if weight == 0 {
             return Err(GraphError::ZeroWeight { a: u, b: v });
         }
+        if weight > MAX_DISTANCE {
+            return Err(GraphError::WeightTooLarge { a: u, b: v, weight });
+        }
         let key = (u.0.min(v.0), u.0.max(v.0));
         match self.edges.insert(key, weight) {
             Some(prev) if prev != weight => Err(GraphError::ConflictingEdge {
@@ -151,6 +154,22 @@ mod tests {
                 b: NodeId(1)
             }
         );
+    }
+
+    #[test]
+    fn weights_are_capped_at_max_distance() {
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(NodeId(0), NodeId(1), MAX_DISTANCE).unwrap();
+        let err = b.add_edge(NodeId(1), NodeId(2), u64::MAX).unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::WeightTooLarge {
+                a: NodeId(1),
+                b: NodeId(2),
+                weight: u64::MAX
+            }
+        );
+        assert_eq!(b.edge_count(), 1);
     }
 
     #[test]

@@ -1,5 +1,19 @@
 use crate::{AdjacencySource, Dist, NodeId, SocialGraph};
 
+/// The largest social distance one tie may carry.
+///
+/// [`GraphBuilder::add_edge`](crate::GraphBuilder::add_edge) and the
+/// serving layer's `connect` reject heavier weights with a typed error,
+/// and that is what keeps Definition 1 free of overflow. A relaxation
+/// round only continues from vertices whose distance improved in the
+/// round before, and an improved distance is the weight of a simple
+/// path. Ids are `u32`, so a simple path has fewer than 2^32 edges and
+/// the relaxation runs fewer than 2^32 productive rounds; every value it
+/// forms is then at most 2^32 · (2^32 − 1) = 2^64 − 2^32, below
+/// `Dist::MAX`. The same margin leaves `Dist::MAX` free to mean
+/// "unreached" in the zero-copy extraction's scratch.
+pub const MAX_DISTANCE: Dist = u32::MAX as Dist;
+
 /// Compute the *s-edge minimum distances* from `source` (Definition 1).
 ///
 /// `d^i_{v,q} = min_{u ∈ N_v} { d^{i-1}_{v,q}, d^{i-1}_{u,q} + c_{u,v} }`
@@ -148,6 +162,17 @@ mod tests {
         let d3 = bounded_distances(&g, NodeId(0), 3);
         let d9 = bounded_distances(&g, NodeId(0), 9);
         assert_eq!(d3, d9);
+    }
+
+    #[test]
+    fn maximal_weights_sum_without_overflow() {
+        // Every tie at MAX_DISTANCE: a five-edge path sums to 5 · (2^32 − 1).
+        let mut b = GraphBuilder::new(6);
+        for v in 0..5 {
+            b.add_edge(NodeId(v), NodeId(v + 1), MAX_DISTANCE).unwrap();
+        }
+        let d = bounded_distances(&b.build(), NodeId(0), 5);
+        assert_eq!(d[5], Some(5 * MAX_DISTANCE));
     }
 
     #[test]

@@ -37,6 +37,16 @@ pub enum GraphError {
         /// Second endpoint.
         b: NodeId,
     },
+    /// An edge weight above [`MAX_DISTANCE`](crate::MAX_DISTANCE) was
+    /// supplied; heavier ties could overflow the Definition-1 distances.
+    WeightTooLarge {
+        /// First endpoint.
+        a: NodeId,
+        /// Second endpoint.
+        b: NodeId,
+        /// The rejected weight.
+        weight: u64,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -64,6 +74,11 @@ impl fmt::Display for GraphError {
                     "edge {a}-{b} has zero weight; social distances must be positive"
                 )
             }
+            GraphError::WeightTooLarge { a, b, weight } => write!(
+                f,
+                "edge {a}-{b} has weight {weight}; social distances are at most {}",
+                crate::MAX_DISTANCE
+            ),
         }
     }
 }
@@ -99,5 +114,12 @@ mod tests {
             b: NodeId(1),
         };
         assert!(e.to_string().contains("zero weight"));
+
+        let e = GraphError::WeightTooLarge {
+            a: NodeId(0),
+            b: NodeId(1),
+            weight: u64::MAX,
+        };
+        assert!(e.to_string().contains("at most 4294967295"));
     }
 }

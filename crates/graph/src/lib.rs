@@ -17,9 +17,10 @@
 //! * [`CandidateTopology`] — the trait seam the query kernels descend
 //!   over, implemented by both `FeasibleGraph` (materialized
 //!   reference/compat path) and [`FeasibleView`] (zero-copy hot path).
-//! * [`FeasibleView`] — the borrowed form of the candidate space: a compact
-//!   index plus a masked adjacency word matrix generated shard-segment-wise
-//!   over the snapshot's CSR [`GraphSegment`]s, no per-row copies.
+//! * [`FeasibleView`] — the zero-copy form of the candidate space: a
+//!   compact index plus a masked adjacency word matrix generated from the
+//!   snapshot's CSR [`GraphSegment`] rows in place, at a cost that scales
+//!   with the candidates rather than the world.
 //! * [`BitSet`] — a small dense bitset used pervasively for `VS`/`VA` and
 //!   neighborhood operations.
 //! * [`kplex`] — acquaintance-constraint predicates (a feasible group is a
@@ -27,8 +28,10 @@
 //! * [`analysis`] — degree/component statistics used by the data generators
 //!   and the benchmark harness.
 //!
-//! All distances are `u64`; "unreachable" is represented as `Option::None`
-//! rather than a sentinel.
+//! All distances are `u64`, and a single tie weighs at most
+//! [`MAX_DISTANCE`], which keeps every Definition-1 distance clear of
+//! overflow. "Unreachable" is represented as `Option::None` rather than a
+//! sentinel in the public API.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -52,7 +55,9 @@ mod io;
 
 pub use bitset::{for_each_zero_bit, BitSet, ZeroIter};
 pub use builder::GraphBuilder;
-pub use distance::{bounded_distances, bounded_distances_from, bounded_distances_into};
+pub use distance::{
+    bounded_distances, bounded_distances_from, bounded_distances_into, MAX_DISTANCE,
+};
 pub use error::GraphError;
 pub use graph::{EdgeRef, SocialGraph};
 pub use id::NodeId;

@@ -10,13 +10,19 @@
 //! publication that only touched shard `s` rebuilds that one segment and
 //! `Arc`-reuses the other `S − 1`.
 //!
-//! The traversal kernels ([`bounded_distances_from`] and
-//! [`FeasibleGraph::extract_from`]) are generic over [`AdjacencySource`],
-//! so they read a flat [`SocialGraph`] or a [`ShardedGraph`] with the
-//! same code — per vertex, one slice pair either way.
+//! The traversal kernels read rows through [`AdjacencySource`] — per
+//! vertex, one slice pair whether the graph is a flat [`SocialGraph`] or
+//! a [`ShardedGraph`]. The dense kernels ([`bounded_distances_from`] and
+//! [`FeasibleGraph::extract_from`]) allocate `node_count`-long arrays per
+//! call; they back the flat-graph entry points and the reference engines
+//! and are the oracle the serving path is tested against. The serving
+//! path, [`FeasibleView::extract`], reads the same rows over a reused
+//! per-thread scratch, so its cost follows the rows it reaches, not the
+//! world.
 //!
 //! [`bounded_distances_from`]: crate::bounded_distances_from
 //! [`FeasibleGraph::extract_from`]: crate::FeasibleGraph::extract_from
+//! [`FeasibleView::extract`]: crate::FeasibleView::extract
 
 use std::sync::Arc;
 
@@ -59,6 +65,9 @@ pub struct GraphSegment {
 impl GraphSegment {
     /// Build a segment from per-row `(global neighbor, weight)` lists,
     /// one inner iterator per local row, each sorted by neighbor id.
+    /// Weights must be positive and at most
+    /// [`MAX_DISTANCE`](crate::MAX_DISTANCE), as the validated builders
+    /// produce them; the distance kernels' overflow bound rests on it.
     pub fn build<I, R>(rows: I) -> Self
     where
         I: IntoIterator<Item = R>,
@@ -69,6 +78,10 @@ impl GraphSegment {
         let mut weights = Vec::new();
         for row in rows {
             for (nb, w) in row {
+                assert!(
+                    (1..=crate::MAX_DISTANCE).contains(&w),
+                    "segment weight {w} outside 1..=MAX_DISTANCE"
+                );
                 neighbors.push(nb);
                 weights.push(w);
             }

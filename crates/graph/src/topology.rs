@@ -10,9 +10,9 @@
 //!   (bitsets, sorted neighbor lists, edge weights). The reference/compat
 //!   path and the bit-identity oracle.
 //! * [`FeasibleView`](crate::FeasibleView) — the zero-copy form: a compact
-//!   index plus a masked adjacency word matrix generated shard-segment-wise
-//!   over borrowed CSR [`GraphSegment`](crate::GraphSegment)s, with no
-//!   row-by-row copies.
+//!   index plus a masked adjacency word matrix generated from the CSR
+//!   [`GraphSegment`](crate::GraphSegment) rows in place, with no
+//!   row-by-row copies and no work proportional to the world's size.
 //!
 //! [`CandidateTopology`] is the seam between them. Everything the
 //! word-parallel kernels consume — compact↔origin mapping, distances to the

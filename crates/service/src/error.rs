@@ -1,7 +1,7 @@
 use std::fmt;
 
 use stgq_core::QueryError;
-use stgq_graph::NodeId;
+use stgq_graph::{NodeId, MAX_DISTANCE};
 
 /// Errors surfaced by the planning service.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,6 +29,16 @@ pub enum ServiceError {
         a: NodeId,
         /// The other endpoint.
         b: NodeId,
+    },
+    /// A social distance above [`MAX_DISTANCE`] was supplied; heavier
+    /// ties could overflow the Definition-1 distances.
+    DistanceTooLarge {
+        /// One endpoint.
+        a: NodeId,
+        /// The other endpoint.
+        b: NodeId,
+        /// The rejected distance.
+        distance: u64,
     },
     /// A slot index was outside the calendar horizon.
     SlotOutOfRange {
@@ -71,6 +81,10 @@ impl fmt::Display for ServiceError {
             ServiceError::ZeroDistance { a, b } => {
                 write!(f, "social distance between {a} and {b} must be positive")
             }
+            ServiceError::DistanceTooLarge { a, b, distance } => write!(
+                f,
+                "social distance {distance} between {a} and {b} exceeds the maximum {MAX_DISTANCE}"
+            ),
             ServiceError::SlotOutOfRange { slot, horizon } => {
                 write!(f, "slot {slot} outside horizon {horizon}")
             }
@@ -113,6 +127,11 @@ mod tests {
             ServiceError::ZeroDistance {
                 a: NodeId(0),
                 b: NodeId(1),
+            },
+            ServiceError::DistanceTooLarge {
+                a: NodeId(0),
+                b: NodeId(1),
+                distance: u64::MAX,
             },
             ServiceError::SlotOutOfRange {
                 slot: 99,

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use stgq_graph::{Dist, GraphBuilder, GraphSegment, NodeId, SocialGraph};
+use stgq_graph::{Dist, GraphBuilder, GraphSegment, NodeId, SocialGraph, MAX_DISTANCE};
 
 use crate::ServiceError;
 
@@ -152,6 +152,9 @@ impl MutableNetwork {
         }
         if distance == 0 {
             return Err(ServiceError::ZeroDistance { a, b });
+        }
+        if distance > MAX_DISTANCE {
+            return Err(ServiceError::DistanceTooLarge { a, b, distance });
         }
         let fresh = self.adj[a.index()].insert(b.0, distance).is_none();
         self.adj[b.index()].insert(a.0, distance);
@@ -328,6 +331,12 @@ mod tests {
             net.connect(a, NodeId(1), 0),
             Err(ServiceError::ZeroDistance { .. })
         ));
+        assert!(matches!(
+            net.connect(a, NodeId(1), MAX_DISTANCE + 1),
+            Err(ServiceError::DistanceTooLarge { .. })
+        ));
+        net.connect(a, NodeId(1), MAX_DISTANCE).unwrap();
+        assert_eq!(net.distance(a, NodeId(1)), Some(MAX_DISTANCE));
     }
 
     #[test]

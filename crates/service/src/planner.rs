@@ -779,6 +779,38 @@ mod tests {
         assert!(report.stats.is_some());
     }
 
+    /// A tie heavier than `MAX_DISTANCE` is refused at `connect`: stored,
+    /// `1 + u64::MAX` would wrap c's radius-2 distance from 50 to 0 and
+    /// make `{a, b, c}` (total 1) beat the true optimum `{a, b, d}` = 3.
+    #[test]
+    fn an_overflowing_distance_is_refused_at_connect() {
+        let mut p = Planner::new(4);
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|l| p.add_person(l));
+        p.connect(a, b, 1).unwrap();
+        assert_eq!(
+            p.connect(b, c, u64::MAX),
+            Err(ServiceError::DistanceTooLarge {
+                a: b,
+                b: c,
+                distance: u64::MAX
+            })
+        );
+        p.connect(a, d, 10).unwrap();
+        p.connect(b, d, 1).unwrap();
+        p.connect(c, d, 1).unwrap();
+        p.connect(a, c, 50).unwrap();
+        let q = SgqQuery::new(3, 2, 0).unwrap();
+        let best = |p: &Planner| {
+            let sol = p.plan_sgq(a, &q, Engine::Exact).unwrap().solution.unwrap();
+            (sol.members, sol.total_distance)
+        };
+        assert_eq!(best(&p), (vec![a, b, d], 3));
+
+        // The heaviest accepted tie leaves the optimum where it was.
+        p.connect(b, c, stgq_graph::MAX_DISTANCE).unwrap();
+        assert_eq!(best(&p), (vec![a, b, d], 3));
+    }
+
     #[test]
     fn cache_hits_within_a_version_and_misses_after_mutation() {
         let (mut p, ids) = demo_with(ExecConfig {

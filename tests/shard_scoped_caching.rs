@@ -17,6 +17,7 @@ use proptest::prelude::*;
 
 use stgq::datagen::metropolis::{metropolis, metropolis_with_communities, MetropolisConfig};
 use stgq::exec::ExecConfig;
+use stgq::graph::{FeasibleGraph, FeasibleView, ShardedGraph};
 use stgq::prelude::*;
 use stgq::query::{solve_sgq, solve_stgq};
 use stgq::service::{Engine, Planner};
@@ -234,6 +235,44 @@ fn a_single_community_delta_rebuilds_and_evicts_one_shard_at_100k_members() {
     let m2 = p.metrics();
     assert_eq!(m2.result_cache_evicted_stale_shard, 1);
     assert_eq!(m2.result_cache_evicted_capacity, 0);
+}
+
+/// `FeasibleView` equals the dense-DP materialized graph over the same
+/// sharded world, `compact` checked for every world id.
+fn assert_view_matches_materialized(graph: &SocialGraph, initiator: NodeId, s: usize) {
+    let sharded = ShardedGraph::from_flat(graph, 16);
+    let fg = FeasibleGraph::extract_from(&sharded, initiator, s);
+    let view = FeasibleView::extract(&sharded, initiator, s);
+    assert_eq!(view.len(), fg.len());
+    assert_eq!(view.candidate_order(), fg.candidate_order());
+    for i in 0..fg.len() as u32 {
+        assert_eq!(view.origin(i), fg.origin(i));
+        assert_eq!(view.dist(i), fg.dist(i));
+        assert_eq!(view.order_pos(i), fg.order_pos(i));
+        assert_eq!(view.adj_words(i), fg.adj_words(i), "row {i}");
+    }
+    for v in 0..graph.node_count() as u32 {
+        assert_eq!(view.compact(NodeId(v)), fg.compact(NodeId(v)), "v{v}");
+    }
+}
+
+/// The zero-copy extraction reuses one world-sized scratch per thread.
+/// After a 10^5-member metropolis extraction, the same thread extracts
+/// from a six-member world whose ids the large call touched, then from
+/// the metropolis again: nothing one call set may leak into the next.
+#[test]
+fn feasible_view_scratch_carries_nothing_from_a_metropolis_into_a_six_member_world() {
+    let metro = metropolis(&MetropolisConfig::with_members(100_000), 1, 7);
+    let mut b = GraphBuilder::new(6);
+    for (u, v, w) in [(0, 1, 9), (1, 2, 4), (2, 3, 7), (0, 4, 2), (4, 3, 30)] {
+        b.add_edge(NodeId(u), NodeId(v), w).unwrap();
+    }
+    let six = b.build();
+
+    assert_view_matches_materialized(&metro.graph, NodeId(3), 2);
+    assert_view_matches_materialized(&six, NodeId(0), 3);
+    assert_view_matches_materialized(&metro.graph, NodeId(4242), 3);
+    assert_view_matches_materialized(&six, NodeId(5), 2);
 }
 
 /// Batched execution through the worker pool is bit-identical to
