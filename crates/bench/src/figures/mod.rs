@@ -8,7 +8,6 @@
 
 pub mod ablation;
 pub mod ext_kplex;
-pub mod ext_parallel;
 pub mod ext_quality;
 pub mod fig1a;
 pub mod fig1b;
@@ -94,7 +93,6 @@ pub fn run_figure(id: &str, scale: Scale) -> Option<Table> {
         "fig1g" => Some(fig1g::run(scale)),
         "fig1h" => Some(fig1h::run(scale)),
         "ablation" => Some(ablation::run(scale)),
-        "ext_parallel" => Some(ext_parallel::run(scale)),
         "ext_quality" => Some(ext_quality::run(scale)),
         "ext_kplex" => Some(ext_kplex::run(scale)),
         _ => None,
@@ -102,9 +100,9 @@ pub fn run_figure(id: &str, scale: Scale) -> Option<Table> {
 }
 
 /// All experiment ids: the paper's eight figure panels, the pruning
-/// ablation, and the extension experiments (thread scaling, heuristic
-/// quality, k-plex substrate).
-pub const ALL_FIGURES: [&str; 12] = [
+/// ablation, and the extension experiments (heuristic quality, k-plex
+/// substrate).
+pub const ALL_FIGURES: [&str; 11] = [
     "fig1a",
     "fig1b",
     "fig1c",
@@ -114,7 +112,6 @@ pub const ALL_FIGURES: [&str; 12] = [
     "fig1g",
     "fig1h",
     "ablation",
-    "ext_parallel",
     "ext_quality",
     "ext_kplex",
 ];

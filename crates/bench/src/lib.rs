@@ -16,7 +16,6 @@
 //! | [`figures::fig1g`] | p | STGArrange k vs PCArrange k_h |
 //! | [`figures::fig1h`] | p | STGArrange vs PCArrange total distance |
 //! | [`figures::ablation`] | pruning toggles | per-strategy runtime/frames |
-//! | [`figures::ext_parallel`] | threads | parallel vs sequential engines |
 //! | [`figures::ext_quality`] | p | exact vs greedy vs local search vs anytime |
 //! | [`figures::ext_kplex`] | k | max k-plex B&B + maximal enumeration |
 //!

@@ -70,15 +70,15 @@ pub struct SelectConfig {
     /// Optional *anytime* budget: stop opening new search frames once this
     /// many have been entered and return the incumbent found so far
     /// (flagged by [`SearchStats::truncated`](crate::SearchStats)). `None`
-    /// (the default) searches to proven optimality. In the parallel
-    /// solvers the budget applies per worker.
+    /// (the default) searches to proven optimality. The budget caps the
+    /// whole solve (every pivot of an STGQ counts into it).
     pub frame_budget: Option<u64>,
     /// Greedy restarts used to **seed the incumbent** before exact descent
     /// (`0` disables seeding). A feasible seed activates Lemma-2 distance
     /// pruning from the very first frame; seeding with a non-optimal bound
     /// never cuts a strictly better solution, so exactness is untouched.
-    /// The sequential engines seed per pivot (reusing the pivot's prepared
-    /// state), the parallel solvers seed once before spawning workers.
+    /// STGSelect seeds per pivot (reusing the pivot's prepared state),
+    /// SGSelect once per solve with a first-fit probe.
     pub seed_restarts: usize,
     /// Process pivot time slots **best-first** (descending initiator run
     /// length) and skip any pivot whose optimistic distance floor can no

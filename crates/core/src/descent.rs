@@ -31,9 +31,7 @@
 //! [`PivotAxis`](crate::stgselect::PivotAxis), which owns the common run
 //! `TS` per `VS` member, the pivot's runs and availability words, the
 //! Lemma-5 unavailability counters, φ relaxation (Definition 5) and
-//! availability pruning (Lemma 5). The forced-prefix pair
-//! [`vet_roots`] / [`search_subtree`] that both parallel solvers split
-//! their work with is written once here too.
+//! availability pruning (Lemma 5).
 
 use stgq_graph::{BitSet, CandidateTopology, Dist};
 
@@ -48,7 +46,7 @@ pub(crate) trait TemporalAxis {
     /// members' common run `TS` for STGQ.
     type Ts: Copy;
     /// The incumbent payload.
-    type Best: Send;
+    type Best;
 
     /// The `TS` of `VS = {q}`.
     fn root_ts(&self) -> Self::Ts;
@@ -59,8 +57,7 @@ pub(crate) trait TemporalAxis {
     fn next_level(&self, level: u32) -> Option<u32>;
     /// Whether `u` may join the current `VS` (of `vs_len` members) at
     /// relaxation `level`: `Ok(ts)` with the new `TS`, or `Err(permanent)`
-    /// — `true` when `u` can never join this `VS`. [`HARD`] asks for the
-    /// hard requirement alone.
+    /// — `true` when `u` can never join this `VS`.
     fn extend(&self, u: u32, vs_len: usize, level: u32) -> Result<Self::Ts, bool>;
     /// `VS` grew by a member with `ts`.
     fn push(&mut self, ts: Self::Ts);
@@ -75,10 +72,6 @@ pub(crate) trait TemporalAxis {
     /// The incumbent payload for `vs`, a complete group.
     fn witness(&self, vs: &[u32]) -> Self::Best;
 }
-
-/// The relaxation level past every relaxation: [`TemporalAxis::extend`]
-/// checks the hard requirement only.
-pub(crate) const HARD: u32 = u32::MAX;
 
 /// SGQ's axis: no temporal dimension. Zero-sized, every hook inlines to
 /// nothing.
@@ -469,11 +462,10 @@ impl VsAggregates {
     }
 }
 
-/// One search over a shared `VA`: one SGSelect run, one STGSelect pivot,
-/// or one forced-prefix subtree of either. The incumbent is shared with
-/// every other searcher of the solve; the stats are the caller's (a
-/// parallel worker's searchers all count into the worker's stats, so
-/// [`SelectConfig::frame_budget`] caps the worker, not each subtree).
+/// One search over a shared `VA`: one SGSelect run or one STGSelect
+/// pivot. The incumbent is shared with every other searcher of the solve
+/// (the pivots of one STGQ); the stats are the caller's, so
+/// [`SelectConfig::frame_budget`] caps the whole solve, not each pivot.
 pub(crate) struct Searcher<'a, G, A: TemporalAxis> {
     fg: &'a G,
     /// The access order `va` runs on (`fg.candidate_order()` for SGQ,
@@ -595,14 +587,6 @@ impl<'a, G: CandidateTopology, A: TemporalAxis> Searcher<'a, G, A> {
     fn u_and_a(&mut self, u: u32, va: &VaState) -> (i64, i64) {
         self.agg
             .u_and_a(self.fg, u, self.k, &self.vs, &self.cnt_in_s, va)
-    }
-
-    /// Hard feasibility of pushing `u` onto the current `VS`: the interior
-    /// unfamiliarity condition at θ = 0 (exactly the acquaintance
-    /// constraint) plus Lemma 1's expansibility requirement. Forced
-    /// roots are vetted with this before their subtrees are searched.
-    fn hard_feasible(&self, u_val: i64, a_val: i64) -> bool {
-        u_val <= self.k && a_val >= (self.p - self.vs.len() - 1) as i64
     }
 
     /// Interior unfamiliarity condition `U ≤ k · (|VS ∪ {u}|/p)^θ`.
@@ -804,14 +788,10 @@ impl<'a, G: CandidateTopology, A: TemporalAxis> Searcher<'a, G, A> {
         let mut cursor = 0usize;
         // The frame-level checks (cardinality, Lemmas 2, 3, the k-plex
         // bound and the axis prune) depend only on (VS, VA, incumbent).
-        // Sequentially the incumbent only moves together with a VA
-        // mutation (record → pop → remove), so between mutation-free
-        // iterations the checks are provably no-ops and re-running them
-        // only on VA-version changes is bit-identical. Under the parallel
-        // solvers another thread may improve the shared incumbent inside
-        // that window; the deferred Lemma-2 check then fires one mutation
-        // later — weaker pruning for a bounded moment, never unsound
-        // (pruning is optional for correctness).
+        // The incumbent only moves together with a VA mutation (record →
+        // pop → remove), so between mutation-free iterations the checks
+        // are provably no-ops and re-running them only on VA-version
+        // changes is bit-identical.
         let mut checked_version = u64::MAX;
 
         loop {
@@ -921,96 +901,5 @@ impl<'a, G: CandidateTopology, A: TemporalAxis> Searcher<'a, G, A> {
             // mirrored into the floor.)
             self.discard(va, depth, u);
         }
-    }
-}
-
-/// Vet each access-order position as a depth-1 forced root: `ok[pos]` ⇔
-/// pushing `order[pos]` onto `VS = {q}` survives the hard acquaintance
-/// check, Lemma 1 against the position's suffix `VA`, and the axis's
-/// hard requirement. Sound to skip on, because a deeper forced prefix
-/// only shrinks the effective `VA`.
-pub(crate) fn vet_roots<G: CandidateTopology, A: TemporalAxis>(
-    ctx: SearchCtx<'_, G, A::Best>,
-    order: &[u32],
-    axis: A,
-    base_va: &VaState,
-) -> Vec<bool> {
-    let mut scratch = SearchStats::default();
-    let mut probe = Searcher::new(ctx, order, axis, &mut scratch);
-    let mut va = base_va.clone();
-    let mut ok = vec![false; order.len()];
-    for (pos, &u) in order.iter().enumerate() {
-        if va.set.contains(u as usize) {
-            let (u_val, a_val) = probe.u_and_a(u, &va);
-            ok[pos] = probe.hard_feasible(u_val, a_val) && probe.axis.extend(u, 1, HARD).is_ok();
-            va.remove(u, ctx.fg);
-        }
-    }
-    ok
-}
-
-/// Search one forced-prefix subtree: force `order[i]` (then `order[j]`
-/// for a depth-2 task, `forced_j = Some(j)`), exclude everything ordered
-/// before the last forced vertex, and expand the rest. Every feasible
-/// group other than `{q}` has an earliest member in the access order
-/// (and, for `p ≥ 3`, an earliest pair), so the subtrees partition the
-/// search space: searched concurrently against a shared incumbent they
-/// keep the sequential optimum. `i` must be a vetted root
-/// ([`vet_roots`]); `axis` is built only for a subtree that runs.
-pub(crate) fn search_subtree<G: CandidateTopology, A: TemporalAxis>(
-    ctx: SearchCtx<'_, G, A::Best>,
-    order: &[u32],
-    axis: impl FnOnce() -> A,
-    base_va: &VaState,
-    (i, forced_j): (usize, Option<usize>),
-    stats: &mut SearchStats,
-) {
-    let fg = ctx.fg;
-    let last_forced = forced_j.unwrap_or(i);
-    if !base_va.set.contains(order[last_forced] as usize) {
-        return;
-    }
-    // VA: everything ordered after the last forced vertex (which its own
-    // feasibility check below extracts).
-    let mut axis = axis();
-    let mut va = base_va.clone();
-    for &w in &order[..last_forced] {
-        if va.set.contains(w as usize) {
-            va.remove(w, fg);
-            axis.removed(w);
-        }
-    }
-    let forced_members = if forced_j.is_some() { 2 } else { 1 };
-    if va.len() + forced_members < ctx.p {
-        return;
-    }
-
-    let mut s = Searcher::new(ctx, order, axis, stats);
-    let u_i = order[i];
-    let mut td = fg.dist(u_i);
-    if forced_j.is_some() {
-        // The vetting vouched for u_i against VS = {q}.
-        let ts = s.axis.extend(u_i, 1, HARD).expect("vetted roots extend");
-        s.push(u_i, ts);
-    }
-    let u_last = order[last_forced];
-    s.stats.candidates_examined += 1;
-    let (u_val, a_val) = s.u_and_a(u_last, &va);
-    if !s.hard_feasible(u_val, a_val) {
-        return;
-    }
-    let Ok(ts) = s.axis.extend(u_last, s.vs.len(), HARD) else {
-        return;
-    };
-    if forced_j.is_some() {
-        td += fg.dist(u_last);
-    }
-    s.push(u_last, ts);
-    s.remove_from_va(&mut va, u_last);
-    s.stats.vertices_expanded += 1;
-    if s.vs.len() >= ctx.p {
-        s.record(td);
-    } else {
-        s.expand(&mut va, td);
     }
 }

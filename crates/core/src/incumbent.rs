@@ -1,73 +1,51 @@
-//! Thread-safe incumbent store shared by the exact engines.
+//! The incumbent store shared by the searchers of one exact solve.
 //!
 //! Distance pruning (Lemma 2) only needs the incumbent's objective value,
-//! and it needs it on every frame — so the value lives in an [`AtomicU64`]
-//! read lock-free, while the full solution payload sits behind a [`Mutex`]
-//! touched only on the (rare) improvements. The sequential engines use
-//! this type too: with one thread the atomic load costs nothing and the
-//! code paths stay identical, which is what makes the parallel solvers'
-//! "same optimum as sequential" guarantee easy to test.
-//!
-//! A stale (too large) value read by a racing thread only weakens pruning,
-//! never soundness: frames survive that a fresher bound would have cut.
+//! and it needs it on every frame — so the value sits in its own [`Cell`]
+//! read by copy, while the full solution payload sits in a second `Cell`
+//! written only on the (rare) improvements and never borrowed. The
+//! searchers of one solve (the pivots of an STGQ) all hold `&Incumbent`,
+//! so both fields are written through a shared reference.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use stgq_graph::Dist;
 
-/// Sentinel for "no incumbent yet".
-const NONE: u64 = u64::MAX;
-
 /// The best feasible solution seen so far: objective value + payload.
-#[derive(Debug)]
 pub(crate) struct Incumbent<T> {
-    dist: AtomicU64,
-    payload: Mutex<Option<T>>,
+    dist: Cell<Option<Dist>>,
+    payload: Cell<Option<T>>,
 }
 
 impl<T> Incumbent<T> {
     pub(crate) fn new() -> Self {
         Incumbent {
-            dist: AtomicU64::new(NONE),
-            payload: Mutex::new(None),
+            dist: Cell::new(None),
+            payload: Cell::new(None),
         }
     }
 
     /// Current best objective, if any solution has been recorded.
     #[inline]
     pub(crate) fn dist(&self) -> Option<Dist> {
-        let d = self.dist.load(Ordering::Acquire);
-        (d != NONE).then_some(d)
+        self.dist.get()
     }
 
     /// Record `(td, payload)` if it strictly improves the incumbent; the
     /// payload is built only when it does. Returns whether it was recorded.
     pub(crate) fn offer(&self, td: Dist, make: impl FnOnce() -> T) -> bool {
-        debug_assert!(td < NONE, "objective values must be below the sentinel");
-        // Fast reject without the lock; ties lose, matching the sequential
-        // engines' strict-improvement rule.
-        if self.dist.load(Ordering::Acquire) <= td {
+        // Ties lose: the strict-improvement rule.
+        if self.dist.get().is_some_and(|best| best <= td) {
             return false;
         }
-        let mut guard = self.payload.lock().expect("incumbent lock never poisoned");
-        // Re-check under the lock: another thread may have won the race.
-        if self.dist.load(Ordering::Acquire) <= td {
-            return false;
-        }
-        self.dist.store(td, Ordering::Release);
-        *guard = Some(make());
+        self.dist.set(Some(td));
+        self.payload.set(Some(make()));
         true
     }
 
     /// Consume the store, yielding the best `(objective, payload)`.
     pub(crate) fn into_best(self) -> Option<(Dist, T)> {
-        let d = self.dist.into_inner();
-        let payload = self
-            .payload
-            .into_inner()
-            .expect("incumbent lock never poisoned");
-        payload.map(|p| (d, p))
+        self.dist.get().zip(self.payload.into_inner())
     }
 }
 
@@ -103,32 +81,5 @@ mod tests {
             9
         });
         assert!(!built, "losing offers must not build their payload");
-    }
-
-    #[test]
-    fn concurrent_offers_keep_the_minimum() {
-        use std::sync::Arc;
-        let inc: Arc<Incumbent<u64>> = Arc::new(Incumbent::new());
-        std::thread::scope(|scope| {
-            for t in 0..8u64 {
-                let inc = Arc::clone(&inc);
-                scope.spawn(move || {
-                    for i in 0..100u64 {
-                        let v = 1 + ((t * 37 + i * 13) % 500);
-                        inc.offer(v, || v);
-                    }
-                });
-            }
-        });
-        let (d, p) = Arc::try_unwrap(inc).unwrap().into_best().unwrap();
-        assert_eq!(d, p, "payload must match the recorded objective");
-        // The global minimum over all offered values must have won.
-        let mut min = u64::MAX;
-        for t in 0..8u64 {
-            for i in 0..100u64 {
-                min = min.min(1 + ((t * 37 + i * 13) % 500));
-            }
-        }
-        assert_eq!(d, min);
     }
 }

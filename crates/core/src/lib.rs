@@ -17,7 +17,6 @@
 //! |--------|----------|-------|
 //! | SGSelect | [`solve_sgq`], [`Solver::sgq`] | §3.2 |
 //! | STGSelect | [`solve_stgq`], [`Solver::stgq`] | §4.2 |
-//! | parallel SGSelect / STGSelect | [`Solver::threads`] | extension (§5.2 notes IP used 8 cores) |
 //! | SGQ exhaustive baseline | [`solve_sgq_exhaustive`] | §5.2 |
 //! | STGQ sequential baseline | [`solve_stgq_sequential`] | §5.2 |
 //! | PCArrange | [`pc_arrange`] | §5.1 |
@@ -34,8 +33,8 @@
 //! pivot axis that adds the common run, temporal extensibility and
 //! availability pruning (the paper builds STGSelect as SGSelect plus a
 //! temporal dimension). There is one way to call it: [`Solver`] takes an
-//! extracted candidate space and the config, optionally a thread count,
-//! a [`SolveControl`] and a pooled [`PivotArena`], and answers
+//! extracted candidate space and the config, optionally a
+//! [`SolveControl`] and a pooled [`PivotArena`], and answers
 //! [`Solver::sgq`] or [`Solver::stgq`]. The flat-graph [`solve_sgq`] /
 //! [`solve_stgq`] validate outside input and run a default `Solver`.
 //!
@@ -125,8 +124,7 @@
 //!   ([`SearchStats::pivots_refused_by_core`]). SGQ peels its candidate
 //!   set the same way, once per solve. The peeled core depends only on
 //!   `(query, eligible-set signature)`, so it is computed once per
-//!   signature and shared across the pivot loop and across parallel
-//!   workers.
+//!   signature and shared across the pivot loop.
 //! * **Frame-level k-plex bound.** Candidates already missing more
 //!   than `k` acquaintances against `VS` are excluded from the
 //!   completion floor — whose `need` cheapest *admissible* distances
@@ -161,7 +159,7 @@
 //! budget truncation, so [`SolveOutcome::stop_cause`] can report
 //! `FrameBudget` vs `Cancelled` honestly.
 //!
-//! Each sequential STGQ solve also splits its own wall clock —
+//! Each STGQ solve also splits its own wall clock —
 //! preparation vs exact descent — into [`StageTimings`] on the
 //! [`PivotArena`] it ran on (two clock reads per descended pivot; see
 //! the [`timings`] module), so the serving layer can histogram the
@@ -173,10 +171,10 @@
 //! [`reference`]; cross-engine tests assert identical optima and the
 //! `hotpath` criterion suite in `stgq-bench` tracks the speedup
 //! (`BENCH_core.json` at the repo root is the committed baseline: ~4.8–6.3×
-//! on the fig1f `m = 4` configs, ≥2.1× everywhere else). The parallel
-//! solvers ride on the same machinery; STGQ splits *within* pivots
-//! (forced-prefix subtrees) when there are too few pivots to keep every
-//! core busy.
+//! on the fig1f `m = 4` configs, ≥2.1× everywhere else). Every solve is
+//! one sequential search, like the paper's algorithms; a serving
+//! deployment uses its cores by running many queries at once (the
+//! `stgq-exec` worker pool), not by splitting one.
 //!
 //! # Quick start
 //!
@@ -213,7 +211,6 @@ pub mod heuristics;
 mod incumbent;
 mod inputs;
 mod manual;
-mod parallel;
 mod query;
 mod reduce;
 pub mod reference;

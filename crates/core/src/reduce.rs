@@ -113,8 +113,7 @@ pub(crate) fn initiator_core_ok<G: CandidateTopology>(
 /// when it is vacuous — or `Err(outcome)` when the query is
 /// **refused** outright (the core leaves fewer than `p` people, or
 /// leaves the initiator short of `p − 1 − k` acquaintances), carrying
-/// the complete infeasible outcome for the caller to return. Shared by
-/// the sequential and parallel SGQ solvers so the two cannot diverge.
+/// the complete infeasible outcome for the caller to return.
 pub(crate) fn sgq_peel_preamble<G: CandidateTopology>(
     fg: &G,
     p: usize,

@@ -19,8 +19,8 @@ use crate::{
 ///
 /// Validates the initiator and extracts the radius-`s` candidate space,
 /// then runs a default [`Solver`] on it (use [`Solver`] directly for a
-/// pre-extracted candidate space, a candidate mask, parallel workers or
-/// a [`SolveControl`]).
+/// pre-extracted candidate space, a candidate mask or a
+/// [`SolveControl`]).
 pub fn solve_sgq(
     graph: &SocialGraph,
     initiator: NodeId,
@@ -76,12 +76,11 @@ pub(crate) fn solve<G: CandidateTopology>(
     let incumbent = Incumbent::new();
     // Incumbent seeding: a feasible solution switches Lemma-2 distance
     // pruning on from the very first frame, and a non-optimal bound never
-    // cuts a strictly better solution. Sequentially, the access-ordered
-    // descent finds its own first completion within ~p frames, so a full
-    // greedy run rarely pays here (the parallel solver, whose workers all
-    // start simultaneously, does run one) — only the near-free first-fit
-    // probe (the initiator plus her p − 1 nearest candidates, also the
-    // instance's distance floor) runs ahead of it.
+    // cuts a strictly better solution. The access-ordered descent finds
+    // its own first completion within ~p frames, so a full greedy run
+    // rarely pays here — only the near-free first-fit probe (the
+    // initiator plus the p − 1 nearest candidates, also the instance's
+    // distance floor) runs ahead of it.
     if cfg.seed_restarts > 0 {
         if let Some((members, dist)) =
             crate::heuristics::first_fit_sgq_seed(fg, p, query.k(), candidate_mask)

@@ -5,8 +5,8 @@ use stgq_graph::{BitSet, CandidateTopology};
 use stgq_schedule::Cals;
 
 use crate::{
-    parallel, sgselect, stgselect, PivotArena, SelectConfig, SgqOutcome, SgqQuery, SolveControl,
-    StgqOutcome, StgqQuery,
+    sgselect, stgselect, PivotArena, SelectConfig, SgqOutcome, SgqQuery, SolveControl, StgqOutcome,
+    StgqQuery,
 };
 
 /// One exact solve (SGSelect or STGSelect) over an already-extracted
@@ -14,20 +14,18 @@ use crate::{
 /// [`FeasibleView`], any [`CandidateTopology`]; the search is
 /// bit-identical on both.
 ///
-/// Every knob is optional and defaults to the plain sequential solve:
+/// One solve is one sequential search; a serving deployment runs many
+/// solves side by side (the `stgq-exec` worker pool) rather than
+/// splitting one. Both knobs are optional:
 ///
-/// * [`threads`](Self::threads) — worker count (default 1; `0` means all
-///   available cores). One worker is the sequential engine; more run the
-///   parallel solvers, which return the same optimum.
 /// * [`control`](Self::control) — a [`SolveControl`] (cancellation token
-///   and/or deadline) polled on the frame-counter path, between pivots
-///   and between parallel tasks. A stopped solve returns the incumbent
-///   found so far with [`SearchStats::cancelled`] set; a quiet control
-///   changes nothing.
+///   and/or deadline) polled on the frame-counter path and between
+///   pivots. A stopped solve returns the incumbent found so far with
+///   [`SearchStats::cancelled`] set; a quiet control changes nothing.
 /// * [`arena`](Self::arena) — a long-lived [`PivotArena`] whose pivot
-///   buffers the sequential STGQ solve reuses, and which receives that
-///   solve's [`StageTimings`] and serves its cross-solve run cache. A
-///   solve without one runs on a fresh arena; results are identical.
+///   buffers the STGQ solve reuses, and which receives that solve's
+///   [`StageTimings`] and serves its cross-solve run cache. A solve
+///   without one runs on a fresh arena; results are identical.
 ///
 /// The flat-graph [`solve_sgq`] / [`solve_stgq`] validate outside input,
 /// extract the candidate space and run a default `Solver`.
@@ -46,10 +44,8 @@ use crate::{
 /// let query = SgqQuery::new(3, 1, 0).unwrap();
 /// let fg = FeasibleGraph::extract(&graph, NodeId(0), query.s());
 /// let cfg = SelectConfig::default();
-/// let one = Solver::new(&fg, &cfg).sgq(&query, None);
-/// let two = Solver::new(&fg, &cfg).threads(2).sgq(&query, None);
-/// assert_eq!(one.solution.unwrap().total_distance, 5);
-/// assert_eq!(two.solution.unwrap().total_distance, 5);
+/// let out = Solver::new(&fg, &cfg).sgq(&query, None);
+/// assert_eq!(out.solution.unwrap().total_distance, 5);
 /// ```
 ///
 /// [`FeasibleGraph`]: stgq_graph::FeasibleGraph
@@ -61,27 +57,19 @@ use crate::{
 pub struct Solver<'s, G> {
     topology: &'s G,
     cfg: SelectConfig,
-    threads: usize,
     control: Option<&'s SolveControl>,
     arena: Option<&'s mut PivotArena>,
 }
 
 impl<'s, G: CandidateTopology> Solver<'s, G> {
-    /// A sequential solve of `topology` under `cfg`.
+    /// A solve of `topology` under `cfg`.
     pub fn new(topology: &'s G, cfg: &SelectConfig) -> Self {
         Solver {
             topology,
             cfg: *cfg,
-            threads: 1,
             control: None,
             arena: None,
         }
-    }
-
-    /// Search with `threads` workers (`0` = all available cores).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Poll `control` (if any) for cooperative cancellation / deadlines.
@@ -90,26 +78,10 @@ impl<'s, G: CandidateTopology> Solver<'s, G> {
         self
     }
 
-    /// Run a sequential STGQ solve on `arena`'s pooled buffers.
+    /// Run the STGQ solve on `arena`'s pooled buffers.
     pub fn arena(mut self, arena: &'s mut PivotArena) -> Self {
         self.arena = Some(arena);
         self
-    }
-
-    /// The worker count for a query of `p` people: the sequential engine
-    /// when one worker is asked for (or all the machine has), or when the
-    /// group is the initiator alone.
-    fn workers(&self, p: usize) -> usize {
-        let threads = if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        };
-        if p <= 1 {
-            1
-        } else {
-            threads
-        }
     }
 
     /// Solve the SGQ. `candidate_mask`, when given, restricts `VA` to the
@@ -117,17 +89,7 @@ impl<'s, G: CandidateTopology> Solver<'s, G> {
     /// implied).
     pub fn sgq(self, query: &SgqQuery, candidate_mask: Option<&BitSet>) -> SgqOutcome {
         let control = self.control.filter(|c| !c.is_noop());
-        match self.workers(query.p()) {
-            1 => sgselect::solve(self.topology, query, &self.cfg, candidate_mask, control),
-            threads => parallel::solve_sgq(
-                self.topology,
-                query,
-                &self.cfg,
-                candidate_mask,
-                threads,
-                control,
-            ),
-        }
+        sgselect::solve(self.topology, query, &self.cfg, candidate_mask, control)
     }
 
     /// Solve the STGQ over `calendars` — any [`Cals`] source, a flat
@@ -138,11 +100,11 @@ impl<'s, G: CandidateTopology> Solver<'s, G> {
     pub fn stgq<'c>(self, calendars: impl Into<Cals<'c>>, query: &StgqQuery) -> StgqOutcome {
         let calendars = calendars.into();
         let control = self.control.filter(|c| !c.is_noop());
-        match (self.workers(query.p()), self.arena) {
-            (1, Some(arena)) => {
+        match self.arena {
+            Some(arena) => {
                 stgselect::solve(self.topology, calendars, query, &self.cfg, arena, control)
             }
-            (1, None) => stgselect::solve(
+            None => stgselect::solve(
                 self.topology,
                 calendars,
                 query,
@@ -150,9 +112,6 @@ impl<'s, G: CandidateTopology> Solver<'s, G> {
                 &mut PivotArena::new(),
                 control,
             ),
-            (threads, _) => {
-                parallel::solve_stgq(self.topology, calendars, query, &self.cfg, threads, control)
-            }
         }
     }
 }

@@ -77,8 +77,8 @@
 //! The peel stage is a pure function of `(query, eligible set)`, so its
 //! result is **shared**: computed once per candidate-set signature
 //! ([`PivotPrep`] for the full-candidate signature, the [`PivotArena`]
-//! memo for the last per-pivot one) and reused across the pivot loop
-//! and across parallel workers. The run cache behind the prepare stage
+//! memo for the last per-pivot one) and reused across the pivot loop.
+//! The run cache behind the prepare stage
 //! is likewise per-solve state in the [`PivotArena`] — promise-ordered
 //! pivots revisit overlapping intervals, so after the first pivot most
 //! candidates' Definition-4 runs are pure arithmetic on the cached
@@ -122,8 +122,7 @@ fn span_ns(from: Instant, to: Instant) -> u64 {
 /// Validates the initiator and the calendars, extracts the radius-`s`
 /// candidate space, then runs a default [`Solver`] on it (use [`Solver`]
 /// directly for a pre-extracted candidate space, shard-partitioned
-/// calendars, a pooled [`PivotArena`], parallel workers or a
-/// [`SolveControl`]).
+/// calendars, a pooled [`PivotArena`] or a [`SolveControl`]).
 pub fn solve_stgq(
     graph: &SocialGraph,
     initiator: NodeId,
@@ -343,9 +342,8 @@ pub(crate) fn solve<G: CandidateTopology>(
 /// temporal slack means more eligible candidates and better odds the
 /// optimum lives there, so early pivots tighten the incumbent for the
 /// pivot-granularity bound. Stable — equal-promise pivots stay in
-/// calendar order. Shared by the sequential and parallel engines so the
-/// two cannot drift.
-pub(crate) fn promise_ordered_pivots(
+/// calendar order.
+fn promise_ordered_pivots(
     q_cal: &Calendar,
     horizon: usize,
     m: usize,
@@ -393,11 +391,10 @@ pub(crate) fn dist_tie_blocks<G: CandidateTopology>(fg: &G) -> Vec<(u32, u32)> {
 /// shape, the distance tie blocks, the peel threshold, and the memoized
 /// core peel of the *full* candidate set.
 ///
-/// Built once per `(query, feasible graph)` and shared read-only by the
-/// sequential pivot loop and by every parallel worker: on dense
-/// instances most pivots' eligible sets equal the full candidate set, so
-/// the fixpoint peel is computed exactly once here instead of per pivot
-/// per worker. Pivots with a *different* eligible signature fall back to
+/// Built once per `(query, feasible graph)` and read by every pivot of
+/// the loop: on dense instances most pivots' eligible sets equal the
+/// full candidate set, so the fixpoint peel is computed exactly once here
+/// instead of per pivot. Pivots with a *different* eligible signature fall back to
 /// the arena's own one-entry memo ([`PivotArena`]).
 pub(crate) struct PivotPrep {
     pub(crate) p: usize,
@@ -520,26 +517,22 @@ impl PrepMemo {
 /// can strictly beat the incumbent. Gated on *both* the promise-order
 /// switch (it is that feature's pruning half) and Lemma-2 pruning (a
 /// pruning-off ablation must really search everything).
-pub(crate) fn pivot_bound_skips(
-    cfg: &SelectConfig,
-    incumbent: &Incumbent<StBest>,
-    dist_bound: Dist,
-) -> bool {
+fn pivot_bound_skips(cfg: &SelectConfig, incumbent: &Incumbent<StBest>, dist_bound: Dist) -> bool {
     cfg.pivot_promise_order
         && cfg.distance_pruning
         && incumbent.dist().is_some_and(|d| d <= dist_bound)
 }
 
 /// The incumbent payload: everything about the best solution except its
-/// objective value (which lives in the shared atomic).
+/// objective value (which the [`Incumbent`] keeps beside it).
 pub(crate) struct StBest {
     pub(crate) group: Vec<u32>,
     pub(crate) period: SlotRange,
     pub(crate) pivot: SlotId,
 }
 
-/// Everything one pivot's search needs, prepared up front so the sequential
-/// loop and the parallel workers share the same setup code.
+/// Everything one pivot's search needs, prepared up front (the greedy STGQ
+/// heuristic reuses the same setup code).
 pub(crate) struct PivotJob {
     pub(crate) pivot: SlotId,
     pub(crate) interval: SlotRange,
@@ -604,8 +597,7 @@ impl PivotJob {
 /// solves, most of it allocation and zeroing; one arena makes the
 /// sequential pivot loop — and, via [`Solver::arena`], a whole stream
 /// of planner queries — reuse a single set of buffers. The arena holds at
-/// most one spare job, which is exactly what a sequential loop produces;
-/// parallel workers each keep their own.
+/// most one spare job, which is exactly what the pivot loop produces.
 ///
 /// Pooling is an allocation strategy only: every buffer is fully
 /// re-initialised by `prepare_pivot`, so a reused arena and a fresh one
@@ -1028,7 +1020,7 @@ pub(crate) fn prepare_pivot<G: CandidateTopology>(
     // (descending). Distances stay non-decreasing — only the relative
     // order *within* an equal-distance block changes — so every
     // correctness-sensitive use (minimum-distance member, cheapest
-    // completion break, forced-prefix partitioning) is untouched, while
+    // completion break) is untouched, while
     // temporally weak candidates are examined last and die to Lemma-5
     // counters before spawning subtrees. The equal-distance blocks are
     // time-independent, so callers compute them once per solve
@@ -1145,8 +1137,8 @@ pub(crate) fn finalize_pivot<G: CandidateTopology>(
 /// incumbent). A pivot retired before that pays zero availability words.
 ///
 /// Must be called exactly once per searched pivot, before
-/// [`descend_pivot`] or the parallel solver's forced-prefix subtrees read
-/// `job.va`, `job.unavail` or the availability rows.
+/// [`descend_pivot`] reads `job.va`, `job.unavail` or the availability
+/// rows.
 pub(crate) fn materialize_pivot<G: CandidateTopology>(
     fg: &G,
     calendars: Cals<'_>,
@@ -1157,9 +1149,8 @@ pub(crate) fn materialize_pivot<G: CandidateTopology>(
     let ilen = job.interval.len();
 
     // Only the post-peel eligible members get a row. Everyone else's
-    // row stays zero and is never read: the search, root vetting and
-    // subtree splitting all restrict themselves to `VA` members, which
-    // are exactly this set.
+    // row stays zero and is never read: the search restricts itself to
+    // `VA` members, which are exactly this set.
     job.avail_words.clear();
     job.avail_words.resize(fg.len() * stride, 0);
     let PivotJob {
@@ -1248,10 +1239,10 @@ fn compat_dist_floor<G: CandidateTopology>(
 }
 
 /// Run the exact descent for one prepared, materialized pivot, recording
-/// improvements into the (possibly shared) incumbent. The job's `VA` and
+/// improvements into the solve's incumbent. The job's `VA` and
 /// Lemma-5 counters are consumed in place (the caller recycles the
 /// buffers through the arena afterwards).
-pub(crate) fn descend_pivot<G: CandidateTopology>(
+fn descend_pivot<G: CandidateTopology>(
     ctx: SearchCtx<'_, G, StBest>,
     query: &StgqQuery,
     job: &mut PivotJob,
@@ -1881,6 +1872,15 @@ mod tests {
             .control(Some(&control))
             .stgq(&cals, &query);
         let plain = Solver::new(&fg, &SelectConfig::default()).stgq(&cals, &query);
+        assert_eq!(controlled, plain, "a quiet control changes nothing");
+        assert!(!controlled.stats.cancelled);
+
+        // The SGQ search polls the same control.
+        let sgq = *query.social();
+        let controlled = Solver::new(&fg, &SelectConfig::default())
+            .control(Some(&control))
+            .sgq(&sgq, None);
+        let plain = Solver::new(&fg, &SelectConfig::default()).sgq(&sgq, None);
         assert_eq!(controlled, plain, "a quiet control changes nothing");
         assert!(!controlled.stats.cancelled);
     }

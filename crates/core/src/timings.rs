@@ -29,9 +29,8 @@
 //! any solve outcome: outcomes stay deterministic and bit-comparable
 //! across runs, while timings live on the arena the caller owns.
 //!
-//! SGQ solves and the parallel STGQ engine do not fill timings (the
-//! arena is a sequential-STGQ structure); their solves leave the arena's
-//! timings at [`StageTimings::default`].
+//! SGQ solves do not fill timings (the arena is an STGQ structure);
+//! they leave the arena's timings at [`StageTimings::default`].
 //!
 //! [`PivotArena`]: crate::PivotArena
 //! [`PivotArena::record_timings`]: crate::PivotArena::record_timings
@@ -71,7 +70,7 @@ impl StageTimings {
     }
 
     /// Whether this solve recorded nothing (recording off, or a path —
-    /// SGQ, parallel, trivial `p = 1` — that never enters the pivot
+    /// SGQ, trivial `p = 1` — that never enters the pivot
     /// loop).
     pub fn is_empty(&self) -> bool {
         *self == StageTimings::default()

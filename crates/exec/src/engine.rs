@@ -15,18 +15,8 @@ use crate::request::QuerySpec;
 /// Which solver answers a planning query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// Sequential SGSelect / STGSelect — proven optimal.
+    /// SGSelect / STGSelect — proven optimal.
     Exact,
-    /// Parallel SGSelect / STGSelect — proven optimal, `threads` workers
-    /// (`0` = all cores). Per-request cancellation/deadlines are polled
-    /// by every worker (between claimed subtree/pivot tasks and on the
-    /// frame path), so intra-query parallelism honours `SolveControl`
-    /// exactly like `Exact` does. One worker (or `0` on a one-core host)
-    /// is `Exact`, on the executing worker's arena.
-    ExactParallel {
-        /// Worker count; `0` means all available parallelism.
-        threads: usize,
-    },
     /// Budgeted SGSelect / STGSelect: returns the incumbent after at most
     /// `frame_budget` search frames. The report's `exact` flag tells
     /// whether the search actually finished.
@@ -54,24 +44,20 @@ impl Engine {
     /// family does; the heuristics report feasibility evaluations
     /// instead).
     pub fn reports_search_stats(&self) -> bool {
-        matches!(
-            self,
-            Engine::Exact | Engine::ExactParallel { .. } | Engine::Anytime { .. }
-        )
+        matches!(self, Engine::Exact | Engine::Anytime { .. })
     }
 
     /// Whether an uninterrupted run of this engine proves its answer
     /// optimal (or proves infeasibility).
     pub fn proves_optimality(&self) -> bool {
-        matches!(self, Engine::Exact | Engine::ExactParallel { .. })
+        matches!(self, Engine::Exact)
     }
 }
 
 /// Run one query spec with the chosen engine on a pre-extracted
 /// zero-copy candidate view. Returns the uniform [`SolveOutcome`] plus,
 /// for heuristic engines, the feasibility-evaluation count. The exact
-/// family runs one [`Solver`] on `arena`; a one-worker `ExactParallel`
-/// is the sequential solve on that same arena.
+/// family runs one [`Solver`] on `arena`.
 pub(crate) fn run_spec(
     fg: &FeasibleView,
     calendars: Cals<'_>,
@@ -81,19 +67,15 @@ pub(crate) fn run_spec(
     control: Option<&SolveControl>,
     arena: &mut PivotArena,
 ) -> (SolveOutcome, Option<u64>) {
-    let (cfg, threads) = match engine {
-        Engine::Exact => (*cfg, 1),
-        Engine::ExactParallel { threads } => (*cfg, threads),
-        Engine::Anytime { frame_budget } => (cfg.with_frame_budget(frame_budget), 1),
+    let cfg = match engine {
+        Engine::Exact => *cfg,
+        Engine::Anytime { frame_budget } => cfg.with_frame_budget(frame_budget),
         Engine::Greedy { restarts } => return run_heuristic(fg, calendars, spec, restarts, None),
         Engine::LocalSearch { restarts, passes } => {
             return run_heuristic(fg, calendars, spec, restarts, Some(passes))
         }
     };
-    let solver = Solver::new(fg, &cfg)
-        .threads(threads)
-        .control(control)
-        .arena(arena);
+    let solver = Solver::new(fg, &cfg).control(control).arena(arena);
     let outcome = match spec {
         QuerySpec::Sgq(query) => SolveOutcome::Sgq(solver.sgq(query, None)),
         QuerySpec::Stgq(query) => SolveOutcome::Stgq(solver.stgq(calendars, query)),

@@ -702,11 +702,11 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_parallel_engine_reports_cancelled_not_truncated() {
-        // Regression (ROADMAP follow-up): `Engine::ExactParallel` must
-        // honour per-request cancellation under the executor — the
-        // workers poll `SolveControl`, and the stop cause is
-        // `Cancelled`, never conflated with budget truncation.
+    fn cancelled_exact_engine_reports_cancelled_not_truncated() {
+        // The exact engine must honour per-request cancellation under
+        // the executor for both query kinds — the solve polls
+        // `SolveControl`, and the stop cause is `Cancelled`, never
+        // conflated with budget truncation.
         use stgq_core::StopCause;
         let exec = executor(1);
         let stgq = StgqQuery::new(3, 1, 1, 3).unwrap();
@@ -716,8 +716,7 @@ mod tests {
             QuerySpec::Stgq(stgq),
             QuerySpec::Sgq(SgqQuery::new(3, 1, 1).unwrap()),
         ] {
-            let req = PlanRequest::new(NodeId(0), spec, Engine::ExactParallel { threads: 2 })
-                .with_cancel(token.clone());
+            let req = PlanRequest::new(NodeId(0), spec, Engine::Exact).with_cancel(token.clone());
             let outcome = exec.execute_one(req).unwrap();
             assert_eq!(outcome.stop, StopCause::Cancelled, "{spec:?}");
             assert!(!outcome.exact, "a cancelled answer is not proven optimal");

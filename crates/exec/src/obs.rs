@@ -44,11 +44,11 @@ pub struct ExecObs {
     pub queue_wait: Histogram,
     /// Engine wall clock, per actual solve (fast-path answers skip it).
     pub solve: Histogram,
-    /// Pivot-preparation share of sequential STGQ solves, from
+    /// Pivot-preparation share of STGQ solves, from
     /// [`stgq_core::StageTimings`]. Engines without a pivot loop (SGQ,
-    /// parallel, heuristics) record no sample.
+    /// heuristics) record no sample.
     pub prep: Histogram,
-    /// Exact-descent share of sequential STGQ solves (same source and
+    /// Exact-descent share of STGQ solves (same source and
     /// caveats as [`prep`](Self::prep)).
     pub descend: Histogram,
     /// Feasible-graph extraction wall clock, on cache misses (a hit
@@ -94,8 +94,8 @@ impl ExecObs {
                  (batched entries only)."
             }
             "solve" => "Engine wall clock per actual solve in ns (fast-path answers skip it).",
-            "prep" => "Pivot-preparation share of sequential STGQ solves in ns (StageTimings).",
-            "descend" => "Exact-descent share of sequential STGQ solves in ns (StageTimings).",
+            "prep" => "Pivot-preparation share of STGQ solves in ns (StageTimings).",
+            "descend" => "Exact-descent share of STGQ solves in ns (StageTimings).",
             "feasible_extract" => {
                 "Feasible-graph extraction wall clock in ns, on feasible-cache misses."
             }

@@ -45,10 +45,6 @@ impl Serialize for Engine {
         };
         match self {
             Engine::Exact => Value::Str("exact".to_string()),
-            Engine::ExactParallel { threads } => entry(
-                "exact_parallel",
-                vec![("threads".to_string(), threads.to_value())],
-            ),
             Engine::Anytime { frame_budget } => entry(
                 "anytime",
                 vec![("frame_budget".to_string(), frame_budget.to_value())],
@@ -92,9 +88,6 @@ impl Deserialize for Engine {
                 })?)
             };
         match tag.as_str() {
-            "exact_parallel" => Ok(Engine::ExactParallel {
-                threads: field("threads")?,
-            }),
             "anytime" => Ok(Engine::Anytime {
                 frame_budget: field("frame_budget")? as u64,
             }),
@@ -232,7 +225,6 @@ mod tests {
     fn engines_and_specs_roundtrip() {
         for engine in [
             Engine::Exact,
-            Engine::ExactParallel { threads: 4 },
             Engine::Anytime { frame_budget: 99 },
             Engine::Greedy { restarts: 3 },
             Engine::LocalSearch {
@@ -247,6 +239,22 @@ mod tests {
         let spec = QuerySpec::Stgq(StgqQuery::new(4, 2, 1, 3).unwrap());
         let back: QuerySpec = serde_json::from_str(&serde_json::to_string(&spec).unwrap()).unwrap();
         assert_eq!(back, spec);
+    }
+
+    #[test]
+    fn retired_exact_parallel_tag_is_a_typed_error() {
+        // Intra-query parallelism is gone; a peer or batch file still
+        // sending its tag gets a typed refusal, not a panic.
+        let wire = Value::Object(vec![(
+            "exact_parallel".to_string(),
+            Value::Object(vec![("threads".to_string(), 2usize.to_value())]),
+        )]);
+        assert_eq!(
+            Engine::from_value(&wire),
+            Err(DeError::new("unknown engine `exact_parallel`"))
+        );
+        let text = r#"{"exact_parallel":{"threads":2}}"#;
+        assert!(serde_json::from_str::<Engine>(text).is_err());
     }
 
     #[test]

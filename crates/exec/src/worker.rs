@@ -299,7 +299,6 @@ pub(crate) fn run_entry(
 fn query_label(spec: &QuerySpec, engine: Engine) -> String {
     let engine = match engine {
         Engine::Exact => "exact",
-        Engine::ExactParallel { .. } => "exact_parallel",
         Engine::Anytime { .. } => "anytime",
         Engine::Greedy { .. } => "greedy",
         Engine::LocalSearch { .. } => "local_search",

@@ -412,42 +412,3 @@ fn cross_solve_run_cache_hits_surface_in_exec_metrics() {
         "hits must not change answers"
     );
 }
-
-/// `Engine::ExactParallel { threads: 1 }` is the sequential solve on the
-/// executing worker's own arena: two distinct STGQ queries (nothing the
-/// result cache could replay) report the same `SearchStats` — the
-/// cross-solve run-cache hits of the world-version handshake included —
-/// and the same number of prep/descend splits as `Engine::Exact`.
-#[test]
-fn one_thread_exact_parallel_solves_on_the_worker_arena() {
-    let (graph, calendars) = random_world(17, 24, 0.3);
-    let queries = [
-        StgqQuery::new(4, 2, 1, 3).unwrap(),
-        StgqQuery::new(3, 2, 1, 2).unwrap(),
-    ];
-    let run = |engine: Engine| {
-        let exec = executor_on(1, SelectConfig::default(), &graph, &calendars);
-        let stats: Vec<_> = queries
-            .iter()
-            .map(|&q| {
-                let req = PlanRequest::new(NodeId(0), QuerySpec::Stgq(q), engine);
-                *exec
-                    .execute_one(req)
-                    .expect("the query runs")
-                    .outcome
-                    .stats()
-            })
-            .collect();
-        (stats, exec.obs().prep.count())
-    };
-    let (exact, exact_preps) = run(Engine::Exact);
-    let (parallel, parallel_preps) = run(Engine::ExactParallel { threads: 1 });
-    assert_eq!(parallel, exact, "one worker is the sequential solve");
-    assert_eq!(parallel_preps, exact_preps, "the worker records the split");
-    assert_eq!(exact_preps, 2, "both solves record their split");
-    assert!(
-        exact[1].run_cache_cross_solve_hits > 0,
-        "the second solve reuses the first one's runs: {:?}",
-        exact[1]
-    );
-}

@@ -32,16 +32,14 @@ use crate::Dist;
 /// Implementors carry the radius-`s` candidate ball in compact form:
 /// compact id `0` is always the initiator, candidates occupy `1..len()`,
 /// and adjacency is exposed as packed words over compact ids
-/// ([`word_stride`](Self::word_stride) words per row). The trait is
-/// `Sync` so `ExactParallel` workers can share one carrier across scoped
-/// threads.
+/// ([`word_stride`](Self::word_stride) words per row).
 ///
 /// The provided methods are the only neighbor-iteration and intersection
 /// forms the engines use; they are defined purely in terms of
 /// [`adj_words`](Self::adj_words), so any two implementors with the same
 /// bits produce the same visit order and therefore the same search
 /// statistics.
-pub trait CandidateTopology: Sync {
+pub trait CandidateTopology {
     /// Number of vertices in the candidate space (initiator included).
     fn len(&self) -> usize;
 

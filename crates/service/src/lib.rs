@@ -15,7 +15,7 @@
 //!   planner owns the mutable world and publishes immutable epoch
 //!   snapshots into an [`Executor`](stgq_exec::Executor), which owns the
 //!   shard-partitioned feasible-graph cache, engine dispatch
-//!   ([`Engine`]: exact, parallel, anytime, greedy, local search), the
+//!   ([`Engine`]: exact, anytime, greedy, local search), the
 //!   admission queue + batch scheduler + fixed worker pool, and the
 //!   execution counters. Every answer carries provenance
 //!   ([`SgqReport`]/[`StgqReport`]: engine, wall time, cache hit,

@@ -907,7 +907,6 @@ mod tests {
             .unwrap()
             .total_distance;
         for engine in [
-            Engine::ExactParallel { threads: 2 },
             Engine::Anytime {
                 frame_budget: 1_000_000,
             },
@@ -920,10 +919,7 @@ mod tests {
             let r = p.plan_sgq(ids[0], &q, engine).unwrap();
             if let Some(sol) = r.solution {
                 assert!(sol.total_distance >= exact, "{engine:?}");
-                if matches!(
-                    engine,
-                    Engine::ExactParallel { .. } | Engine::Anytime { .. }
-                ) {
+                if matches!(engine, Engine::Anytime { .. }) {
                     assert_eq!(sol.total_distance, exact, "{engine:?} is exact here");
                 }
             }

@@ -95,7 +95,6 @@ fn main() {
     let offsite = StgqQuery::new(8, 2, 2, 8).unwrap();
     for engine in [
         Engine::Exact,
-        Engine::ExactParallel { threads: 0 },
         Engine::Greedy { restarts: 3 },
         Engine::LocalSearch {
             restarts: 3,

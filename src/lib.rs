@@ -33,16 +33,16 @@
 //! measures one against the other; the committed `BENCH_core.json`
 //! baseline shows ~1.8–3.1× on fig1f-style instances, with the largest
 //! gains where the temporal counters dominate (long activities, long
-//! schedules). For multi-core scaling run a `stgq::query::Solver` with
-//! `.threads(n)`, which keeps the exact optimum while splitting the
-//! search across forced-prefix subtrees and pivot time slots.
+//! schedules). Each exact solve is one sequential search; the serving
+//! layer uses more cores by answering more queries at once
+//! (`stgq::exec::Executor`'s worker pool).
 //!
 //! This crate is a facade over the workspace:
 //!
 //! * [`graph`] — weighted social graph, bounded distances, feasible graph;
 //! * [`schedule`] — slot grids, calendars, pivot time slots;
 //! * [`query`] — the query engines (SGSelect, STGSelect, baselines,
-//!   PCArrange, STGArrange, parallel and heuristic solvers) and the
+//!   PCArrange, STGArrange, heuristic solvers) and the
 //!   solution validator;
 //! * [`kplex`] — the k-plex substrate behind the acquaintance constraint
 //!   (maximum k-plex, maximal enumeration, the Theorem-1 reduction);

@@ -273,3 +273,45 @@ fn interior_condition_is_exact_at_theta_zero() {
     let out = solve_sgq(&g, NodeId(0), &query, &cfg).unwrap();
     assert_eq!(out.solution.unwrap().total_distance, 5);
 }
+
+/// `SelectConfig::frame_budget` caps the frames of the whole solve — the
+/// SGQ search, and every pivot of an STGQ together — and the stopped
+/// solve reports budget truncation, never cancellation.
+#[test]
+fn frame_budget_caps_the_search() {
+    let n = 40u32;
+    let mut b = GraphBuilder::new(n as usize);
+    for i in 0..n {
+        for j in i + 1..n {
+            if j == i + 1 || (7 * i + 3 * j) % 5 < 2 {
+                b.add_edge(NodeId(i), NodeId(j), 1 + u64::from((13 * i + 17 * j) % 40))
+                    .unwrap();
+            }
+        }
+    }
+    let g = b.build();
+    let budget = 1u64;
+    let cfg = SelectConfig::NO_SEARCH_REDUCTION.with_frame_budget(budget);
+
+    let sgq = SgqQuery::new(6, 2, 2).unwrap();
+    let out = solve_sgq(&g, NodeId(0), &sgq, &cfg).unwrap();
+    assert!(out.stats.truncated, "SGQ: the budget stopped the search");
+    assert!(!out.stats.cancelled, "SGQ: truncation is not cancellation");
+    assert!(
+        out.stats.frames <= budget,
+        "SGQ: {} frames with a {budget}-frame budget",
+        out.stats.frames
+    );
+
+    // m = 3 over 6 free slots: the budget spans more than one pivot.
+    let stgq = StgqQuery::new(6, 2, 2, 3).unwrap();
+    let cals = vec![Calendar::all_available(6); n as usize];
+    let out = solve_stgq(&g, NodeId(0), &cals, &stgq, &cfg).unwrap();
+    assert!(out.stats.truncated, "STGQ: the budget stopped the search");
+    assert!(!out.stats.cancelled, "STGQ: truncation is not cancellation");
+    assert!(
+        out.stats.frames <= budget,
+        "STGQ: {} frames with a {budget}-frame budget",
+        out.stats.frames
+    );
+}

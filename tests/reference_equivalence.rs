@@ -1,43 +1,15 @@
 //! The word-parallel / zero-allocation engines against the scalar
 //! reference engines (`stgq::query::reference`): identical optimal
-//! objective on every random instance, sequential and parallel, across
-//! pruning configurations. This is the acceptance gate for the hot-path
+//! objective on every random instance, across pruning configurations. This is the acceptance gate for the hot-path
 //! rework — the reference solvers are the pre-optimization algorithms
 //! kept verbatim, so any divergence is a correctness regression in the
 //! optimized path.
 
 use proptest::prelude::*;
 
-use stgq::graph::FeasibleGraph;
 use stgq::prelude::*;
 use stgq::query::reference::{solve_sgq_reference, solve_stgq_reference};
 use stgq::query::validate::{validate_sgq, validate_stgq};
-use stgq::query::{SgqOutcome, Solver, StgqOutcome};
-
-/// SGQ on `threads` workers over the radius-`s` candidate space of `q`.
-fn parallel_sgq(
-    g: &SocialGraph,
-    q: NodeId,
-    query: &SgqQuery,
-    cfg: &SelectConfig,
-    threads: usize,
-) -> SgqOutcome {
-    let fg = FeasibleGraph::extract(g, q, query.s());
-    Solver::new(&fg, cfg).threads(threads).sgq(query, None)
-}
-
-/// STGQ on `threads` workers over the radius-`s` candidate space of `q`.
-fn parallel_stgq(
-    g: &SocialGraph,
-    q: NodeId,
-    cals: &[Calendar],
-    query: &StgqQuery,
-    cfg: &SelectConfig,
-    threads: usize,
-) -> StgqOutcome {
-    let fg = FeasibleGraph::extract(g, q, query.s());
-    Solver::new(&fg, cfg).threads(threads).stgq(cals, query)
-}
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = SocialGraph> {
     (3usize..=max_n).prop_flat_map(|n| {
@@ -103,9 +75,7 @@ proptest! {
         }
     }
 
-    /// Optimized STGSelect == reference STGSelect, and the parallel solver
-    /// (both the per-pivot and the intra-pivot splitting regimes) agrees
-    /// too.
+    /// Optimized STGSelect == reference STGSelect.
     #[test]
     fn stgq_matches_reference(
         (g, cals) in arb_graph(11).prop_flat_map(|g| {
@@ -127,41 +97,6 @@ proptest! {
         );
         if let Some(sol) = &optimized.solution {
             prop_assert!(validate_stgq(&g, q, &cals, &query, sol).is_ok());
-        }
-        // 24 slots: m ≥ 2 leaves ≤ 12 pivots, so 4 threads exercises the
-        // intra-pivot splitting path; 2 threads the per-pivot path.
-        for threads in [2usize, 4] {
-            let par = parallel_stgq(&g, q, &cals, &query, &cfg, threads);
-            prop_assert_eq!(
-                par.solution.as_ref().map(|x| x.total_distance),
-                reference.solution.as_ref().map(|x| x.total_distance),
-                "threads {}", threads
-            );
-            if let Some(sol) = &par.solution {
-                prop_assert!(validate_stgq(&g, q, &cals, &query, sol).is_ok());
-            }
-        }
-    }
-
-    /// The SGQ parallel solver with the undo-log core agrees with the
-    /// reference too (forced-prefix subtrees share the VaState machinery).
-    #[test]
-    fn sgq_parallel_matches_reference(
-        g in arb_graph(12),
-        p in 2usize..6,
-        k in 0usize..3,
-    ) {
-        let q = NodeId(0);
-        let query = SgqQuery::new(p, 2, k).unwrap();
-        let cfg = SelectConfig::default();
-        let reference = solve_sgq_reference(&g, q, &query, &cfg).unwrap();
-        for threads in [2usize, 4] {
-            let par = parallel_sgq(&g, q, &query, &cfg, threads);
-            prop_assert_eq!(
-                par.solution.as_ref().map(|x| x.total_distance),
-                reference.solution.as_ref().map(|x| x.total_distance),
-                "threads {}", threads
-            );
         }
     }
 }

@@ -2,10 +2,9 @@
 //! promise-ordered, availability-tie-broken engines, with the always-on
 //! candidate-space reduction, incremental prep and pooled buffers, must
 //! return the **identical optimal objective** as the scalar reference
-//! engines on random instances (sequential and parallel), across every
-//! surviving `SelectConfig` switch; the parallel STGQ solver must be
-//! deterministic in its objective across thread counts; and the
-//! `SearchStats` counters must actually register the reduction.
+//! engines on random instances, across every surviving `SelectConfig`
+//! switch; and the `SearchStats` counters must actually register the
+//! reduction.
 
 use proptest::prelude::*;
 
@@ -288,43 +287,6 @@ proptest! {
             optimized.solution.as_ref().map(|x| x.total_distance),
             reference.solution.as_ref().map(|x| x.total_distance)
         );
-    }
-
-    /// The parallel STGQ solver is deterministic in its *objective* across
-    /// thread counts (witnesses may differ between ties) and matches the
-    /// reference — for both the per-pivot and intra-pivot task regimes.
-    #[test]
-    fn parallel_stgq_objective_deterministic_across_thread_counts(
-        (g, cals) in arb_graph(10).prop_flat_map(|g| {
-            let n = g.node_count();
-            arb_calendars(n, 24).prop_map(move |cals| (g.clone(), cals))
-        }),
-        p in 2usize..5,
-        k in 0usize..3,
-        m in 1usize..5,
-    ) {
-        let q = NodeId(0);
-        let query = StgqQuery::new(p, 2, k, m).unwrap();
-        let cfg = SelectConfig::default();
-        let reference =
-            solve_stgq_reference(&g, q, &cals, &query, &cfg).unwrap();
-        let objectives: Vec<Option<Dist>> = [1usize, 2, 4]
-            .iter()
-            .map(|&threads| {
-                let fg = FeasibleGraph::extract(&g, q, query.s());
-                Solver::new(&fg, &cfg)
-                    .threads(threads)
-                    .stgq(&cals, &query)
-                    .solution
-                    .map(|s| s.total_distance)
-            })
-            .collect();
-        prop_assert_eq!(
-            objectives[0],
-            reference.solution.as_ref().map(|x| x.total_distance)
-        );
-        prop_assert_eq!(objectives[0], objectives[1], "1 vs 2 threads");
-        prop_assert_eq!(objectives[0], objectives[2], "1 vs 4 threads");
     }
 
     /// One arena serving a whole stream of queries returns bit-identical

@@ -141,7 +141,6 @@ fn every_engine_returns_valid_solutions_through_the_service() {
 
     let engines = [
         Engine::Exact,
-        Engine::ExactParallel { threads: 3 },
         Engine::Anytime {
             frame_budget: 100_000,
         },
