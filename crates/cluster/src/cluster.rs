@@ -1,6 +1,7 @@
-//! The cluster façade: one writer (a full [`Planner`] owning the
-//! mutable world and the delta log) plus N serving nodes behind a
-//! [`ShardRouter`], all talking through one [`Transport`].
+//! The cluster façade: one [`Writer`] (the mutable
+//! [`World`](stgq_service::World) plus the delta log) and N serving
+//! nodes behind a [`ShardRouter`], all talking through one
+//! [`Transport`].
 //!
 //! # Failure model and the self-healing loop
 //!
@@ -24,7 +25,7 @@
 //!    (full sync) and undrained automatically.
 //! 3. **Writer failover** ([`Cluster::fail_over`]) — when the *writer*
 //!    is lost, the reachable replica with the highest applied sequence
-//!    exports its mirrored world and is promoted. Promotion bumps the
+//!    exports its replica world and is promoted. Promotion bumps the
 //!    new writer's version stamps past every epoch any replica ever
 //!    acknowledged (and past the old writer's last issued floor), so
 //!    epochs stay **monotonic fleet-wide**: version-keyed caches never
@@ -71,7 +72,7 @@ use parking_lot::Mutex;
 use stgq_exec::{ExecConfig, ExecError, PlanOutcome};
 use stgq_graph::NodeId;
 use stgq_schedule::{Calendar, SlotRange};
-use stgq_service::{BatchQuery, Planner, ServiceError};
+use stgq_service::{BatchQuery, ServiceError, Writer};
 
 use stgq_obs::prom::PromText;
 use stgq_obs::HistogramSnapshot;
@@ -252,7 +253,7 @@ impl ClusterObs {
     /// format: writer position and replication/healing counters,
     /// per-node lag/suspicion/serving gauges (label `node="i"`), the
     /// fleet-merged histogram families (`stgq_<name>_ns` — same family
-    /// names as the single-process `Planner::prometheus_text`, so
+    /// names as the single-process planner's exposition, so
     /// dashboards work unchanged against either), per-node histograms
     /// (`stgq_node_<name>_ns{node="i"}` — a separate family so summing
     /// the merged families never double-counts), and the cluster's RPC
@@ -444,7 +445,7 @@ impl ClusterObs {
 /// A multi-node serving cluster. See the crate docs for the architecture
 /// (router → transport → replication → node executors).
 pub struct Cluster {
-    planner: Planner,
+    writer: Writer,
     nodes: Vec<Arc<ClusterNode>>,
     transport: Arc<dyn Transport>,
     router: Mutex<ShardRouter>,
@@ -481,16 +482,12 @@ impl Cluster {
         nodes: Vec<Arc<ClusterNode>>,
         transport: Arc<dyn Transport>,
     ) -> Self {
-        // The writer is control-plane only: queries are served by the
-        // nodes, so its own executor stays minimal.
-        let writer_exec = ExecConfig {
-            workers: 1,
-            ..ExecConfig::default()
-        };
         let node_count = nodes.len();
         let rpc = Arc::new(RpcObs::default());
         Cluster {
-            planner: Planner::with_exec_config(horizon, writer_exec),
+            // Control plane only: the nodes serve every query, so the
+            // writer holds a world and its log, and no executor.
+            writer: Writer::new(horizon, cfg.shards),
             nodes,
             transport,
             router: Mutex::new(ShardRouter::new(cfg.shards, node_count)),
@@ -510,35 +507,35 @@ impl Cluster {
 
     // -- writer (mutations) -------------------------------------------
 
-    /// The writer planner (read access: network, calendars, delta feed).
-    pub fn writer(&self) -> &Planner {
-        &self.planner
+    /// The writer (read access: world, delta feed).
+    pub fn writer(&self) -> &Writer {
+        &self.writer
     }
 
-    /// The writer planner, mutably — the full mutation surface beyond
-    /// the forwarding helpers below.
-    pub fn writer_mut(&mut self) -> &mut Planner {
-        &mut self.planner
+    /// The writer, mutably — the full mutation surface beyond the
+    /// helpers below.
+    pub fn writer_mut(&mut self) -> &mut Writer {
+        &mut self.writer
     }
 
-    /// Register a person (see [`Planner::add_person`]).
+    /// Register a person (see [`Writer::add_person`]).
     pub fn add_person(&mut self, label: impl Into<String>) -> NodeId {
-        self.planner.add_person(label)
+        self.writer.add_person(label)
     }
 
     /// Create or re-weight a friendship.
     pub fn connect(&mut self, a: NodeId, b: NodeId, distance: u64) -> Result<(), ServiceError> {
-        self.planner.connect(a, b, distance)
+        self.writer.connect(a, b, distance)
     }
 
     /// Remove a friendship.
     pub fn disconnect(&mut self, a: NodeId, b: NodeId) -> Result<bool, ServiceError> {
-        self.planner.disconnect(a, b)
+        self.writer.disconnect(a, b)
     }
 
     /// Tombstone a person.
     pub fn remove_person(&mut self, person: NodeId) -> Result<(), ServiceError> {
-        self.planner.remove_person(person)
+        self.writer.remove_person(person)
     }
 
     /// Mark one slot (un)available.
@@ -548,7 +545,7 @@ impl Cluster {
         slot: usize,
         available: bool,
     ) -> Result<(), ServiceError> {
-        self.planner.set_availability(person, slot, available)
+        self.writer.set_availability(person, slot, available)
     }
 
     /// Mark a slot range (un)available.
@@ -558,21 +555,18 @@ impl Cluster {
         range: SlotRange,
         available: bool,
     ) -> Result<(), ServiceError> {
-        self.planner
-            .set_availability_range(person, range, available)
+        self.writer.set_availability_range(person, range, available)
     }
 
     /// Replace a whole calendar.
     pub fn set_calendar(&mut self, person: NodeId, calendar: Calendar) -> Result<(), ServiceError> {
-        self.planner.set_calendar(person, calendar)
+        self.writer.set_calendar(person, calendar)
     }
 
     /// The writer's current epoch — the read-your-writes floor.
     pub fn writer_epoch(&self) -> Epoch {
-        Epoch::new(
-            self.planner.network().version(),
-            self.planner.calendars().version(),
-        )
+        let (graph, calendar) = self.writer.world().versions();
+        Epoch::new(graph, calendar)
     }
 
     // -- replication ---------------------------------------------------
@@ -588,7 +582,7 @@ impl Cluster {
             .map(|node| {
                 (
                     node,
-                    replicator.sync_node(&self.planner, &*self.transport, node),
+                    replicator.sync_node(&self.writer, &*self.transport, node),
                 )
             })
             .collect()
@@ -796,7 +790,7 @@ impl Cluster {
         let mut replicator = self.replicator.lock();
         replicator.reset_node(node);
         if replicator
-            .sync_node(&self.planner, &*self.transport, node)
+            .sync_node(&self.writer, &*self.transport, node)
             .is_err()
         {
             return;
@@ -866,11 +860,10 @@ impl Cluster {
         // Monotonicity bump: past the donor, past every acked epoch
         // (a one-way-partitioned replica can be ahead of the writer's
         // accounting), and past the old writer's own floor.
-        let mut graph_max = state.graph_version.max(self.planner.network().version());
-        let mut calendar_max = state
-            .calendar_version
-            .max(self.planner.calendars().version());
-        let mut seq_max = state.seq.max(self.planner.delta_seq());
+        let floor = self.writer_epoch();
+        let mut graph_max = state.graph_version.max(floor.graph);
+        let mut calendar_max = state.calendar_version.max(floor.calendar);
+        let mut seq_max = state.seq.max(self.writer.delta_seq());
         {
             let replicator = self.replicator.lock();
             for node in 0..slots {
@@ -886,11 +879,7 @@ impl Cluster {
         state.calendar_version = calendar_max + 1;
         state.seq = seq_max;
 
-        let writer_exec = ExecConfig {
-            workers: 1,
-            ..ExecConfig::default()
-        };
-        self.planner = Planner::restore(&state, writer_exec)
+        self.writer = Writer::restore(&state, self.writer.world().shards())
             .map_err(|e| FailoverError::Restore(e.to_string()))?;
         self.replicator.lock().reset_all();
         self.failovers.fetch_add(1, Ordering::Relaxed);
@@ -935,7 +924,7 @@ impl Cluster {
     /// Writer position, per-node status and lag, replication counters.
     pub fn metrics(&self) -> ClusterMetrics {
         let writer_epoch = self.writer_epoch();
-        let writer_seq = self.planner.delta_seq();
+        let writer_seq = self.writer.delta_seq();
         let router = self.router.lock();
         let replicator = self.replicator.lock();
         let detector = self.detector.lock();

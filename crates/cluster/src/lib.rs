@@ -8,8 +8,8 @@
 //!                       mutations
 //!                           │
 //!                    ┌──────▼──────┐   deltas / full sync    ┌────────────┐
-//!                    │   writer    ├────────────────────────▶│ ClusterNode│
-//!                    │  (Planner + │                         │  mirror +  │
+//!                    │   Writer    ├────────────────────────▶│ ClusterNode│
+//!                    │  (World +   │                         │  World +   │
 //!                    │  delta log) ├──────────┐              │  Executor  │
 //!                    └──────┬──────┘          ▼              └─────▲──────┘
 //!                           │ epoch     ┌────────────┐            │
@@ -41,15 +41,18 @@
 //!   nothing process-local leaks into the protocol. A real network
 //!   transport is a drop-in impl of the same trait.
 //! * **Snapshot replication** ([`Replicator`], service-side
-//!   `WorldDelta`/`DeltaLog`/`WorldState`). The single **writer** owns
-//!   the mutable world; every mutation is appended to a bounded delta
-//!   log stamped with the resulting `(graph_version, calendar_version)`.
-//!   Replicas replay deltas into a local mirror and **epoch-swap** their
-//!   executor's immutable `WorldSnapshot` under the writer's stamps —
-//!   rebuilding only the half (graph CSR / calendar vector) that moved.
-//!   A node attaching fresh, or one whose acknowledged sequence has
-//!   fallen out of the log (**gap detection**), gets a full
-//!   `WorldState` sync and resumes deltas from there.
+//!   `World`/`Writer`/`WorldDelta`/`DeltaLog`/`WorldState`). The single
+//!   **writer** (`stgq_service::Writer`) owns the mutable `World`; every
+//!   accepted mutation is appended to a bounded delta log stamped with
+//!   the resulting `(graph_version, calendar_version)`. Each replica
+//!   holds a `World` of its own and replays the deltas through the same
+//!   validating `World::apply`, checking that it lands on every record's
+//!   stamps, then **epoch-swaps** its executor's immutable
+//!   `WorldSnapshot` — rebuilding only the shards whose stamps moved. A
+//!   node attaching fresh, one whose acknowledged sequence has fallen
+//!   out of the log (**gap detection**), or one that refused a payload,
+//!   gets a full `WorldState` sync (`World::restore`) and resumes deltas
+//!   from there.
 //! * **Read-your-writes** ([`Epoch`], `PlanRequest::min_epoch`). Routed
 //!   requests carry the writer's epoch as a minimum; a lagging replica
 //!   *refuses* (`ExecError::EpochTooOld`) rather than serving stale
@@ -81,7 +84,7 @@
 //!   auto-drain is re-attached through the normal delta/full-sync path
 //!   and undrained; the delta log's gap detection decides which.
 //! * **Writer failover** ([`Cluster::fail_over`]): the reachable replica
-//!   with the highest applied sequence exports its mirrored world
+//!   with the highest applied sequence exports its replica world
 //!   ([`NodeMsg::Export`]) and is promoted to a fresh writer whose
 //!   version stamps are bumped past every epoch any replica ever acked —
 //!   epochs stay monotonic fleet-wide, so version-keyed caches and

@@ -96,7 +96,7 @@ pub enum NodeMsg {
     /// [`Cluster::observability`](crate::Cluster::observability)
     /// scatter/gathers to build the fleet-wide latency spectrum.
     Metrics,
-    /// Failover: export the node's full mirrored world ([`WorldState`]),
+    /// Failover: export the node's replica world ([`WorldState`]),
     /// so a surviving replica can be promoted to writer.
     Export,
 }
@@ -162,7 +162,7 @@ pub enum NodeReply {
     Status(NodeStatus),
     /// Deep observability report, answering [`NodeMsg::Metrics`].
     Metrics(NodeObs),
-    /// The node's full mirrored world, answering [`NodeMsg::Export`].
+    /// The node's replica world, answering [`NodeMsg::Export`].
     State(WorldState),
 }
 

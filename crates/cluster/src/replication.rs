@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use stgq_service::Planner;
+use stgq_service::Writer;
 
 use crate::message::{Epoch, NodeMsg, NodeReply, ReplicationPayload};
 use crate::obs::RpcObs;
@@ -148,17 +148,17 @@ impl Replicator {
     /// apply — a dropped send counts as `failed_sends`, nothing else.
     pub fn sync_node(
         &mut self,
-        planner: &Planner,
+        writer: &Writer,
         transport: &dyn Transport,
         node: usize,
     ) -> Result<Epoch, SyncError> {
         let (payload, is_full) = match self.acked[node] {
-            None => (ReplicationPayload::Full(planner.world_state()), true),
-            Some(have_seq) if have_seq >= planner.delta_seq() => {
+            None => (ReplicationPayload::Full(writer.world_state()), true),
+            Some(have_seq) if have_seq >= writer.delta_seq() => {
                 // Caught up: nothing to ship.
                 return Ok(self.epochs[node]);
             }
-            Some(have_seq) => match planner.deltas_since(have_seq) {
+            Some(have_seq) => match writer.deltas_since(have_seq) {
                 Some(records) => (
                     ReplicationPayload::Deltas {
                         from_seq: have_seq,
@@ -167,7 +167,7 @@ impl Replicator {
                     false,
                 ),
                 // Gap: the log no longer reaches the node's sequence.
-                None => (ReplicationPayload::Full(planner.world_state()), true),
+                None => (ReplicationPayload::Full(writer.world_state()), true),
             },
         };
         let shipped_records = match &payload {
@@ -192,7 +192,7 @@ impl Replicator {
                 match self.deliver(
                     transport,
                     node,
-                    ReplicationPayload::Full(planner.world_state()),
+                    ReplicationPayload::Full(writer.world_state()),
                 )? {
                     NodeReply::Ack { seq, epoch } => {
                         self.lagging[node] = false;

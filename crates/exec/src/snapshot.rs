@@ -13,11 +13,12 @@
 //! The lifecycle, end to end:
 //!
 //! ```text
-//!            writer (planner, or a cluster node's mirror)
-//!   WorldDelta ──touch──▶ per-shard version vector moves on the
+//!   World (stgq-service: the planner's and the cluster writer's, or
+//!          a cluster node's replica — one type, one mutation path)
+//!   WorldDelta ──apply──▶ per-shard version vector moves on the
 //!                         touched shards only
-//!                │ publish: rebuild the touched segments,
-//!                │          Arc-reuse the other S − 1
+//!                │ World::snapshot: rebuild the touched segments,
+//!                │                  Arc-reuse the other S − 1
 //!                ▼
 //!   WorldSnapshot { segments[0..S], shard versions v[0..S] }
 //!                │ one Arc swap into the epoch cell

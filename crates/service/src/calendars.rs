@@ -6,24 +6,17 @@ use crate::ServiceError;
 
 /// Calendars for every registered person over one slot horizon.
 ///
-/// The store grows in lock-step with the network (the planner calls
-/// [`ensure_people`](Self::ensure_people) after registrations); new people
-/// start fully **unavailable**, mirroring the paper's model where the
-/// system only knows the slots users have shared. Calendar mutations bump
-/// a version of their own so STGQ answers can be cache-stamped, but they
-/// never touch the graph caches.
-/// Like [`MutableNetwork`](crate::MutableNetwork), the store can track
-/// dirty shards (residue classes `person % shards`) once
-/// [`set_shard_count`](Self::set_shard_count) is called, so publication
-/// re-slices only the shards whose calendars actually changed.
+/// The store grows in lock-step with the network (the
+/// [`World`](crate::World) calls [`ensure_people`](Self::ensure_people)
+/// after registrations); new people start fully **unavailable**,
+/// mirroring the paper's model where the system only knows the slots
+/// users have shared. The world stamps calendar mutations on a version
+/// axis of their own, so STGQ answers can be cache-stamped without
+/// touching the graph caches.
 #[derive(Clone, Debug)]
 pub struct CalendarStore {
     cals: Vec<Calendar>,
     horizon: usize,
-    version: u64,
-    /// Per-shard last-mutation stamps; empty = untracked (every shard
-    /// reads as [`version`](Self::version)).
-    shard_versions: Vec<u64>,
 }
 
 impl CalendarStore {
@@ -32,49 +25,27 @@ impl CalendarStore {
         CalendarStore {
             cals: Vec::new(),
             horizon,
-            version: 0,
-            shard_versions: Vec::new(),
         }
+    }
+
+    /// A store holding `cals`, by person id — refused unless every
+    /// calendar spans exactly `horizon` slots.
+    pub(crate) fn from_calendars(
+        horizon: usize,
+        cals: Vec<Calendar>,
+    ) -> Result<Self, ServiceError> {
+        if let Some(bad) = cals.iter().find(|c| c.horizon() != horizon) {
+            return Err(ServiceError::SlotOutOfRange {
+                slot: bad.horizon(),
+                horizon,
+            });
+        }
+        Ok(CalendarStore { cals, horizon })
     }
 
     /// The shared slot horizon.
     pub fn horizon(&self) -> usize {
         self.horizon
-    }
-
-    /// Monotone counter bumped by every availability mutation.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Overwrite the version counter, flooding every shard stamp
-    /// (replication only — see
-    /// [`MutableNetwork::force_version`](crate::MutableNetwork::force_version)).
-    pub fn force_version(&mut self, version: u64) {
-        self.version = version;
-        self.shard_versions.fill(version);
-    }
-
-    /// Start (or re-key) dirty-shard tracking with `count` shards, every
-    /// shard stamped at the current version.
-    pub fn set_shard_count(&mut self, count: usize) {
-        self.shard_versions = vec![self.version; count.max(1)];
-    }
-
-    /// The global version at the last mutation touching shard `shard`;
-    /// untracked stores report [`version`](Self::version) everywhere.
-    pub fn shard_version(&self, shard: usize) -> u64 {
-        self.shard_versions
-            .get(shard)
-            .copied()
-            .unwrap_or(self.version)
-    }
-
-    fn touch(&mut self, person: usize) {
-        if !self.shard_versions.is_empty() {
-            let s = person % self.shard_versions.len();
-            self.shard_versions[s] = self.version;
-        }
     }
 
     /// Clone shard `shard` of `count` (calendars of the residue class
@@ -98,19 +69,10 @@ impl CalendarStore {
     }
 
     /// Grow to `count` calendars (new ones fully unavailable). Never
-    /// shrinks — person ids are stable. Growing bumps the version and
-    /// touches each new person's shard: the published calendar slices
-    /// must lengthen even though the new calendars are all-unavailable
-    /// (a snapshot that kept the short slice would index out of range as
-    /// soon as a new person becomes reachable).
+    /// shrinks — person ids are stable.
     pub fn ensure_people(&mut self, count: usize) {
-        if count <= self.cals.len() {
-            return;
-        }
-        self.version += 1;
-        while self.cals.len() < count {
-            self.touch(self.cals.len());
-            self.cals.push(Calendar::new(self.horizon));
+        if count > self.cals.len() {
+            self.cals.resize(count, Calendar::new(self.horizon));
         }
     }
 
@@ -125,7 +87,7 @@ impl CalendarStore {
     }
 
     /// Mark one slot (un)available for `person` (index pre-validated by
-    /// the planner).
+    /// the world).
     pub fn set_slot(
         &mut self,
         person: usize,
@@ -134,8 +96,6 @@ impl CalendarStore {
     ) -> Result<(), ServiceError> {
         self.check_slot(slot)?;
         self.cals[person].set_available(slot, available);
-        self.version += 1;
-        self.touch(person);
         Ok(())
     }
 
@@ -149,8 +109,6 @@ impl CalendarStore {
         self.check_slot(range.lo)?;
         self.check_slot(range.hi)?;
         self.cals[person].set_range(range, available);
-        self.version += 1;
-        self.touch(person);
         Ok(())
     }
 
@@ -163,8 +121,6 @@ impl CalendarStore {
             });
         }
         self.cals[person] = calendar;
-        self.version += 1;
-        self.touch(person);
         Ok(())
     }
 
@@ -232,35 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn ensure_people_bumps_the_version_when_it_grows() {
-        let mut store = CalendarStore::new(5);
-        let v0 = store.version();
-        store.ensure_people(3);
-        assert!(store.version() > v0, "a longer slice is a new epoch");
-        let v1 = store.version();
-        store.ensure_people(3);
-        assert_eq!(store.version(), v1, "a no-op grow is not a mutation");
-    }
-
-    #[test]
-    fn shard_stamps_move_only_for_the_edited_person() {
-        let mut store = CalendarStore::new(8);
-        store.set_shard_count(4);
-        store.ensure_people(8);
-        let base = store.version();
-        let stamps: Vec<u64> = (0..4).map(|s| store.shard_version(s)).collect();
-        store.set_slot(6, 2, true).unwrap(); // shard 2
-        assert_eq!(store.shard_version(2), base + 1);
-        for s in [0, 1, 3] {
-            assert_eq!(store.shard_version(s), stamps[s], "shard {s} untouched");
-        }
-        store.force_version(77);
-        for s in 0..4 {
-            assert_eq!(store.shard_version(s), 77);
-        }
-    }
-
-    #[test]
     fn shard_slices_partition_the_store_by_residue() {
         let mut store = CalendarStore::new(6);
         store.ensure_people(7);
@@ -275,17 +202,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn versions_track_mutations() {
-        let mut store = CalendarStore::new(5);
-        store.ensure_people(1);
-        let v0 = store.version();
-        store.set_slot(0, 1, true).unwrap();
-        assert!(store.version() > v0);
-        let v1 = store.version();
-        let _ = store.calendar(0);
-        assert_eq!(store.version(), v1);
     }
 }

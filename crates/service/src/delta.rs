@@ -1,28 +1,28 @@
-//! Delta emission for snapshot replication: every planner mutation is
-//! recorded as a [`WorldDelta`], stamped with the version counters it
-//! produced, into a bounded [`DeltaLog`].
+//! The replication vocabulary: every accepted mutation is a
+//! [`WorldDelta`], recorded with the sequence number and the version
+//! stamps it produced into a bounded [`DeltaLog`]; a [`WorldState`] is a
+//! complete copy of the world at one stamp.
 //!
-//! A cluster's single **writer** node owns the mutable world (the
-//! planner); **replica** nodes mirror it by replaying deltas in order —
-//! each record carries the `(graph_version, calendar_version)` pair that
-//! resulted from applying it, so a replica's rebuilt snapshot gets
-//! exactly the writer's epoch stamps and version-keyed caches stay
-//! coherent across nodes. When a replica has missed more history than
-//! the log retains (gap detection via [`DeltaLog::since`] returning
-//! `None`), it falls back to a [`WorldState`] **full sync** — a complete,
-//! self-contained copy of people, friendships and calendars at one
-//! version stamp — and resumes deltas from there.
+//! This module only describes changes. Applying, capturing and restoring
+//! them is [`World`](crate::World)'s job — the same code on the writer
+//! and on every replica. The writer ([`Writer`](crate::Writer)) records
+//! each delta its world accepted; a replica replays the records in
+//! order and checks that its own world lands on each record's stamps,
+//! so a replica's published snapshot carries exactly the writer's epoch
+//! and version-keyed caches stay coherent across nodes. When a replica
+//! has missed more history than the log retains (gap detection via
+//! [`DeltaLog::since`] returning `None`), it falls back to a
+//! [`WorldState`] **full sync** and resumes deltas from there.
 
 use std::collections::VecDeque;
 
 use stgq_graph::{Dist, NodeId};
 use stgq_schedule::{Calendar, SlotRange};
 
-use crate::{CalendarStore, MutableNetwork, ServiceError};
-
 /// One replicable mutation of the world, exactly mirroring the planner's
-/// mutation surface. Applying a delta to a faithful mirror bumps the
-/// mirror's version counters exactly like the original mutation did.
+/// mutation surface. [`World::apply`](crate::World::apply) is the one
+/// place a delta takes effect, so replaying a delta on a faithful mirror
+/// bumps its version stamps exactly like the original mutation did.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WorldDelta {
     /// A person was registered.
@@ -79,41 +79,6 @@ pub enum WorldDelta {
     },
 }
 
-impl WorldDelta {
-    /// Replay this mutation onto a mirror of the writer's world. The
-    /// mirror must have applied every earlier delta (the log is ordered),
-    /// so the same validations that passed on the writer pass here.
-    pub fn apply(
-        &self,
-        network: &mut MutableNetwork,
-        calendars: &mut CalendarStore,
-    ) -> Result<(), ServiceError> {
-        match self {
-            WorldDelta::AddPerson { label } => {
-                network.add_person(label.clone());
-                calendars.ensure_people(network.person_count());
-                Ok(())
-            }
-            WorldDelta::Connect { a, b, distance } => network.connect(*a, *b, *distance),
-            WorldDelta::Disconnect { a, b } => network.disconnect(*a, *b).map(|_| ()),
-            WorldDelta::RemovePerson { person } => network.remove_person(*person),
-            WorldDelta::SetSlot {
-                person,
-                slot,
-                available,
-            } => calendars.set_slot(person.index(), *slot, *available),
-            WorldDelta::SetRange {
-                person,
-                range,
-                available,
-            } => calendars.set_range(person.index(), *range, *available),
-            WorldDelta::SetCalendar { person, calendar } => {
-                calendars.replace(person.index(), calendar.clone())
-            }
-        }
-    }
-}
-
 /// One log entry: the mutation plus the sequence number and the version
 /// stamps that resulted from applying it on the writer.
 #[derive(Clone, Debug, PartialEq)]
@@ -140,7 +105,7 @@ pub struct DeltaLog {
     next_seq: u64,
 }
 
-/// Default number of mutations the planner's delta log retains.
+/// Default number of mutations the writer's delta log retains.
 pub const DEFAULT_DELTA_LOG_CAPACITY: usize = 4096;
 
 impl DeltaLog {
@@ -239,37 +204,6 @@ pub struct WorldState {
     /// The writer's delta sequence at capture time — where incremental
     /// replication resumes after restoring this state.
     pub seq: u64,
-}
-
-impl WorldState {
-    /// Rebuild a faithful mirror (network + calendars) from this state.
-    /// The mirror's *internal* version counters restart from zero — a
-    /// replica publishes snapshots under the carried
-    /// [`graph_version`](Self::graph_version)/[`calendar_version`](Self::calendar_version)
-    /// stamps, not the mirror's counters.
-    pub fn restore(&self) -> Result<(MutableNetwork, CalendarStore), ServiceError> {
-        let mut network = MutableNetwork::new();
-        let mut calendars = CalendarStore::new(self.horizon);
-        for label in &self.labels {
-            network.add_person(label.clone());
-        }
-        calendars.ensure_people(network.person_count());
-        for &(a, b, distance) in &self.edges {
-            network.connect(NodeId(a), NodeId(b), distance)?;
-        }
-        // Tombstones last: removal also clears edges, so a tombstoned id
-        // with edges in the state would be inconsistent anyway — the
-        // writer never exports one.
-        for (id, active) in self.active.iter().enumerate() {
-            if !active {
-                network.remove_person(NodeId(id as u32))?;
-            }
-        }
-        for (person, calendar) in self.calendars.iter().enumerate() {
-            calendars.replace(person, calendar.clone())?;
-        }
-        Ok((network, calendars))
-    }
 }
 
 #[cfg(feature = "serde")]
@@ -497,60 +431,5 @@ mod tests {
         assert_eq!(log.since(1), None, "evicted history is a gap");
         assert_eq!(log.since(5), Some(Vec::new()), "caught up");
         assert_eq!(log.since(9), Some(Vec::new()), "ahead counts as caught up");
-    }
-
-    #[test]
-    fn replaying_deltas_mirrors_the_writer() {
-        let mut network = MutableNetwork::new();
-        let mut calendars = CalendarStore::new(6);
-        let deltas = [
-            WorldDelta::AddPerson { label: "a".into() },
-            WorldDelta::AddPerson { label: "b".into() },
-            WorldDelta::Connect {
-                a: NodeId(0),
-                b: NodeId(1),
-                distance: 4,
-            },
-            WorldDelta::SetRange {
-                person: NodeId(0),
-                range: SlotRange::new(1, 4),
-                available: true,
-            },
-            WorldDelta::SetSlot {
-                person: NodeId(1),
-                slot: 2,
-                available: true,
-            },
-        ];
-        for d in &deltas {
-            d.apply(&mut network, &mut calendars).unwrap();
-        }
-        assert_eq!(network.distance(NodeId(0), NodeId(1)), Some(4));
-        assert!(calendars.calendar(0).is_available(3));
-        assert!(calendars.calendar(1).is_available(2));
-    }
-
-    #[test]
-    fn world_state_restores_tombstones_and_calendars() {
-        let state = WorldState {
-            horizon: 4,
-            labels: vec!["a".into(), "b".into(), "c".into()],
-            active: vec![true, false, true],
-            edges: vec![(0, 2, 7)],
-            calendars: vec![
-                Calendar::all_available(4),
-                Calendar::new(4),
-                Calendar::from_slots(4, [1, 2]),
-            ],
-            graph_version: 42,
-            calendar_version: 17,
-            seq: 9,
-        };
-        let (network, calendars) = state.restore().unwrap();
-        assert_eq!(network.person_count(), 3);
-        assert!(!network.is_active(NodeId(1)));
-        assert_eq!(network.distance(NodeId(0), NodeId(2)), Some(7));
-        assert!(calendars.calendar(2).is_available(1));
-        assert_eq!(calendars.calendar(0).count_available(), 4);
     }
 }

@@ -47,6 +47,16 @@ pub enum ServiceError {
         /// The store's horizon.
         horizon: usize,
     },
+    /// A captured [`WorldState`](crate::WorldState) whose per-person
+    /// vectors disagree on how many people exist.
+    InconsistentState {
+        /// Registration labels listed.
+        labels: usize,
+        /// Activity flags listed.
+        active: usize,
+        /// Calendars listed.
+        calendars: usize,
+    },
     /// The underlying query engine rejected the inputs.
     Query(QueryError),
     /// The execution subsystem refused the request for an
@@ -88,6 +98,14 @@ impl fmt::Display for ServiceError {
             ServiceError::SlotOutOfRange { slot, horizon } => {
                 write!(f, "slot {slot} outside horizon {horizon}")
             }
+            ServiceError::InconsistentState {
+                labels,
+                active,
+                calendars,
+            } => write!(
+                f,
+                "world state lists {labels} people but {active} activity flags and {calendars} calendars"
+            ),
             ServiceError::Query(e) => write!(f, "query error: {e}"),
             ServiceError::ExecutorUnavailable { reason } => {
                 write!(f, "executor unavailable: {reason}")
@@ -136,6 +154,11 @@ mod tests {
             ServiceError::SlotOutOfRange {
                 slot: 99,
                 horizon: 10,
+            },
+            ServiceError::InconsistentState {
+                labels: 2,
+                active: 2,
+                calendars: 3,
             },
             ServiceError::Query(QueryError::InitiatorOutOfRange {
                 initiator: NodeId(5),

@@ -7,12 +7,18 @@
 //! between. This crate builds that deployment surface:
 //!
 //! * [`MutableNetwork`] — an updatable social graph (add/remove people,
-//!   connect/disconnect, re-weight) with a monotone version counter;
+//!   connect/disconnect, re-weight);
 //! * [`CalendarStore`] — per-person availability over a shared slot
 //!   horizon, updatable slot-by-slot or in ranges;
+//! * [`World`] — the network plus the calendars with their version
+//!   stamps, and the **one** place the world is mutated
+//!   ([`World::apply`] of a [`WorldDelta`]), captured, restored and
+//!   frozen into an epoch snapshot. [`Writer`] pairs a world with the
+//!   [`DeltaLog`] replicas catch up from; the planner and a cluster's
+//!   writer hold a `Writer`, a cluster node holds a bare `World`;
 //! * [`Planner`] — the query front end, since the `stgq-exec`
 //!   extraction a **thin façade** over the execution subsystem: the
-//!   planner owns the mutable world and publishes immutable epoch
+//!   planner owns a [`Writer`] and publishes its world's immutable epoch
 //!   snapshots into an [`Executor`](stgq_exec::Executor), which owns the
 //!   shard-partitioned feasible-graph cache, engine dispatch
 //!   ([`Engine`]: exact, anytime, greedy, local search), the
@@ -59,6 +65,7 @@ pub mod expose;
 mod network;
 mod planner;
 mod shared;
+mod world;
 
 pub use calendars::CalendarStore;
 pub use delta::{DeltaLog, DeltaRecord, WorldDelta, WorldState, DEFAULT_DELTA_LOG_CAPACITY};
@@ -66,6 +73,7 @@ pub use error::ServiceError;
 pub use network::MutableNetwork;
 pub use planner::{BatchQuery, MetricsSnapshot, PlanReply, Planner, SgqReport, StgqReport};
 pub use shared::SharedPlanner;
+pub use world::{World, Writer};
 // Execution-subsystem vocabulary, re-exported so existing callers (and
 // downstream code that only wants the service surface) keep one import
 // path. `Engine` lived here before the `stgq-exec` extraction.

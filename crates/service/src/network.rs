@@ -10,17 +10,10 @@ use crate::ServiceError;
 ///
 /// People keep their [`NodeId`] for the service's lifetime — removing a
 /// person tombstones the id (clearing its edges) rather than re-indexing,
-/// so calendars and cached results never need to be re-keyed. Every
-/// mutation that can change a query answer bumps [`version`](Self::version),
-/// which the planner's caches key on.
-///
-/// When [`set_shard_count`](Self::set_shard_count) has been called, the
-/// network additionally tracks *which shards* each mutation touched: shard
-/// `s` holds the residue class `v % shards`, and
-/// [`shard_version`](Self::shard_version) reports the global version at
-/// the last mutation involving any of its people. A publisher compares
-/// those stamps against the previous snapshot's to rebuild only the dirty
-/// sub-snapshots.
+/// so calendars and cached results never need to be re-keyed. Version
+/// stamps live one level up, in the [`World`](crate::World) that owns
+/// the network: every mutation reports what it touched so the world can
+/// stamp exactly those shards.
 #[derive(Clone, Debug, Default)]
 pub struct MutableNetwork {
     /// Adjacency maps: `adj[v][u] = distance`. Symmetric by construction.
@@ -28,10 +21,6 @@ pub struct MutableNetwork {
     labels: Vec<String>,
     active: Vec<bool>,
     edge_count: usize,
-    version: u64,
-    /// Per-shard last-mutation stamps; empty = untracked (every shard
-    /// reads as [`version`](Self::version), i.e. always dirty).
-    shard_versions: Vec<u64>,
 }
 
 impl MutableNetwork {
@@ -46,8 +35,6 @@ impl MutableNetwork {
         self.adj.push(BTreeMap::new());
         self.labels.push(label.into());
         self.active.push(true);
-        self.version += 1;
-        self.touch(id.index());
         id
     }
 
@@ -66,48 +53,6 @@ impl MutableNetwork {
         self.edge_count
     }
 
-    /// Monotone counter bumped by every mutation.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Overwrite the version counter, flooding every shard stamp. Only
-    /// replication uses this: a replica's mirror (and a promoted writer's)
-    /// must keep publishing under the cluster's global version numbering,
-    /// never restart from zero (stamps key every result/feasible cache in
-    /// the fleet). Flooding is the conservative choice — after a forced
-    /// jump there is no per-shard history to trust.
-    pub fn force_version(&mut self, version: u64) {
-        self.version = version;
-        self.shard_versions.fill(version);
-    }
-
-    /// Start (or re-key) dirty-shard tracking with `count` shards, every
-    /// shard stamped at the current version (i.e. all dirty relative to
-    /// any earlier snapshot).
-    pub fn set_shard_count(&mut self, count: usize) {
-        self.shard_versions = vec![self.version; count.max(1)];
-    }
-
-    /// The global version at the last mutation touching shard `shard`.
-    /// Untracked stores report [`version`](Self::version) for every shard
-    /// (conservatively always dirty).
-    pub fn shard_version(&self, shard: usize) -> u64 {
-        self.shard_versions
-            .get(shard)
-            .copied()
-            .unwrap_or(self.version)
-    }
-
-    /// Stamp `person`'s shard with the current version. Callers bump
-    /// [`version`](Self::version) first.
-    fn touch(&mut self, person: usize) {
-        if !self.shard_versions.is_empty() {
-            let s = person % self.shard_versions.len();
-            self.shard_versions[s] = self.version;
-        }
-    }
-
     /// Freeze shard `shard` of `count` (the residue class `v % count`,
     /// rows ordered by `v / count`) into the immutable segment form the
     /// executor's sharded snapshots hold.
@@ -117,6 +62,16 @@ impl MutableNetwork {
                 .step_by(count)
                 .map(|v| self.adj[v].iter().map(|(&u, &w)| (u, w))),
         )
+    }
+
+    /// Every registration label, by id (tombstoned people included).
+    pub(crate) fn labels(&self) -> &[String] {
+        &self.labels
+    }
+
+    /// Whether each id is still active, by id.
+    pub(crate) fn activity(&self) -> &[bool] {
+        &self.active
     }
 
     /// The label given at registration.
@@ -161,9 +116,6 @@ impl MutableNetwork {
         if fresh {
             self.edge_count += 1;
         }
-        self.version += 1;
-        self.touch(a.index());
-        self.touch(b.index());
         Ok(())
     }
 
@@ -175,27 +127,22 @@ impl MutableNetwork {
         self.adj[b.index()].remove(&a.0);
         if existed {
             self.edge_count -= 1;
-            self.version += 1;
-            self.touch(a.index());
-            self.touch(b.index());
         }
         Ok(existed)
     }
 
-    /// Tombstone a person: all their friendships disappear, their id stays.
-    pub fn remove_person(&mut self, person: NodeId) -> Result<(), ServiceError> {
+    /// Tombstone a person: all their friendships disappear, their id
+    /// stays. Returns the former friends, whose rows changed too.
+    pub fn remove_person(&mut self, person: NodeId) -> Result<Vec<u32>, ServiceError> {
         self.check_person(person)?;
         let neighbors: Vec<u32> = self.adj[person.index()].keys().copied().collect();
         self.adj[person.index()].clear();
         self.active[person.index()] = false;
-        self.version += 1;
-        self.touch(person.index());
-        for nb in neighbors {
+        for &nb in &neighbors {
             self.adj[nb as usize].remove(&person.0);
             self.edge_count -= 1;
-            self.touch(nb as usize);
         }
-        Ok(())
+        Ok(neighbors)
     }
 
     /// Current social distance between `a` and `b`, if they are friends.
@@ -284,22 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn versions_bump_on_mutation_only() {
-        let (mut net, a, b, _) = three_people();
-        let v0 = net.version();
-        net.connect(a, b, 5).unwrap();
-        let v1 = net.version();
-        assert!(v1 > v0);
-        let _ = net.distance(a, b);
-        let _ = net.snapshot();
-        assert_eq!(net.version(), v1, "reads must not invalidate caches");
-        // A no-op disconnect does not bump either.
-        let (x, y) = (NodeId(0), NodeId(2));
-        assert!(!net.disconnect(x, y).unwrap());
-        assert_eq!(net.version(), v1);
-    }
-
-    #[test]
     fn remove_person_tombstones_and_clears_edges() {
         let (mut net, a, b, c) = three_people();
         net.connect(a, b, 5).unwrap();
@@ -337,50 +268,6 @@ mod tests {
         ));
         net.connect(a, NodeId(1), MAX_DISTANCE).unwrap();
         assert_eq!(net.distance(a, NodeId(1)), Some(MAX_DISTANCE));
-    }
-
-    #[test]
-    fn shard_stamps_move_only_for_touched_residue_classes() {
-        let mut net = MutableNetwork::new();
-        net.set_shard_count(4);
-        let people: Vec<NodeId> = (0..8).map(|i| net.add_person(format!("p{i}"))).collect();
-        let base = net.version();
-        let stamps: Vec<u64> = (0..4).map(|s| net.shard_version(s)).collect();
-        // 1-5 touches shards 1 and 1 (5 % 4 == 1): only shard 1 moves.
-        net.connect(people[1], people[5], 3).unwrap();
-        assert_eq!(net.shard_version(1), base + 1);
-        for s in [0, 2, 3] {
-            assert_eq!(net.shard_version(s), stamps[s], "shard {s} untouched");
-        }
-        // 2-7 touches shards 2 and 3.
-        net.connect(people[2], people[7], 4).unwrap();
-        assert_eq!(net.shard_version(2), base + 2);
-        assert_eq!(net.shard_version(3), base + 2);
-        assert_eq!(net.shard_version(0), stamps[0]);
-        // Removing 5 touches its shard and every ex-neighbor's shard.
-        net.remove_person(people[5]).unwrap();
-        assert_eq!(net.shard_version(1), base + 3);
-        assert_eq!(net.shard_version(0), stamps[0], "shard 0 never touched");
-    }
-
-    #[test]
-    fn untracked_networks_report_every_shard_at_the_global_version() {
-        let (mut net, a, b, _) = three_people();
-        net.connect(a, b, 5).unwrap();
-        assert_eq!(net.shard_version(0), net.version());
-        assert_eq!(net.shard_version(99), net.version());
-    }
-
-    #[test]
-    fn force_version_floods_every_shard() {
-        let mut net = MutableNetwork::new();
-        net.set_shard_count(3);
-        net.add_person("a");
-        net.force_version(40);
-        assert_eq!(net.version(), 40);
-        for s in 0..3 {
-            assert_eq!(net.shard_version(s), 40);
-        }
     }
 
     #[test]
