@@ -160,8 +160,9 @@ pub enum FailoverError {
     Export(TransportError),
     /// The donor answered outside the protocol.
     Protocol,
-    /// The exported world failed to restore into a writer.
-    Restore(String),
+    /// The exported world failed to restore into a writer, or its
+    /// versions cannot be bumped past every acknowledged epoch.
+    Restore(ServiceError),
 }
 
 impl std::fmt::Display for FailoverError {
@@ -875,12 +876,18 @@ impl Cluster {
                 }
             }
         }
-        state.graph_version = graph_max + 1;
-        state.calendar_version = calendar_max + 1;
+        let exhausted =
+            |counter| FailoverError::Restore(ServiceError::CounterExhausted { counter });
+        state.graph_version = graph_max
+            .checked_add(1)
+            .ok_or_else(|| exhausted("graph version"))?;
+        state.calendar_version = calendar_max
+            .checked_add(1)
+            .ok_or_else(|| exhausted("calendar version"))?;
         state.seq = seq_max;
 
         self.writer = Writer::restore(&state, self.writer.world().shards())
-            .map_err(|e| FailoverError::Restore(e.to_string()))?;
+            .map_err(FailoverError::Restore)?;
         self.replicator.lock().reset_all();
         self.failovers.fetch_add(1, Ordering::Relaxed);
         Ok(donor)

@@ -250,9 +250,9 @@ mod tests {
     use stgq_exec::{Engine, ExecError, QuerySpec};
     use stgq_graph::NodeId;
     use stgq_schedule::{Calendar, SlotRange};
-    use stgq_service::{Planner, WorldDelta, Writer};
+    use stgq_service::{Planner, ServiceError, WorldDelta, Writer};
 
-    use crate::{Cluster, ClusterConfig};
+    use crate::{Cluster, ClusterConfig, FailoverError};
 
     fn writer() -> Writer {
         let mut w = Writer::new(8, 16);
@@ -509,6 +509,126 @@ mod tests {
         .map(|s| s.total_distance);
         assert_eq!(ask(&node), oracle);
         assert_eq!(oracle, Some(3));
+    }
+
+    /// A replicated calendar whose packed words break the calendar
+    /// invariant — too few words for its horizon, or a bit set past it —
+    /// fails to decode, so the TCP server answers the frame `Failed` and
+    /// the world never holds a calendar that a later slot write would
+    /// index past. The well-formed frame still decodes and applies.
+    #[test]
+    fn a_malformed_calendar_on_the_wire_is_a_decode_error_not_a_panic() {
+        let w = writer();
+        let node = attached(&w);
+        let (graph, calendar) = w.world().versions();
+        let frame = NodeMsg::Replicate(ReplicationPayload::Deltas {
+            from_seq: w.delta_seq(),
+            records: vec![DeltaRecord {
+                seq: w.delta_seq() + 1,
+                graph_version: graph,
+                calendar_version: calendar + 1,
+                delta: WorldDelta::SetCalendar {
+                    person: NodeId(1),
+                    calendar: Calendar::from_slots(8, [0, 7]),
+                },
+            }],
+        });
+        let json = serde_json::to_string(&frame).unwrap();
+        let packed = r#"{"words":[129],"horizon":8}"#;
+        assert!(json.contains(packed), "{json}");
+        for hostile in [
+            r#"{"words":[],"horizon":8}"#,
+            r#"{"words":[385],"horizon":8}"#,
+        ] {
+            let decoded = serde_json::from_str::<NodeMsg>(&json.replace(packed, hostile));
+            assert!(decoded.is_err(), "{hostile} must not decode");
+        }
+        assert_eq!(ask(&node), Some(5), "still serving");
+
+        let decoded = serde_json::from_str::<NodeMsg>(&json).unwrap();
+        assert!(matches!(node.handle(decoded), NodeReply::Ack { .. }));
+        let reply = node.handle(NodeMsg::Replicate(ReplicationPayload::Deltas {
+            from_seq: w.delta_seq() + 1,
+            records: vec![DeltaRecord {
+                seq: w.delta_seq() + 2,
+                graph_version: graph,
+                calendar_version: calendar + 2,
+                delta: WorldDelta::SetSlot {
+                    person: NodeId(1),
+                    slot: 3,
+                    available: true,
+                },
+            }],
+        }));
+        assert!(matches!(reply, NodeReply::Ack { .. }), "{reply:?}");
+    }
+
+    /// A full sync at `calendar_version = u64::MAX` followed by one
+    /// calendar delta: the replay cannot advance the version, so the
+    /// node replies `Failed` (not an overflow panic, and not the wrapped
+    /// stamp 0 matching a record that claims it) and keeps serving the
+    /// synced epoch.
+    #[test]
+    fn a_calendar_delta_past_the_maximum_version_is_refused_not_a_panic() {
+        let w = writer();
+        let node = ClusterNode::new(0, exec_cfg());
+        let mut state = w.world_state();
+        state.calendar_version = u64::MAX;
+        let reply = node.handle(NodeMsg::Replicate(ReplicationPayload::Full(state.clone())));
+        assert!(matches!(reply, NodeReply::Ack { .. }), "{reply:?}");
+        let epoch = node.executor().snapshot_versions();
+        let reply = node.handle(NodeMsg::Replicate(ReplicationPayload::Deltas {
+            from_seq: state.seq,
+            records: vec![DeltaRecord {
+                seq: state.seq + 1,
+                graph_version: state.graph_version,
+                calendar_version: 0,
+                delta: WorldDelta::SetSlot {
+                    person: NodeId(0),
+                    slot: 0,
+                    available: false,
+                },
+            }],
+        }));
+        let NodeReply::Failed { reason } = reply else {
+            panic!("an exhausted version must be refused, got {reply:?}");
+        };
+        assert!(reason.contains("calendar version"), "{reason}");
+        assert_eq!(node.executor().snapshot_versions(), epoch);
+        assert_eq!(node.export_state(), state, "world untouched");
+        assert_eq!(ask(&node), Some(5));
+    }
+
+    /// Promoting a replica whose calendar version is `u64::MAX` cannot
+    /// bump the version past it: failover is a typed refusal and the
+    /// old writer stays in place.
+    #[test]
+    fn a_failover_past_the_maximum_version_is_refused_not_a_panic() {
+        let mut cluster = Cluster::new(
+            8,
+            ClusterConfig {
+                nodes: 1,
+                node_exec: exec_cfg(),
+                ..ClusterConfig::default()
+            },
+        );
+        let a = cluster.add_person("a");
+        let b = cluster.add_person("b");
+        cluster.connect(a, b, 1).unwrap();
+        assert!(cluster.replicate().iter().all(|(_, r)| r.is_ok()));
+        let mut state = cluster.writer().world_state();
+        state.calendar_version = u64::MAX;
+        let reply = cluster.nodes()[0].handle(NodeMsg::Replicate(ReplicationPayload::Full(state)));
+        assert!(matches!(reply, NodeReply::Ack { .. }), "{reply:?}");
+
+        let before = cluster.writer().world_state();
+        assert_eq!(
+            cluster.fail_over(),
+            Err(FailoverError::Restore(ServiceError::CounterExhausted {
+                counter: "calendar version"
+            }))
+        );
+        assert_eq!(cluster.writer().world_state(), before, "writer kept");
     }
 
     /// One random mutation, drawn from small ids so that refusals

@@ -31,7 +31,7 @@
 /// | parent-side completion bound on each child before it is opened | [`children_pruned_by_parent_bound`] |
 /// | incremental pivot prep from a per-solve run cache (STGQ) | [`prep_words_delta`] |
 /// | availability rows built only for pivots that reach descent (STGQ) | [`prep_words_rebuilt`] |
-/// | pooled pivot buffers and per-signature shared peel results | none: allocation and caching only |
+/// | pooled pivot buffers and a per-solve one-entry peel memo | none: allocation and caching only |
 ///
 /// The distance-relative halves of the pivot floor, the k-plex bound and
 /// the parent bound fire only when [`distance_pruning`] is on, and the

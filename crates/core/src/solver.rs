@@ -24,8 +24,9 @@ use crate::{
 ///   [`SearchStats::cancelled`] set; a quiet control changes nothing.
 /// * [`arena`](Self::arena) — a long-lived [`PivotArena`] whose pivot
 ///   buffers the STGQ solve reuses, and which receives that solve's
-///   [`StageTimings`] and serves its cross-solve run cache. A solve
-///   without one runs on a fresh arena; results are identical.
+///   [`StageTimings`]. Nothing else in it outlives a solve, so a solve
+///   without one runs on a fresh arena with identical results, every
+///   counter included.
 ///
 /// The flat-graph [`solve_sgq`] / [`solve_stgq`] validate outside input,
 /// extract the candidate space and run a default `Solver`.

@@ -68,8 +68,10 @@ pub struct SearchStats {
     pub children_pruned_by_parent_bound: u64,
     /// Availability-buffer words whose rebuild was **avoided** by the
     /// incremental prep's per-solve run cache: one stride per candidate
-    /// whose Definition-4 run came from the cached calendar run instead
-    /// of a word scan (STGSelect only).
+    /// whose Definition-4 run came from a run cached earlier in the same
+    /// solve instead of a word scan (STGSelect only). Nothing carries
+    /// over between solves, so a pooled arena counts exactly what a
+    /// fresh one does.
     pub prep_words_delta: u64,
     /// Availability-buffer words actually built from calendar words —
     /// per post-peel eligible candidate per pivot that reached exact
@@ -77,18 +79,6 @@ pub struct SearchStats {
     /// [`prep_words_delta`](Self::prep_words_delta) is the incremental
     /// path's word-traffic saving.
     pub prep_words_rebuilt: u64,
-    /// Definition-4 runs served by the **cross-solve** run cache: the
-    /// arena kept a candidate's unclipped maximal run from an earlier
-    /// solve, the executor's world-version handshake
-    /// ([`PivotArena::install_world_versions`]) vouched that the
-    /// candidate's calendar shard has not changed since, and the run
-    /// still covered the probed pivot — so the per-solve cache was
-    /// seeded without touching the calendar at all. Always `0` in plain
-    /// (un-handshaken) solves (STGSelect only).
-    ///
-    /// [`PivotArena::install_world_versions`]: crate::PivotArena::install_world_versions
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub run_cache_cross_solve_hits: u64,
     /// Whether the search stopped at a [`SelectConfig::frame_budget`]
     /// (anytime mode) instead of running to proven optimality. Never set
     /// by cancellation — see [`cancelled`](Self::cancelled).
@@ -127,7 +117,6 @@ impl SearchStats {
         self.children_pruned_by_parent_bound += other.children_pruned_by_parent_bound;
         self.prep_words_delta += other.prep_words_delta;
         self.prep_words_rebuilt += other.prep_words_rebuilt;
-        self.run_cache_cross_solve_hits += other.run_cache_cross_solve_hits;
         self.truncated |= other.truncated;
         self.cancelled |= other.cancelled;
     }
@@ -185,7 +174,6 @@ mod tests {
             children_pruned_by_parent_bound: 13,
             prep_words_delta: 14,
             prep_words_rebuilt: 15,
-            run_cache_cross_solve_hits: 16,
             truncated: true,
             cancelled: true,
         };
@@ -202,7 +190,6 @@ mod tests {
         assert_eq!(a.children_pruned_by_parent_bound, 13);
         assert_eq!(a.prep_words_delta, 14);
         assert_eq!(a.prep_words_rebuilt, 15);
-        assert_eq!(a.run_cache_cross_solve_hits, 16);
         assert!(a.truncated, "truncation is sticky under absorb");
         assert!(a.cancelled, "cancellation is sticky under absorb");
         assert_eq!(a.frames_examined(), a.frames);

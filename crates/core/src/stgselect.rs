@@ -45,12 +45,11 @@
 //!     │          Engines see either through `CandidateTopology`,
 //!     │          bit-identically.          (extract_words_borrowed)
 //!     ▼
-//!  prepare   Definition-4 eligibility, delta'd from the run cache when
-//!     │      a cached calendar run covers the pivot (prep_words_delta),
-//!     │      scanned from packed calendar words otherwise; the cache
-//!     │      persists *across* solves in the worker's arena under the
-//!     │      world-version handshake (run_cache_cross_solve_hits); runs
-//!     │      clipped to the initiator's             (pivots_processed)
+//!  prepare   Definition-4 eligibility, delta'd from the per-solve run
+//!     │      cache when a cached calendar run covers the pivot
+//!     │      (prep_words_delta), scanned from packed calendar words
+//!     │      otherwise; runs clipped to the initiator's
+//!     │                                             (pivots_processed)
 //!     ▼
 //!   peel     fixpoint (p,k)-core over eligible ∪ {q}
 //!     │        ├─ sub-core candidates leave VA forever (peeled_candidates)
@@ -74,21 +73,20 @@
 //!                                    (children_pruned_by_parent_bound)
 //! ```
 //!
-//! The peel stage is a pure function of `(query, eligible set)`, so its
-//! result is **shared**: computed once per candidate-set signature
-//! ([`PivotPrep`] for the full-candidate signature, the [`PivotArena`]
-//! memo for the last per-pivot one) and reused across the pivot loop.
-//! The run cache behind the prepare stage
-//! is likewise per-solve state in the [`PivotArena`] — promise-ordered
-//! pivots revisit overlapping intervals, so after the first pivot most
-//! candidates' Definition-4 runs are pure arithmetic on the cached
-//! calendar-absolute run, with no pointer chase into the calendars at
-//! all.
+//! The peel stage is a pure function of `(query, eligible set)`, so the
+//! [`PivotArena`] memoizes its last result and consecutive pivots with
+//! the same eligible signature reuse it; the first pivot to reach the
+//! peel computes it, so a solve whose pivots all fall to the phase-1
+//! bound never peels. The run cache behind the prepare stage is likewise
+//! per-solve state in the arena — promise-ordered pivots revisit
+//! overlapping intervals, so after the first pivot most candidates'
+//! Definition-4 runs are pure arithmetic on the cached calendar-absolute
+//! run, with no pointer chase into the calendars at all. Nothing in the
+//! arena survives into the next solve except buffers.
 
 // Parallel per-slot counters are clearer with indexed loops.
 #![allow(clippy::needless_range_loop)]
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use stgq_graph::{
@@ -386,16 +384,13 @@ pub(crate) fn dist_tie_blocks<G: CandidateTopology>(fg: &G) -> Vec<(u32, u32)> {
     blocks
 }
 
-/// Per-solve shared pivot preprocessing: everything about pivot
-/// preparation that does **not** depend on the pivot slot — the query
-/// shape, the distance tie blocks, the peel threshold, and the memoized
-/// core peel of the *full* candidate set.
+/// Per-solve pivot preprocessing: everything about pivot preparation
+/// that does **not** depend on the pivot slot — the query shape, the
+/// distance tie blocks and the peel threshold.
 ///
 /// Built once per `(query, feasible graph)` and read by every pivot of
-/// the loop: on dense instances most pivots' eligible sets equal the
-/// full candidate set, so the fixpoint peel is computed exactly once here
-/// instead of per pivot. Pivots with a *different* eligible signature fall back to
-/// the arena's own one-entry memo ([`PivotArena`]).
+/// the loop. The peel itself is memoized per eligible signature in the
+/// [`PivotArena`], computed by the first pivot that reaches it.
 pub(crate) struct PivotPrep {
     pub(crate) p: usize,
     pub(crate) m: usize,
@@ -407,8 +402,6 @@ pub(crate) struct PivotPrep {
     ///
     /// [`SelectConfig::availability_ordering`]: crate::SelectConfig::availability_ordering
     pub(crate) tie_blocks: Option<Vec<(u32, u32)>>,
-    /// The peel memo for the full-candidate eligible signature.
-    pub(crate) shared_memo: Option<PrepMemo>,
 }
 
 impl PivotPrep {
@@ -421,23 +414,12 @@ impl PivotPrep {
         horizon: usize,
         cfg: &SelectConfig,
     ) -> Self {
-        let peel_min_deg = peel_min_deg(p, k);
-        let shared_memo = peel_min_deg.map(|md| {
-            let mut all = BitSet::new(fg.len());
-            for &c in fg.candidate_order() {
-                all.insert(c as usize);
-            }
-            let mut memo = PrepMemo::empty();
-            memo.recompute(fg, &all, p, md, &mut Vec::new(), &mut Vec::new());
-            memo
-        });
         PivotPrep {
             p,
             m,
             horizon,
-            peel_min_deg,
+            peel_min_deg: peel_min_deg(p, k),
             tie_blocks: cfg.availability_ordering.then(|| dist_tie_blocks(fg)),
-            shared_memo,
         }
     }
 
@@ -451,7 +433,6 @@ impl PivotPrep {
             horizon,
             peel_min_deg: None,
             tie_blocks: None,
-            shared_memo: None,
         }
     }
 }
@@ -591,7 +572,9 @@ impl PivotJob {
 }
 
 /// Recycler for [`PivotJob`] buffers (flattened availability words,
-/// bitmaps, Lemma-5 counters, undo logs, access-order permutations).
+/// bitmaps, Lemma-5 counters, undo logs, access-order permutations),
+/// plus the per-solve scratch of pivot preparation (the run cache and
+/// the one-entry peel memo).
 ///
 /// The ROADMAP measured pivot preparation at ~25% of small-`m` STGQ
 /// solves, most of it allocation and zeroing; one arena makes the
@@ -600,8 +583,9 @@ impl PivotJob {
 /// most one spare job, which is exactly what the pivot loop produces.
 ///
 /// Pooling is an allocation strategy only: every buffer is fully
-/// re-initialised by `prepare_pivot`, so a reused arena and a fresh one
-/// give bit-identical results.
+/// re-initialised by `prepare_pivot`, and the per-solve scratch is wiped
+/// at the top of every solve, so a reused arena and a fresh one give
+/// bit-identical results, every counter included.
 ///
 /// The arena also carries the solve's wall-clock stage split: every
 /// sequential STGQ solve run on it refreshes [`timings`](Self::timings)
@@ -622,11 +606,13 @@ pub struct PivotArena {
     /// only; see [`crate::timings`]).
     pub timing_detail: bool,
     spare: Option<PivotJob>,
-    /// The arena's own one-entry peel memo: the last distinct
-    /// per-pivot eligible signature whose peel result was
-    /// computed here (consulted after the shared [`PivotPrep`] memo,
-    /// which covers the full-candidate signature). Invalidated by
-    /// [`begin_solve`](Self::begin_solve) — arenas outlive queries, and
+    /// One-entry peel memo: the last distinct per-pivot eligible
+    /// signature whose peel result was computed here. The first pivot
+    /// to reach [`finalize_pivot`] fills it, so on dense instances —
+    /// where most pivots share the full-candidate signature — the peel
+    /// runs once per solve, and a solve whose pivots all fall to the
+    /// phase-1 bound never peels. Invalidated by
+    /// [`begin_solve`](Self::begin_solve): arenas outlive queries, and
     /// a signature match is only meaningful within one `(query, graph)`.
     memo: Option<PrepMemo>,
     /// Per-solve cache of each compact vertex's **unclipped** maximal
@@ -639,29 +625,8 @@ pub struct PivotArena {
     /// at the pivot caches nothing — `run_containing` fails fast
     /// there), and [`begin_solve`](Self::begin_solve) wipes the cache:
     /// arenas outlive queries, and runs are only meaningful within one
-    /// `(query, calendars)` pair. Cold-per-solve also keeps pooled and
-    /// fresh arenas bit-identical.
+    /// `(query, calendars)` pair.
     run_cache: Vec<Option<SlotRange>>,
-    /// **Cross-solve** run cache: unclipped maximal runs that survived a
-    /// previous solve on this arena, keyed by *global* person id and
-    /// stamped with the calendar-shard version they were read under.
-    /// Inert until the executor's world-version handshake
-    /// ([`install_world_versions`](Self::install_world_versions)) — a
-    /// plain solve neither reads nor writes it, so library callers see
-    /// exactly the per-solve semantics above. With the handshake active,
-    /// [`prepare_pivot`] consults it on per-solve cache misses: an entry
-    /// whose stamp still matches the person's current shard version is a
-    /// run over provably unchanged calendar words, so it seeds the
-    /// per-solve cache without touching the calendar
-    /// ([`SearchStats::run_cache_cross_solve_hits`]). Stale entries are
-    /// simply skipped and overwritten by the fresh scan's result.
-    ///
-    /// [`SearchStats::run_cache_cross_solve_hits`]: crate::SearchStats::run_cache_cross_solve_hits
-    cross_runs: HashMap<u32, (u64, SlotRange)>,
-    /// The calendar shard versions the next solve runs under (person
-    /// `g`'s shard is `g % len`), or `None` when no handshake happened —
-    /// the cross-solve cache is then disabled entirely.
-    world_versions: Option<Vec<u64>>,
     /// Peel scratch (degree array + cascade queue).
     deg_scratch: Vec<u32>,
     queue_scratch: Vec<u32>,
@@ -677,8 +642,6 @@ impl Default for PivotArena {
             spare: None,
             memo: None,
             run_cache: Vec::new(),
-            cross_runs: HashMap::new(),
-            world_versions: None,
             deg_scratch: Vec::new(),
             queue_scratch: Vec::new(),
         }
@@ -691,55 +654,12 @@ impl PivotArena {
         PivotArena::default()
     }
 
-    /// Invalidate cross-query state (the reduction memo and the
-    /// incremental-prep run cache); buffers stay. Called at the top of
-    /// every solve — the planner's long-lived arenas serve many
-    /// `(query, graph)` pairs.
+    /// Invalidate the per-solve state (the peel memo and the run
+    /// cache); buffers stay. Called at the top of every solve — the
+    /// planner's long-lived arenas serve many `(query, graph)` pairs.
     pub(crate) fn begin_solve(&mut self) {
         self.memo = None;
         self.run_cache.clear();
-    }
-
-    /// The **world-version handshake**: declare the calendar shard
-    /// versions the next solves run under (person `g` lives on shard
-    /// `g % versions.len()`), activating the cross-solve run cache.
-    ///
-    /// The caller vouches that a shard's version changes whenever *any*
-    /// calendar on it changes in any way (the executor derives these
-    /// from its snapshot's calendar shard stamps, which PR 8's
-    /// delta-scoped invalidation already maintains with exactly that
-    /// contract). Under that invariant a cached run whose stamp matches
-    /// is byte-for-byte what a fresh calendar scan would return, so
-    /// answers and pruning are unchanged — only
-    /// [`SearchStats::run_cache_cross_solve_hits`] moves. Runs found
-    /// under the installed versions are remembered **across**
-    /// [`begin_solve`](Self::begin_solve) boundaries and served to later
-    /// solves on this arena while their shard version holds.
-    ///
-    /// Without this call (or with an empty `versions`) the cross-solve
-    /// cache is fully inert: plain solves behave exactly as before,
-    /// bit-identical counters included.
-    ///
-    /// [`SearchStats::run_cache_cross_solve_hits`]: crate::SearchStats::run_cache_cross_solve_hits
-    pub fn install_world_versions(&mut self, versions: &[u64]) {
-        if versions.is_empty() {
-            self.world_versions = None;
-            self.cross_runs.clear();
-            return;
-        }
-        match &mut self.world_versions {
-            Some(v) => {
-                // A shard-modulus change re-homes people (`g % len`
-                // moves), so stamps taken under the old partition must
-                // not validate against the new vector.
-                if v.len() != versions.len() {
-                    self.cross_runs.clear();
-                }
-                v.clear();
-                v.extend_from_slice(versions);
-            }
-            None => self.world_versions = Some(versions.to_vec()),
-        }
     }
 
     /// Hand back a spent job's buffers for the next preparation.
@@ -752,76 +672,54 @@ impl PivotArena {
     }
 
     /// The peel memo for `eligible` under `prep` with threshold
-    /// `min_deg`: the shared full-candidate entry when the signature
-    /// matches, else this arena's last entry, else computed fresh and
-    /// cached here.
-    fn reduction<'a, G: CandidateTopology>(
-        &'a mut self,
+    /// `min_deg`: this arena's last entry when the signature matches,
+    /// else computed fresh and kept here.
+    fn reduction<G: CandidateTopology>(
+        &mut self,
         fg: &G,
-        prep: &'a PivotPrep,
+        prep: &PivotPrep,
         min_deg: usize,
         eligible: &BitSet,
-    ) -> &'a PrepMemo {
+    ) -> &PrepMemo {
         let PivotArena {
             memo,
             deg_scratch,
             queue_scratch,
             ..
         } = self;
-        if let Some(shared) = prep.shared_memo.as_ref() {
-            if shared.eligible == *eligible {
-                return shared;
-            }
+        if !memo.as_ref().is_some_and(|m| m.eligible == *eligible) {
+            memo.get_or_insert_with(PrepMemo::empty).recompute(
+                fg,
+                eligible,
+                prep.p,
+                min_deg,
+                deg_scratch,
+                queue_scratch,
+            );
         }
-        if memo.as_ref().is_some_and(|m| m.eligible == *eligible) {
-            return memo.as_ref().expect("just matched");
-        }
-        let memo = memo.get_or_insert_with(PrepMemo::empty);
-        memo.recompute(fg, eligible, prep.p, min_deg, deg_scratch, queue_scratch);
-        memo
+        memo.as_ref().expect("filled above")
     }
 }
 
-/// The calendar-absolute maximal available run through `pivot`, or
-/// `None` when the person is busy at the pivot — the unit the per-solve
-/// run cache stores. Runs on the
-/// calendar's backing words directly ([`Calendar::words`] keeps bits at
-/// the horizon and beyond zero, so `run_through_bit`'s packed-form
-/// contract holds with no re-basing), which makes a cache miss
-/// O(run-length / 64) word scans rather than a per-slot probe walk.
+/// A run-cache miss: scan `cal` for its calendar-absolute maximal
+/// available run through `pivot` and store it in `slot`, or return
+/// `None` (leaving `slot` as it was) when the person is busy at the
+/// pivot. Runs on the calendar's backing words directly
+/// ([`Calendar::words`] keeps bits at the horizon and beyond zero, so
+/// `run_through_bit`'s packed-form contract holds with no re-basing),
+/// which makes a miss O(run-length / 64) word scans rather than a
+/// per-slot probe walk.
 #[inline]
-fn unclipped_run(cal: &Calendar, horizon: usize, pivot: SlotId) -> Option<SlotRange> {
-    run_through_bit(cal.words(), horizon, pivot).map(|(lo, hi)| SlotRange::new(lo, hi))
-}
-
-/// Consult the cross-solve run cache for global person `global`: the
-/// stored run, provided the handshake is active, the entry's shard-version
-/// stamp still holds, and the run covers `pivot` (a maximal run is maximal
-/// through every slot it contains, so any covered pivot may reuse it).
-#[inline]
-fn cross_solve_run(
-    cross: &HashMap<u32, (u64, SlotRange)>,
-    versions: Option<&[u64]>,
-    global: u32,
+fn scan_run(
+    slot: &mut Option<SlotRange>,
+    cal: &Calendar,
+    horizon: usize,
     pivot: SlotId,
 ) -> Option<SlotRange> {
-    let versions = versions?;
-    let &(stamp, run) = cross.get(&global)?;
-    (stamp == versions[global as usize % versions.len()] && run.contains(pivot)).then_some(run)
-}
-
-/// Remember a freshly scanned unclipped run for later solves, stamped
-/// with its owner's current shard version. No-op without the handshake.
-#[inline]
-fn store_cross_run(
-    cross: &mut HashMap<u32, (u64, SlotRange)>,
-    versions: Option<&[u64]>,
-    global: u32,
-    run: SlotRange,
-) {
-    if let Some(versions) = versions {
-        cross.insert(global, (versions[global as usize % versions.len()], run));
-    }
+    let (lo, hi) = run_through_bit(cal.words(), horizon, pivot)?;
+    let run = SlotRange::new(lo, hi);
+    *slot = Some(run);
+    Some(run)
 }
 
 /// The maximal run of **set** bits containing bit `pos` within the first
@@ -911,23 +809,8 @@ pub(crate) fn prepare_pivot<G: CandidateTopology>(
         let full = match arena.run_cache[0] {
             Some(r) if r.contains(pivot) => Some(r),
             _ => {
-                let g = fg.origin(0).index() as u32;
-                let versions = arena.world_versions.as_deref();
-                match cross_solve_run(&arena.cross_runs, versions, g, pivot) {
-                    Some(r) => {
-                        stats.run_cache_cross_solve_hits += 1;
-                        arena.run_cache[0] = Some(r);
-                        Some(r)
-                    }
-                    None => {
-                        let r = unclipped_run(calendars.get(g as usize), horizon, pivot);
-                        if let Some(r) = r {
-                            arena.run_cache[0] = Some(r);
-                            store_cross_run(&mut arena.cross_runs, versions, g, r);
-                        }
-                        r
-                    }
-                }
+                let cal = calendars.get(fg.origin(0).index());
+                scan_run(&mut arena.run_cache[0], cal, horizon, pivot)
             }
         };
         full.map(|r| SlotRange::new(r.lo.max(interval.lo), r.hi.min(interval.hi)))
@@ -952,62 +835,39 @@ pub(crate) fn prepare_pivot<G: CandidateTopology>(
     } else {
         job.eligible = BitSet::new(f);
     }
-    {
-        let PivotArena {
-            run_cache: cache,
-            cross_runs,
-            world_versions,
-            ..
-        } = &mut *arena;
-        let versions = world_versions.as_deref();
-        for &c in fg.candidate_order() {
-            let ci = c as usize;
-            let full = match cache[ci] {
-                Some(r) if r.contains(pivot) => {
-                    stats.prep_words_delta += stride as u64;
-                    Some(r)
-                }
-                _ => {
-                    let g = fg.origin(c).index() as u32;
-                    match cross_solve_run(cross_runs, versions, g, pivot) {
-                        Some(r) => {
-                            stats.run_cache_cross_solve_hits += 1;
-                            cache[ci] = Some(r);
-                            Some(r)
-                        }
-                        None => {
-                            let r = unclipped_run(calendars.get(g as usize), horizon, pivot);
-                            if let Some(r) = r {
-                                cache[ci] = Some(r);
-                                store_cross_run(cross_runs, versions, g, r);
-                            }
-                            r
-                        }
-                    }
-                }
-            };
-            let Some(full) = full else {
-                continue;
-            };
-            // Maximal run within the interval = the unclipped run ∩ the
-            // interval (both contain the pivot).
-            let run = SlotRange::new(full.lo.max(interval.lo), full.hi.min(interval.hi));
-            if run.len() < m {
-                continue;
+    for &c in fg.candidate_order() {
+        let ci = c as usize;
+        let full = match arena.run_cache[ci] {
+            Some(r) if r.contains(pivot) => {
+                stats.prep_words_delta += stride as u64;
+                Some(r)
             }
-            // Every group contains the initiator, so its common run is a
-            // subset of hers — a candidate whose overlap with `q_run` is
-            // under `m` slots can never join any group at this pivot.
-            // Clipping here (instead of letting depth-1 temporal checks
-            // discover it) keeps such candidates out of `VA` entirely:
-            // fewer examinations, smaller Lemma-5 counters, and a tighter
-            // pivot distance bound. Both runs contain the pivot, so the
-            // intersection is never empty.
-            let clipped = SlotRange::new(run.lo.max(q_run.lo), run.hi.min(q_run.hi));
-            if clipped.len() >= m {
-                job.runs[ci] = Some(clipped);
-                job.eligible.insert(ci);
+            _ => {
+                let cal = calendars.get(fg.origin(c).index());
+                scan_run(&mut arena.run_cache[ci], cal, horizon, pivot)
             }
+        };
+        let Some(full) = full else {
+            continue;
+        };
+        // Maximal run within the interval = the unclipped run ∩ the
+        // interval (both contain the pivot).
+        let run = SlotRange::new(full.lo.max(interval.lo), full.hi.min(interval.hi));
+        if run.len() < m {
+            continue;
+        }
+        // Every group contains the initiator, so its common run is a
+        // subset of hers — a candidate whose overlap with `q_run` is
+        // under `m` slots can never join any group at this pivot.
+        // Clipping here (instead of letting depth-1 temporal checks
+        // discover it) keeps such candidates out of `VA` entirely:
+        // fewer examinations, smaller Lemma-5 counters, and a tighter
+        // pivot distance bound. Both runs contain the pivot, so the
+        // intersection is never empty.
+        let clipped = SlotRange::new(run.lo.max(q_run.lo), run.hi.min(q_run.hi));
+        if clipped.len() >= m {
+            job.runs[ci] = Some(clipped);
+            job.eligible.insert(ci);
         }
     }
     if job.eligible.len() + 1 < p {
@@ -1085,7 +945,7 @@ pub(crate) fn finalize_pivot<G: CandidateTopology>(
 
     // Candidate-space reduction (memoized per eligible-set signature —
     // on dense instances most pivots share the full-candidate signature
-    // and hit the shared prep entry): the fixpoint (p, k)-core peel
+    // and hit the arena's memo): the fixpoint (p, k)-core peel
     // shrinks `eligible` itself (peeled candidates can belong to no
     // feasible group at this pivot, so they never enter `VA` or any
     // floor).
@@ -1885,70 +1745,34 @@ mod tests {
         assert!(!controlled.stats.cancelled);
     }
 
-    /// The cross-solve run cache serves version-fresh Definition-4 runs
-    /// across `begin_solve` boundaries once the world-version handshake
-    /// activates it — same answers, hits counted — and stays fully
-    /// inert on un-handshaken arenas.
+    /// Nothing in a pooled arena outlives its solve but buffers: repeat
+    /// solves on one arena — interleaved with other queries that leave
+    /// different runs and peel signatures behind — equal a fresh arena's
+    /// outcome, every counter included.
     #[test]
-    fn cross_solve_run_cache_hits_under_handshake_only() {
+    fn repeat_solves_on_one_arena_equal_a_fresh_arenas() {
         let (g, q, cals) = example3_inputs();
-        let fg = FeasibleGraph::extract(&g, q, 1);
-        let query = StgqQuery::new(4, 1, 1, 3).unwrap();
         let cfg = SelectConfig::default();
-
-        // Plain pooled arena: repeat solves never consult the cache.
-        let mut plain = PivotArena::new();
-        let first_plain = Solver::new(&fg, &cfg)
-            .arena(&mut plain)
-            .stgq(&cals[..], &query);
-        let second_plain = Solver::new(&fg, &cfg)
-            .arena(&mut plain)
-            .stgq(&cals[..], &query);
-        assert_eq!(first_plain, second_plain, "pooled repeat solves agree");
-        assert_eq!(second_plain.stats.run_cache_cross_solve_hits, 0);
-
-        // Handshaken arena: the second solve re-derives runs from the
-        // first solve's cross entries instead of scanning calendars.
+        let fg = FeasibleGraph::extract(&g, q, 1);
+        let wide = FeasibleGraph::extract(&g, q, 2);
+        // Alternating radii makes consecutive solves see different
+        // candidate spaces, runs and peel signatures.
+        let queries = [
+            StgqQuery::new(4, 1, 1, 3).unwrap(),
+            StgqQuery::new(3, 2, 0, 2).unwrap(),
+            StgqQuery::new(2, 1, 0, 4).unwrap(),
+        ];
         let mut arena = PivotArena::new();
-        arena.install_world_versions(&[7, 7]);
-        let first = Solver::new(&fg, &cfg)
-            .arena(&mut arena)
-            .stgq(&cals[..], &query);
-        assert_eq!(first.solution, first_plain.solution);
-        assert_eq!(
-            first.stats.run_cache_cross_solve_hits, 0,
-            "nothing to hit on a cold cross cache"
-        );
-        let second = Solver::new(&fg, &cfg)
-            .arena(&mut arena)
-            .stgq(&cals[..], &query);
-        assert_eq!(second.solution, first_plain.solution);
-        assert!(
-            second.stats.run_cache_cross_solve_hits > 0,
-            "warm cross cache must serve runs across solves"
-        );
-        // Every other counter is untouched: a served run is exactly
-        // what the fresh calendar scan would have produced.
-        let mut a = second.stats;
-        let mut b = second_plain.stats;
-        a.run_cache_cross_solve_hits = 0;
-        b.run_cache_cross_solve_hits = 0;
-        assert_eq!(a, b, "the cache may only move its own counter");
-
-        // Bumping a shard version invalidates its entries — answers
-        // hold, the stale shard is rescanned and restamped.
-        arena.install_world_versions(&[8, 7]);
-        let third = Solver::new(&fg, &cfg)
-            .arena(&mut arena)
-            .stgq(&cals[..], &query);
-        assert_eq!(third.solution, first_plain.solution);
-
-        // Dropping the handshake deactivates and empties the cache.
-        arena.install_world_versions(&[]);
-        let fourth = Solver::new(&fg, &cfg)
-            .arena(&mut arena)
-            .stgq(&cals[..], &query);
-        assert_eq!(fourth, second_plain, "inert again after the reset");
+        for round in 0..3 {
+            for (i, query) in queries.iter().enumerate() {
+                let space = if query.s() == 1 { &fg } else { &wide };
+                let fresh = Solver::new(space, &cfg).stgq(&cals[..], query);
+                let pooled = Solver::new(space, &cfg)
+                    .arena(&mut arena)
+                    .stgq(&cals[..], query);
+                assert_eq!(pooled, fresh, "round {round}, query {i}");
+            }
+        }
     }
 
     #[test]

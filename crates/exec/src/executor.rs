@@ -364,7 +364,7 @@ impl Executor {
                 .load(Ordering::Relaxed),
             prep_words_delta: c.prep_words_delta.load(Ordering::Relaxed),
             prep_words_rebuilt: c.prep_words_rebuilt.load(Ordering::Relaxed),
-            run_cache_cross_solve_hits: c.run_cache_cross_solve_hits.load(Ordering::Relaxed),
+            run_cache_cross_solve_hits: 0,
             extract_words_borrowed: c.extract_words_borrowed.load(Ordering::Relaxed),
             workers: self.workers,
             shards: self.shards,

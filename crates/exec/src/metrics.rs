@@ -75,10 +75,10 @@ pub struct ExecMetrics {
     /// Availability-buffer words actually built from calendar words
     /// during pivot preparation.
     pub prep_words_rebuilt: u64,
-    /// Definition-4 runs served by the cross-solve run cache: the
-    /// worker's arena kept a candidate's run from an earlier solve and
-    /// the snapshot's calendar-shard versions vouched it was still
-    /// current (see `stgq_core::PivotArena::install_world_versions`).
+    /// Always `0`. Pivot preparation no longer keeps Definition-4 runs
+    /// across solves, so there is nothing to count; the field stays so
+    /// that existing readers of `ExecMetrics` (the serving benchmark's
+    /// tracer among them) keep compiling.
     pub run_cache_cross_solve_hits: u64,
     /// Adjacency words generated in place by zero-copy
     /// [`FeasibleView`](stgq_graph::FeasibleView) extraction on
@@ -111,7 +111,6 @@ pub(crate) struct ExecCounters {
     pub(crate) children_pruned_by_parent_bound: AtomicU64,
     pub(crate) prep_words_delta: AtomicU64,
     pub(crate) prep_words_rebuilt: AtomicU64,
-    pub(crate) run_cache_cross_solve_hits: AtomicU64,
     pub(crate) extract_words_borrowed: AtomicU64,
 }
 
@@ -136,8 +135,6 @@ impl ExecCounters {
             .fetch_add(stats.prep_words_delta, Ordering::Relaxed);
         self.prep_words_rebuilt
             .fetch_add(stats.prep_words_rebuilt, Ordering::Relaxed);
-        self.run_cache_cross_solve_hits
-            .fetch_add(stats.run_cache_cross_solve_hits, Ordering::Relaxed);
     }
 
     /// Count an answered query's stop cause. Lives at the *envelope* —

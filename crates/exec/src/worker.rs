@@ -197,12 +197,6 @@ pub(crate) fn run_entry(
     // solves never touch its timings) — wipe, so the split read below is
     // this solve's or nothing.
     arena.timings = StageTimings::default();
-    // World-version handshake: vouch for this epoch's calendar-shard
-    // versions so the arena's cross-solve run cache may serve
-    // Definition-4 runs remembered from earlier solves whose calendar
-    // shards are provably unmoved (equal shard version ⇒ identical
-    // shard content — the same invariant the stamped caches rely on).
-    arena.install_world_versions(snapshot.calendar_shard_versions());
     let start = Instant::now();
     let (outcome, evaluations) = run_spec(
         &view,

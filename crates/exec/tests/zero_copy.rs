@@ -22,30 +22,13 @@ use rand::{Rng, SeedableRng};
 use stgq_core::heuristics::{greedy_sgq_on, greedy_stgq_on};
 use stgq_core::reference::{solve_sgq_reference, solve_stgq_reference};
 use stgq_core::{
-    PivotArena, SelectConfig, SgqOutcome, SgqQuery, SolveOutcome, Solver, StgqOutcome, StgqQuery,
-    StopCause,
+    SelectConfig, SgqOutcome, SgqQuery, SolveOutcome, Solver, StgqOutcome, StgqQuery, StopCause,
 };
 use stgq_exec::{Engine, ExecConfig, Executor, PlanRequest, QuerySpec};
 use stgq_graph::{Dist, FeasibleGraph, GraphBuilder, NodeId, SocialGraph};
 use stgq_schedule::Calendar;
 
 const HORIZON: usize = 16;
-
-/// An outcome with cache-*effect* counters zeroed. A warm arena
-/// legitimately reports cross-solve run-cache hits (and avoided prep
-/// words) that a fresh oracle cannot; those counters describe where the
-/// work came from, not what the search did. Everything else — members,
-/// objectives, and every search counter — must still match exactly.
-fn sans_cache_effects(mut o: SolveOutcome) -> SolveOutcome {
-    let stats = match &mut o {
-        SolveOutcome::Sgq(x) => &mut x.stats,
-        SolveOutcome::Stgq(x) => &mut x.stats,
-    };
-    stats.run_cache_cross_solve_hits = 0;
-    stats.prep_words_delta = 0;
-    stats.prep_words_rebuilt = 0;
-    o
-}
 
 /// A random world: `n` people, ~`edge_pct` of pairs connected with
 /// small weights, each person free on ~70% of slots.
@@ -109,24 +92,22 @@ fn config_grid() -> Vec<SelectConfig> {
 
 /// What the executor should answer for `req`, computed by calling the
 /// core engines directly on a materialized `FeasibleGraph` of the same
-/// world: the same dispatch as the executor's, with `arena` standing in
-/// for the executor's arena (the world-version handshake installed
-/// before each solve, as the worker does). Returns the outcome, the
-/// exactness claim and the heuristic evaluation count.
+/// world: the same dispatch as the executor's, but every solve on a
+/// fresh arena, so a comparison against the executor's long-lived
+/// worker arena also checks that pooling carries nothing between
+/// solves. Returns the outcome, the exactness claim and the heuristic
+/// evaluation count.
 fn direct_solve(
     graph: &SocialGraph,
     calendars: &[Calendar],
-    versions: &[u64],
     cfg: &SelectConfig,
     req: &PlanRequest,
-    arena: &mut PivotArena,
 ) -> (SolveOutcome, bool, Option<u64>) {
     let fg = FeasibleGraph::extract(graph, req.initiator, req.spec.s());
     let cfg = match req.engine {
         Engine::Anytime { frame_budget } => cfg.with_frame_budget(frame_budget),
         _ => *cfg,
     };
-    arena.install_world_versions(versions);
     let (outcome, evaluations) = match (&req.spec, req.engine) {
         (QuerySpec::Sgq(q), Engine::Greedy { restarts }) => {
             let out = greedy_sgq_on(&fg, q, None, restarts);
@@ -146,7 +127,7 @@ fn direct_solve(
         }
         (QuerySpec::Sgq(q), _) => (SolveOutcome::Sgq(Solver::new(&fg, &cfg).sgq(q, None)), None),
         (QuerySpec::Stgq(q), _) => (
-            SolveOutcome::Stgq(Solver::new(&fg, &cfg).arena(arena).stgq(calendars, q)),
+            SolveOutcome::Stgq(Solver::new(&fg, &cfg).stgq(calendars, q)),
             None,
         ),
     };
@@ -216,14 +197,9 @@ proptest::proptest! {
         let (graph, calendars) = random_world(seed, n, 0.35);
         for cfg in config_grid() {
             let view = executor_on(1, cfg, &graph, &calendars);
-            let snapshot = view.snapshot().expect("published");
-            let versions = snapshot.calendar_shard_versions();
-            // One arena across the stream, like the executor's own.
-            let mut arena = PivotArena::new();
             for req in workload(&mut rng, n) {
                 let served = view.execute_one(req.clone()).expect("valid initiators");
-                let (outcome, exact, evaluations) =
-                    direct_solve(&graph, &calendars, versions, &cfg, &req, &mut arena);
+                let (outcome, exact, evaluations) = direct_solve(&graph, &calendars, &cfg, &req);
                 assert_eq!(
                     served.outcome, outcome,
                     "solution/stats divergence on {req:?}"
@@ -249,10 +225,7 @@ fn executor_is_deterministic_across_worker_counts() {
     let mut rng = SmallRng::seed_from_u64(0x00D1_7EC7);
     let n = 14;
     let (graph, calendars) = random_world(0xD1CE, n, 0.3);
-    // Exact engines only: determinism must hold stats-for-stats, except
-    // for the cross-solve run-cache hit count. That counter says which
-    // worker arena happened to serve an earlier query over the same
-    // people, which depends on thread scheduling, not on the search.
+    // Exact engines only: determinism must hold stats-for-stats.
     let mut reqs = Vec::new();
     for i in 0..12u32 {
         let initiator = NodeId(i % n as u32);
@@ -271,14 +244,7 @@ fn executor_is_deterministic_across_worker_counts() {
         let outcomes: Vec<_> = exec
             .execute_batch(reqs.clone())
             .into_iter()
-            .map(|r| {
-                let mut outcome = r.expect("valid initiators").outcome;
-                match &mut outcome {
-                    SolveOutcome::Sgq(x) => x.stats.run_cache_cross_solve_hits = 0,
-                    SolveOutcome::Stgq(x) => x.stats.run_cache_cross_solve_hits = 0,
-                }
-                outcome
-            })
+            .map(|r| r.expect("valid initiators").outcome)
             .collect();
         match &baseline {
             None => baseline = Some(outcomes),
@@ -368,8 +334,7 @@ fn stamped_caches_agree_with_fresh_solves_across_interleavings() {
                     .execute_one(req)
                     .unwrap();
                 assert_eq!(
-                    sans_cache_effects(cached.outcome),
-                    sans_cache_effects(oracle.outcome),
+                    cached.outcome, oracle.outcome,
                     "step {step}: stamped caches served a stale answer"
                 );
             }
@@ -380,35 +345,5 @@ fn stamped_caches_agree_with_fresh_solves_across_interleavings() {
     assert!(
         m.feasible_cache_hits + m.result_cache_hits > 0,
         "interleaving never hit a cache — the test lost its point"
-    );
-}
-
-#[test]
-fn cross_solve_run_cache_hits_surface_in_exec_metrics() {
-    let (graph, calendars) = random_world(0xCA1, 8, 0.5);
-    // Result cache off: the repeat must re-solve, and its pivot prep
-    // should then be fed by the arena's cross-solve run cache under the
-    // snapshot handshake.
-    let exec = executor_on(1, SelectConfig::default(), &graph, &calendars);
-    let req = PlanRequest::new(
-        NodeId(0),
-        QuerySpec::Stgq(StgqQuery::new(3, 2, 1, 2).unwrap()),
-        Engine::Exact,
-    );
-    let first = exec.execute_one(req.clone()).unwrap();
-    let after_first = exec.metrics().run_cache_cross_solve_hits;
-    let second = exec.execute_one(req).unwrap();
-    let after_second = exec.metrics().run_cache_cross_solve_hits;
-    // Same epoch, same arena: every Definition-4 run the second solve
-    // needs was remembered from the first.
-    assert!(
-        after_second > after_first,
-        "repeat solve on an unchanged epoch must hit the cross-solve cache \
-         (first={after_first}, second={after_second})"
-    );
-    assert_eq!(
-        sans_cache_effects(first.outcome),
-        sans_cache_effects(second.outcome),
-        "hits must not change answers"
     );
 }

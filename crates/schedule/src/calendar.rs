@@ -6,14 +6,36 @@ use crate::{ScheduleError, SlotId, SlotRange};
 /// all-busy; generators and tests mark ranges available. All run/window
 /// queries are inclusive-range based, mirroring how the paper talks about
 /// activity periods (`[ts2, ts4]` etc.).
+///
+/// Invariant: `words` holds exactly `horizon.div_ceil(64)` words and no
+/// bit at `horizon` or beyond is set. The word scans (`run_through_bit`
+/// in the engines, [`count_available`](Self::count_available)) rely on
+/// the second half; [`from_words`](Self::from_words), and through it
+/// decoding, refuses words that break either.
 #[derive(Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct Calendar {
     words: Vec<u64>,
     horizon: usize,
 }
 
 const WORD_BITS: usize = 64;
+
+#[cfg(feature = "serde")]
+impl serde::Deserialize for Calendar {
+    /// Decode the `{"words": [...], "horizon": n}` form through
+    /// [`Calendar::from_words`], so a malformed calendar is a decode
+    /// error rather than a panic at its first use.
+    fn from_value(v: &serde::value::Value) -> Result<Self, serde::DeError> {
+        #[derive(serde::Deserialize)]
+        struct Packed {
+            words: Vec<u64>,
+            horizon: usize,
+        }
+        let Packed { words, horizon } = Packed::from_value(v)?;
+        Calendar::from_words(horizon, words).map_err(|e| serde::DeError::new(e.to_string()))
+    }
+}
 
 impl Calendar {
     /// All-busy calendar over `horizon` slots.
@@ -22,6 +44,39 @@ impl Calendar {
             words: vec![0; horizon.div_ceil(WORD_BITS)],
             horizon,
         }
+    }
+
+    /// A calendar over `horizon` slots from its packed words (bit `t % 64`
+    /// of word `t / 64` set ⇔ slot `t` available).
+    ///
+    /// # Errors
+    /// [`ScheduleError::WordCountMismatch`] unless there are exactly
+    /// `horizon.div_ceil(64)` words, and
+    /// [`ScheduleError::SlotOutOfRange`] for the first set bit at
+    /// `horizon` or beyond.
+    pub fn from_words(horizon: usize, words: Vec<u64>) -> Result<Self, ScheduleError> {
+        let expected = horizon.div_ceil(WORD_BITS);
+        if words.len() != expected {
+            return Err(ScheduleError::WordCountMismatch {
+                horizon,
+                expected,
+                got: words.len(),
+            });
+        }
+        // Only the last word can hold bits past the horizon, and only
+        // when the horizon ends inside it.
+        let tail = horizon % WORD_BITS;
+        let stray = match words.last() {
+            Some(&last) if tail != 0 => last >> tail,
+            _ => 0,
+        };
+        if stray != 0 {
+            return Err(ScheduleError::SlotOutOfRange {
+                slot: horizon + stray.trailing_zeros() as usize,
+                horizon,
+            });
+        }
+        Ok(Calendar { words, horizon })
     }
 
     /// All-available calendar over `horizon` slots.
@@ -288,6 +343,58 @@ impl std::fmt::Debug for Calendar {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn from_words_refuses_words_that_break_the_invariant() {
+        let cal = Calendar::from_slots(70, [0, 3, 69]);
+        assert_eq!(Calendar::from_words(70, cal.words().to_vec()), Ok(cal));
+        assert_eq!(
+            Calendar::from_words(8, vec![]),
+            Err(ScheduleError::WordCountMismatch {
+                horizon: 8,
+                expected: 1,
+                got: 0
+            })
+        );
+        assert_eq!(
+            Calendar::from_words(64, vec![0, 0]),
+            Err(ScheduleError::WordCountMismatch {
+                horizon: 64,
+                expected: 1,
+                got: 2
+            })
+        );
+        assert_eq!(
+            Calendar::from_words(70, vec![u64::MAX, 1 << 9]),
+            Err(ScheduleError::SlotOutOfRange {
+                slot: 73,
+                horizon: 70
+            })
+        );
+        // A horizon on a word boundary has no bits past it to check.
+        assert!(Calendar::from_words(64, vec![u64::MAX]).is_ok());
+        assert!(Calendar::from_words(0, vec![]).is_ok());
+    }
+
+    #[cfg(feature = "serde")]
+    #[test]
+    fn decoding_refuses_a_malformed_calendar() {
+        use serde::value::Value;
+        use serde::{Deserialize, Serialize};
+        let packed = |words: Vec<u64>, horizon: u64| {
+            Value::Object(vec![
+                (
+                    "words".to_string(),
+                    Value::Array(words.into_iter().map(Value::U64).collect()),
+                ),
+                ("horizon".to_string(), Value::U64(horizon)),
+            ])
+        };
+        let cal = Calendar::from_slots(8, [1, 7]);
+        assert_eq!(Calendar::from_value(&cal.to_value()), Ok(cal));
+        assert!(Calendar::from_value(&packed(vec![], 8)).is_err());
+        assert!(Calendar::from_value(&packed(vec![1 << 8], 8)).is_err());
+    }
 
     #[test]
     fn new_is_all_busy_and_full_is_all_available() {

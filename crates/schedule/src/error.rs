@@ -24,6 +24,15 @@ pub enum ScheduleError {
         /// Second horizon.
         right: usize,
     },
+    /// Packed calendar words of the wrong count for their horizon.
+    WordCountMismatch {
+        /// The calendar horizon.
+        horizon: usize,
+        /// Words a calendar over `horizon` slots has.
+        expected: usize,
+        /// Words supplied.
+        got: usize,
+    },
 }
 
 impl fmt::Display for ScheduleError {
@@ -44,6 +53,14 @@ impl fmt::Display for ScheduleError {
             ScheduleError::HorizonMismatch { left, right } => {
                 write!(f, "calendar horizons differ ({left} vs {right})")
             }
+            ScheduleError::WordCountMismatch {
+                horizon,
+                expected,
+                got,
+            } => write!(
+                f,
+                "a calendar over {horizon} slots has {expected} words, got {got}"
+            ),
         }
     }
 }
@@ -71,5 +88,12 @@ mod tests {
         assert!(ScheduleError::HorizonMismatch { left: 3, right: 4 }
             .to_string()
             .contains("differ"));
+        assert!(ScheduleError::WordCountMismatch {
+            horizon: 8,
+            expected: 1,
+            got: 0
+        }
+        .to_string()
+        .contains("got 0"));
     }
 }

@@ -19,6 +19,8 @@ use std::collections::VecDeque;
 use stgq_graph::{Dist, NodeId};
 use stgq_schedule::{Calendar, SlotRange};
 
+use crate::ServiceError;
+
 /// One replicable mutation of the world, exactly mirroring the planner's
 /// mutation surface. [`World::apply`](crate::World::apply) is the one
 /// place a delta takes effect, so replaying a delta on a faithful mirror
@@ -102,7 +104,10 @@ pub struct DeltaRecord {
 pub struct DeltaLog {
     records: VecDeque<DeltaRecord>,
     capacity: usize,
-    next_seq: u64,
+    /// The last sequence number handed out (0 when none). Kept instead
+    /// of the next one so that resuming after a peer-supplied
+    /// `u64::MAX` needs no addition.
+    last_seq: u64,
 }
 
 /// Default number of mutations the writer's delta log retains.
@@ -114,7 +119,7 @@ impl DeltaLog {
         DeltaLog {
             records: VecDeque::new(),
             capacity: capacity.max(1),
-            next_seq: 1,
+            last_seq: 0,
         }
     }
 
@@ -127,14 +132,31 @@ impl DeltaLog {
         DeltaLog {
             records: VecDeque::new(),
             capacity: capacity.max(1),
-            next_seq: last_seq + 1,
+            last_seq,
         }
     }
 
-    /// Append a mutation with its resulting version stamps.
-    pub(crate) fn record(&mut self, delta: WorldDelta, graph_version: u64, calendar_version: u64) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    /// The sequence number the next record takes, or a typed refusal
+    /// when the log resumed at `u64::MAX`.
+    pub(crate) fn next_seq(&self) -> Result<u64, ServiceError> {
+        self.last_seq
+            .checked_add(1)
+            .ok_or(ServiceError::CounterExhausted {
+                counter: "delta sequence",
+            })
+    }
+
+    /// Append a mutation at `seq` (from [`next_seq`](Self::next_seq))
+    /// with its resulting version stamps.
+    pub(crate) fn record(
+        &mut self,
+        seq: u64,
+        delta: WorldDelta,
+        graph_version: u64,
+        calendar_version: u64,
+    ) {
+        debug_assert_eq!(self.next_seq(), Ok(seq), "the log is dense in seq");
+        self.last_seq = seq;
         self.records.push_back(DeltaRecord {
             seq,
             graph_version,
@@ -148,7 +170,7 @@ impl DeltaLog {
 
     /// The sequence number of the last recorded mutation (0 when none).
     pub fn last_seq(&self) -> u64 {
-        self.next_seq - 1
+        self.last_seq
     }
 
     /// Change the retention bound, evicting the oldest records when
@@ -164,12 +186,11 @@ impl DeltaLog {
     /// the log no longer reaches back that far (gap: the caller needs a
     /// full sync). A fully caught-up replica gets `Some(empty)`.
     pub fn since(&self, have_seq: u64) -> Option<Vec<DeltaRecord>> {
-        if have_seq >= self.last_seq() {
+        if have_seq >= self.last_seq {
             return Some(Vec::new());
         }
         // The log is dense in seq: records cover (last_seq - len, last_seq].
-        let oldest_retained = self.next_seq - self.records.len() as u64;
-        if have_seq + 1 < oldest_retained {
+        if have_seq < self.last_seq - self.records.len() as u64 {
             return None;
         }
         Some(
@@ -417,6 +438,7 @@ mod tests {
         assert_eq!(log.since(0), Some(Vec::new()), "empty log: caught up");
         for i in 0..5u64 {
             log.record(
+                i + 1,
                 WorldDelta::AddPerson {
                     label: format!("p{i}"),
                 },

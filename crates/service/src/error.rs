@@ -57,6 +57,13 @@ pub enum ServiceError {
         /// Calendars listed.
         calendars: usize,
     },
+    /// A version or sequence counter is at `u64::MAX` and cannot
+    /// advance. Only a peer-supplied state or record can put it there;
+    /// the mutation or promotion that needed it is refused.
+    CounterExhausted {
+        /// `"graph version"`, `"calendar version"` or `"delta sequence"`.
+        counter: &'static str,
+    },
     /// The underlying query engine rejected the inputs.
     Query(QueryError),
     /// The execution subsystem refused the request for an
@@ -106,6 +113,9 @@ impl fmt::Display for ServiceError {
                 f,
                 "world state lists {labels} people but {active} activity flags and {calendars} calendars"
             ),
+            ServiceError::CounterExhausted { counter } => {
+                write!(f, "the {counter} is at its maximum and cannot advance")
+            }
             ServiceError::Query(e) => write!(f, "query error: {e}"),
             ServiceError::ExecutorUnavailable { reason } => {
                 write!(f, "executor unavailable: {reason}")
@@ -159,6 +169,9 @@ mod tests {
                 labels: 2,
                 active: 2,
                 calendars: 3,
+            },
+            ServiceError::CounterExhausted {
+                counter: "delta sequence",
             },
             ServiceError::Query(QueryError::InitiatorOutOfRange {
                 initiator: NodeId(5),

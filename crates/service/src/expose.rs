@@ -52,7 +52,7 @@ impl Planner {
 /// prefix, attaching `labels` to each sample (the cluster exposition
 /// passes `node="i"` here; the single-process exposition passes none).
 pub fn render_metrics_snapshot(text: &mut PromText, m: &MetricsSnapshot, labels: &[(&str, &str)]) {
-    let counters: [(&str, &str, u64); 25] = [
+    let counters: [(&str, &str, u64); 24] = [
         ("queries", "Planning queries served.", m.queries),
         (
             "mutations",
@@ -118,11 +118,6 @@ pub fn render_metrics_snapshot(text: &mut PromText, m: &MetricsSnapshot, labels:
             "prep_words_rebuilt",
             "Availability words built from calendar words during preparation.",
             m.prep_words_rebuilt,
-        ),
-        (
-            "run_cache_cross_solve_hits",
-            "Definition-4 runs served by the cross-solve run cache under the world-version handshake.",
-            m.run_cache_cross_solve_hits,
         ),
         (
             "extract_words_borrowed",

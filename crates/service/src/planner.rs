@@ -179,10 +179,6 @@ pub struct MetricsSnapshot {
     /// Availability-buffer words actually built from calendar words
     /// during pivot preparation, summed over all exact STGQ queries.
     pub prep_words_rebuilt: u64,
-    /// Definition-4 runs served by the workers' cross-solve run caches
-    /// under the world-version handshake, summed over all exact STGQ
-    /// queries.
-    pub run_cache_cross_solve_hits: u64,
     /// Adjacency words generated in place by zero-copy `FeasibleView`
     /// extraction on feasible-cache misses (candidate rows masked
     /// against the snapshot's CSR segments).
@@ -371,7 +367,6 @@ impl Planner {
             children_pruned_by_parent_bound: e.children_pruned_by_parent_bound,
             prep_words_delta: e.prep_words_delta,
             prep_words_rebuilt: e.prep_words_rebuilt,
-            run_cache_cross_solve_hits: e.run_cache_cross_solve_hits,
             extract_words_borrowed: e.extract_words_borrowed,
             batched_entries: e.batched_entries,
             collapsed_entries: e.collapsed_entries,

@@ -50,13 +50,22 @@ impl Stamps {
         }
     }
 
-    /// One mutation: bump the counter and stamp each of `people`'s
-    /// shards with it.
-    fn touch(&mut self, people: impl IntoIterator<Item = usize>) {
-        self.version += 1;
+    /// The version the next mutation on this axis stamps, or a typed
+    /// refusal when a restored peer state left the counter at
+    /// `u64::MAX`.
+    fn next(&self, counter: &'static str) -> Result<u64, ServiceError> {
+        self.version
+            .checked_add(1)
+            .ok_or(ServiceError::CounterExhausted { counter })
+    }
+
+    /// One mutation at `version` (from [`next`](Self::next)): advance
+    /// the counter and stamp each of `people`'s shards with it.
+    fn touch(&mut self, version: u64, people: impl IntoIterator<Item = usize>) {
+        self.version = version;
         let count = self.shards.len();
         for person in people {
-            self.shards[person % count] = self.version;
+            self.shards[person % count] = version;
         }
     }
 }
@@ -85,32 +94,43 @@ impl World {
     }
 
     /// Apply one mutation — the only way the world changes. Every person
-    /// the delta names must exist and be active; a refused delta leaves
-    /// the world untouched. Returns `false` for an accepted no-op
+    /// the delta names must exist and be active, and every version axis
+    /// it moves must have room to advance; a refused delta leaves the
+    /// world untouched. Returns `false` for an accepted no-op
     /// (disconnecting a missing tie), which moves no stamp.
     pub fn apply(&mut self, delta: &WorldDelta) -> Result<bool, ServiceError> {
+        // Each arm takes the next version of every axis it moves before
+        // changing anything, so a counter at its maximum refuses the
+        // delta with the world untouched.
+        let graph = self.graph.next("graph version");
+        let calendar = self.calendar.next("calendar version");
         match delta {
             WorldDelta::AddPerson { label } => {
+                let (graph, calendar) = (graph?, calendar?);
                 let id = self.network.add_person(label.clone()).index();
                 self.calendars.ensure_people(id + 1);
                 // The calendar axis moves too: the published slices must
                 // lengthen even though the new calendar is all-unavailable.
-                self.graph.touch([id]);
-                self.calendar.touch([id]);
+                self.graph.touch(graph, [id]);
+                self.calendar.touch(calendar, [id]);
             }
             WorldDelta::Connect { a, b, distance } => {
+                let graph = graph?;
                 self.network.connect(*a, *b, *distance)?;
-                self.graph.touch([a.index(), b.index()]);
+                self.graph.touch(graph, [a.index(), b.index()]);
             }
             WorldDelta::Disconnect { a, b } => {
+                let graph = graph?;
                 if !self.network.disconnect(*a, *b)? {
                     return Ok(false);
                 }
-                self.graph.touch([a.index(), b.index()]);
+                self.graph.touch(graph, [a.index(), b.index()]);
             }
             WorldDelta::RemovePerson { person } => {
+                let graph = graph?;
                 let former = self.network.remove_person(*person)?;
                 self.graph.touch(
+                    graph,
                     std::iter::once(person.index()).chain(former.into_iter().map(|v| v as usize)),
                 );
             }
@@ -119,24 +139,31 @@ impl World {
                 slot,
                 available,
             } => {
+                let calendar = calendar?;
                 self.network.check_person(*person)?;
                 self.calendars.set_slot(person.index(), *slot, *available)?;
-                self.calendar.touch([person.index()]);
+                self.calendar.touch(calendar, [person.index()]);
             }
             WorldDelta::SetRange {
                 person,
                 range,
                 available,
             } => {
+                let calendar = calendar?;
                 self.network.check_person(*person)?;
                 self.calendars
                     .set_range(person.index(), *range, *available)?;
-                self.calendar.touch([person.index()]);
+                self.calendar.touch(calendar, [person.index()]);
             }
-            WorldDelta::SetCalendar { person, calendar } => {
+            WorldDelta::SetCalendar {
+                person,
+                calendar: replacement,
+            } => {
+                let calendar = calendar?;
                 self.network.check_person(*person)?;
-                self.calendars.replace(person.index(), calendar.clone())?;
-                self.calendar.touch([person.index()]);
+                self.calendars
+                    .replace(person.index(), replacement.clone())?;
+                self.calendar.touch(calendar, [person.index()]);
             }
         }
         Ok(true)
@@ -285,12 +312,14 @@ impl Writer {
     }
 
     /// Apply `delta` and record it when it changed something. Returns
-    /// what [`World::apply`] returns.
+    /// what [`World::apply`] returns; a log whose sequence cannot
+    /// advance refuses the delta before the world changes.
     pub fn apply(&mut self, delta: WorldDelta) -> Result<bool, ServiceError> {
+        let seq = self.log.next_seq()?;
         let changed = self.world.apply(&delta)?;
         if changed {
             let (graph_version, calendar_version) = self.world.versions();
-            self.log.record(delta, graph_version, calendar_version);
+            self.log.record(seq, delta, graph_version, calendar_version);
         }
         Ok(changed)
     }
@@ -740,6 +769,55 @@ mod tests {
         // A full sync restores the same world and the same epoch.
         let restored = World::restore(&writer.world_state(), 4).unwrap();
         assert_eq!(restored.state(writer.delta_seq()), writer.world_state());
+    }
+
+    /// A restored state can carry counters at `u64::MAX`: a delta that
+    /// would advance one is a typed refusal that leaves the world and
+    /// the log untouched, while deltas on the other axis still apply.
+    #[test]
+    fn exhausted_counters_refuse_deltas_instead_of_overflowing() {
+        let mut writer = Writer::new(4, 2);
+        let a = writer.add_person("a");
+        let b = writer.add_person("b");
+        let slot = WorldDelta::SetSlot {
+            person: a,
+            slot: 0,
+            available: true,
+        };
+
+        let mut state = writer.world_state();
+        state.calendar_version = u64::MAX;
+        let mut restored = Writer::restore(&state, 2).unwrap();
+        assert_eq!(
+            restored.apply(slot.clone()),
+            Err(ServiceError::CounterExhausted {
+                counter: "calendar version"
+            })
+        );
+        assert_eq!(restored.world_state(), state, "nothing changed");
+        assert_eq!(restored.deltas_since(state.seq), Some(Vec::new()));
+        // The graph axis has room, so a tie still goes through.
+        assert_eq!(
+            restored.apply(WorldDelta::Connect { a, b, distance: 1 }),
+            Ok(true)
+        );
+        // A person moves both axes, so the exhausted one refuses it.
+        let people = restored.world().network().labels().len();
+        assert!(restored
+            .apply(WorldDelta::AddPerson { label: "c".into() })
+            .is_err());
+        assert_eq!(restored.world().network().labels().len(), people);
+
+        let mut state = writer.world_state();
+        state.seq = u64::MAX;
+        let mut restored = Writer::restore(&state, 2).unwrap();
+        assert_eq!(
+            restored.apply(slot),
+            Err(ServiceError::CounterExhausted {
+                counter: "delta sequence"
+            })
+        );
+        assert_eq!(restored.world_state(), state, "nothing changed");
     }
 
     #[test]

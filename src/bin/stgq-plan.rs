@@ -321,8 +321,8 @@ fn batch(args: &[String]) -> Result<(), String> {
         metrics.children_pruned_by_parent_bound,
     );
     println!(
-        "  prep:     {} words delta'd, {} words rebuilt, {} cross-solve run-cache hits",
-        metrics.prep_words_delta, metrics.prep_words_rebuilt, metrics.run_cache_cross_solve_hits,
+        "  prep:     {} words delta'd, {} words rebuilt",
+        metrics.prep_words_delta, metrics.prep_words_rebuilt,
     );
     println!(
         "  extract:  {} words borrowed (zero-copy view)",

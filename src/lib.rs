@@ -86,7 +86,7 @@
 //! | **shard batch** — group by initiator shard, collapse repeats | — | `collapsed_entries` (and `queries`) |
 //! | **cache** — version-stamped result replay, feasible-graph lookup | `end_to_end` low mode | `result_cache_hits`/`misses`, `result_cache_evicted_*`, `feasible_cache_hits`/`misses` |
 //! | **extract** — zero-copy candidate view over the snapshot's CSR segments | `feasible_extract` | `extract_words_borrowed` |
-//! | **prepare** — pivot availability buffers, run cache shared across solves | `prep` | `prep_words_delta`, `prep_words_rebuilt`, `run_cache_cross_solve_hits` |
+//! | **prepare** — pivot availability buffers from a per-solve run cache | `prep` | `prep_words_delta`, `prep_words_rebuilt` |
 //! | **peel** — fixpoint (p, k)-core reduction before descent | inside `solve` | `peeled_candidates`, `pivots_refused_by_core` |
 //! | **floor** — pivot-granularity distance bound skipping whole pivots | inside `solve` | `pivots_skipped` |
 //! | **descend** — the exact branch & bound itself | `descend`, `solve` | `frames_examined`, `frames_pruned_by_bound`, `frames_pruned_by_match`, `children_pruned_by_parent_bound`, `cancelled` |

@@ -71,7 +71,7 @@ fn reduction_grid() -> Vec<SelectConfig> {
 }
 
 /// The always-on candidate-space reduction layer (fixpoint core peel,
-/// k-plex bound, shared peel memo) crossed with the paper's pruning
+/// k-plex bound, per-solve peel memo) crossed with the paper's pruning
 /// switches: the default, everything off, and each Lemma off alone —
 /// the reduction's incumbent-relative halves are gated on distance
 /// pruning, so each corner takes a different path through them.
