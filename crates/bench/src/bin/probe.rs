@@ -33,23 +33,21 @@ fn peak_rss_mib() -> f64 {
 }
 
 /// The prep-vs-descend scoreboard: the solve's own [`StageTimings`]
-/// split (detail mode — `prepare_pivot`, `finalize_pivot` and descent
-/// clocked individually) read off the arena after each solve, next to
+/// split (preparation, skipped pivots included, against exact descent)
+/// read off the arena after each solve, next to
 /// the whole solve's wall clock. The delta/rebuilt counters show how
 /// much of the availability work the incremental run cache answered by
 /// interval arithmetic.
 ///
 /// [`StageTimings`]: stgq_core::StageTimings
 fn prep_split(what: &str, ds: &Dataset, q: NodeId, query: &StgqQuery) {
-    println!("\n{what}: prep phase split (in-solve, detail mode):");
+    println!("\n{what}: prepare/descend split (in-solve):");
     let fg = FeasibleGraph::extract(&ds.graph, q, query.s());
     let cfg = SelectConfig::default();
     let mut arena = stgq_core::PivotArena::new();
-    arena.timing_detail = true;
     // Minimum over repeats: phase timings are µs-scale, so take the
     // least-noisy observation of each quantity.
     let mut prep_ns = u64::MAX;
-    let mut fin_ns = u64::MAX;
     let mut desc_ns = u64::MAX;
     let mut solve_ns = u128::MAX;
     let mut timing = stgq_core::StageTimings::default();
@@ -64,12 +62,11 @@ fn prep_split(what: &str, ds: &Dataset, q: NodeId, query: &StgqQuery) {
         solve_ns = solve_ns.min(t0.elapsed().as_nanos());
         timing = arena.timings;
         prep_ns = prep_ns.min(timing.prepare_ns);
-        fin_ns = fin_ns.min(timing.finalize_ns);
         desc_ns = desc_ns.min(timing.descend_ns);
     }
     let out = out.expect("12 repeats ran");
     println!(
-        "    prepare {prep_ns:>8} ns  finalize {fin_ns:>8} ns  descend {desc_ns:>8} ns  solve {solve_ns:>8} ns  ({}/{} pivots prepared, {} descended; words {} delta'd {} rebuilt; {} children parent-pruned)",
+        "    prepare {prep_ns:>8} ns  descend {desc_ns:>8} ns  solve {solve_ns:>8} ns  ({}/{} pivots prepared, {} descended; words {} delta'd {} rebuilt; {} children parent-pruned)",
         timing.prepared,
         timing.pivots,
         timing.descended,

@@ -34,8 +34,13 @@ pub enum MsgClass {
     Replication,
     /// Router → node scatter/gather ([`NodeMsg::Execute`]).
     Execute,
-    /// Heartbeat / observability probes ([`NodeMsg::Status`] and
-    /// [`NodeMsg::Export`](crate::NodeMsg::Export)).
+    /// Heartbeat and observability probes: the failure detector's
+    /// [`NodeMsg::Status`] and
+    /// [`Cluster::observability`](crate::Cluster::observability)'s
+    /// [`NodeMsg::Metrics`](crate::NodeMsg::Metrics). Failover's status
+    /// probe and its [`NodeMsg::Export`](crate::NodeMsg::Export) take
+    /// the [`Execute`](Self::Execute) budget instead: a failover is
+    /// worth retries.
     Status,
 }
 

@@ -1,4 +1,4 @@
-//! Offline shim for [`criterion`]: a small wall-clock benchmark runner
+//! Offline shim for `criterion`: a small wall-clock benchmark runner
 //! exposing the API subset the bench suite uses (`benchmark_group`,
 //! `sample_size`, `measurement_time`, `warm_up_time`, `bench_function`,
 //! `iter`, `criterion_group!`/`criterion_main!`, `black_box`).

@@ -1,4 +1,4 @@
-//! Offline shim for [`parking_lot`]: wraps `std::sync` primitives behind
+//! Offline shim for `parking_lot`: wraps `std::sync` primitives behind
 //! parking_lot's panic-free (non-`Result`) locking API. Poisoning is
 //! deliberately ignored — parking_lot has no poisoning, and the service
 //! crate's documented semantics assume none.

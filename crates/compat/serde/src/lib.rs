@@ -1,4 +1,4 @@
-//! Offline shim for [`serde`]: serialization through an explicit
+//! Offline shim for `serde`: serialization through an explicit
 //! [`value::Value`] tree instead of upstream's visitor machinery.
 //!
 //! [`Serialize`] renders a type into a `Value`; [`Deserialize`] rebuilds

@@ -1,4 +1,4 @@
-//! Offline shim for [`serde_json`]: converts JSON text to and from the
+//! Offline shim for `serde_json`: converts JSON text to and from the
 //! workspace `serde` shim's [`serde::value::Value`] tree.
 //!
 //! Supports the full JSON grammar (objects, arrays, strings with escapes,

@@ -168,7 +168,7 @@
 //! and bit-comparable.
 //!
 //! The pre-optimization implementations are preserved verbatim in
-//! [`reference`]; cross-engine tests assert identical optima and the
+//! [`reference`](mod@reference); cross-engine tests assert identical optima and the
 //! `hotpath` criterion suite in `stgq-bench` tracks the speedup
 //! (`BENCH_core.json` at the repo root is the committed baseline: ~4.8–6.3×
 //! on the fig1f `m = 4` configs, ≥2.1× everywhere else). Every solve is

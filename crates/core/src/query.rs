@@ -1,4 +1,15 @@
+use stgq_graph::{Dist, MAX_DISTANCE};
+
 use crate::QueryError;
+
+/// The largest accepted `(p − 1) · s`: `Dist::MAX / MAX_DISTANCE`
+/// (= 2^32 + 1). A candidate's Definition-1 distance is at most
+/// `s · MAX_DISTANCE` (at most `s` edges, each at most `MAX_DISTANCE`),
+/// and a group's total adds `p − 1` of them, so below this product no
+/// group total can wrap a `Dist`. The bound is conservative: a path
+/// also has at most `n − 1` edges, but a query is built without knowing
+/// the graph's `n`.
+const MAX_GROUP_SPAN: u64 = Dist::MAX / MAX_DISTANCE;
 
 /// Parameters of a Social Group Query `SGQ(p, s, k)` (§3.1).
 ///
@@ -15,13 +26,22 @@ pub struct SgqQuery {
 }
 
 impl SgqQuery {
-    /// Validate and build an SGQ.
+    /// Validate and build an SGQ. Besides `p ≥ 1` and `s ≥ 1`, the
+    /// group objective must fit a [`Dist`]: `(p − 1) · s` may not exceed
+    /// `Dist::MAX / MAX_DISTANCE` (= 2^32 + 1), so that `p − 1`
+    /// distances of up to `s` maximal ties each cannot wrap their sum.
     pub fn new(p: usize, s: usize, k: usize) -> Result<Self, QueryError> {
         if p == 0 {
             return Err(QueryError::invalid("activity size p must be at least 1"));
         }
         if s == 0 {
             return Err(QueryError::invalid("social radius s must be at least 1"));
+        }
+        let span = (p as u64 - 1).checked_mul(s as u64);
+        if span.is_none_or(|span| span > MAX_GROUP_SPAN) {
+            return Err(QueryError::invalid(format!(
+                "(p - 1) * s must be at most {MAX_GROUP_SPAN} so a group's total distance fits"
+            )));
         }
         Ok(SgqQuery { p, s, k })
     }
@@ -136,6 +156,34 @@ mod tests {
         let q = StgqQuery::new(6, 2, 2, 3).unwrap();
         let q0 = q.with_k(0);
         assert_eq!((q0.p(), q0.s(), q0.k(), q0.m()), (6, 2, 0, 3));
+    }
+
+    #[test]
+    fn the_group_objective_is_bounded_at_construction() {
+        // (p − 1) · s = 2^32 + 1 is the largest accepted product.
+        let largest = 1usize << 32;
+        assert!(SgqQuery::new(largest + 2, 1, 0).is_ok());
+        assert!(SgqQuery::new(2, largest + 1, 0).is_ok());
+        assert!(StgqQuery::new(largest + 2, 1, 0, 1).is_ok());
+        assert!(StgqQuery::new(2, largest + 1, 0, 1).is_ok());
+        // One more in either factor is refused, as is a product that
+        // overflows the multiplication itself.
+        fn refused<Q>(r: Result<Q, QueryError>) -> bool {
+            matches!(r, Err(QueryError::InvalidQuery { .. }))
+        }
+        assert!(refused(SgqQuery::new(largest + 3, 1, 0)));
+        assert!(refused(SgqQuery::new(2, largest + 2, 0)));
+        assert!(refused(SgqQuery::new(usize::MAX, usize::MAX, 0)));
+        assert!(refused(StgqQuery::new(largest + 3, 1, 0, 1)));
+        assert!(refused(StgqQuery::new(2, largest + 2, 0, 1)));
+        assert!(refused(StgqQuery::new(usize::MAX, usize::MAX, 0, 1)));
+        // p = 1 has no distances to add, whatever the radius.
+        assert!(SgqQuery::new(1, usize::MAX, 0).is_ok());
+        // The bound is tight: (p − 1) · s maximal ties sum to Dist::MAX.
+        assert_eq!(
+            (largest as u64 + 1).checked_mul(MAX_DISTANCE),
+            Some(Dist::MAX)
+        );
     }
 
     #[test]

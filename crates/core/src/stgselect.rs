@@ -105,11 +105,14 @@ use crate::{
     StgqSolution,
 };
 
-/// Nanoseconds of a span, saturating (a span can't realistically exceed
-/// `u64::MAX` ns, but the cast must not wrap).
+/// Nanoseconds since `mark`, which moves to now. Saturating: a span
+/// can't realistically exceed `u64::MAX` ns, but the cast must not wrap.
 #[inline]
-fn span_ns(from: Instant, to: Instant) -> u64 {
-    u64::try_from((to - from).as_nanos()).unwrap_or(u64::MAX)
+fn advance(mark: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let ns = u64::try_from((now - *mark).as_nanos()).unwrap_or(u64::MAX);
+    *mark = now;
+    ns
 }
 
 /// Solve an STGQ with STGSelect.
@@ -180,18 +183,15 @@ pub(crate) fn solve<G: CandidateTopology>(
     let prep = PivotPrep::new(fg, p, query.k(), m, horizon, &cfg);
     arena.begin_solve();
 
-    // Stage-timing state (see `crate::timings`). Coarse mode is
-    // mark-based: one mark before the loop, advanced only around exact
-    // descent — a pivot that never descends costs zero clock reads and
-    // folds into the next preparation span. Detail mode clocks each
-    // phase call individually instead.
-    let timing = arena.record_timings;
-    let detail = timing && arena.timing_detail;
+    // Stage-timing state (see `crate::timings`): one mark before the
+    // loop, advanced only around exact descent — a pivot that never
+    // descends costs zero clock reads and folds into the next
+    // preparation span.
     let mut tm = StageTimings {
         pivots: pivots.len() as u64,
         ..StageTimings::default()
     };
-    let mut mark = if timing { Some(Instant::now()) } else { None };
+    let mut mark = arena.record_timings.then(Instant::now);
 
     let incumbent = Incumbent::new();
     let ctx = SearchCtx {
@@ -218,12 +218,7 @@ pub(crate) fn solve<G: CandidateTopology>(
                 break;
             }
         }
-        let prep_t0 = detail.then(Instant::now);
-        let prepared = prepare_pivot(fg, calendars, &prep, pivot, &mut stats, arena);
-        if let Some(t0) = prep_t0 {
-            tm.prepare_ns += span_ns(t0, Instant::now());
-        }
-        let Some(mut job) = prepared else {
+        let Some(mut job) = prepare_pivot(fg, calendars, &prep, pivot, &mut stats, arena) else {
             continue;
         };
         tm.prepared += 1;
@@ -236,12 +231,7 @@ pub(crate) fn solve<G: CandidateTopology>(
             arena.recycle(job);
             continue;
         }
-        let fin_t0 = detail.then(Instant::now);
-        let finalized = finalize_pivot(fg, &prep, &mut job, &mut stats, arena);
-        if let Some(t0) = fin_t0 {
-            tm.finalize_ns += span_ns(t0, Instant::now());
-        }
-        if !finalized {
+        if !finalize_pivot(fg, &prep, &mut job, &mut stats, arena) {
             arena.recycle(job);
             continue;
         }
@@ -284,43 +274,24 @@ pub(crate) fn solve<G: CandidateTopology>(
         // face before exact descent, so build its availability rows and
         // Lemma-5 counters now — the skips above paid zero availability
         // word traffic.
-        let mat_t0 = detail.then(Instant::now);
         materialize_pivot(fg, calendars, &mut job, &mut stats);
-        if let Some(t0) = mat_t0 {
-            tm.finalize_ns += span_ns(t0, Instant::now());
+        // Everything since the last mark was preparation (including
+        // skipped pivots and seeding); the descent span is exactly the
+        // search call.
+        if let Some(m0) = mark.as_mut() {
+            tm.prepare_ns += advance(m0);
         }
-        // Coarse split: everything since the last mark was preparation
-        // (including skipped pivots and seeding); the descent span is
-        // exactly the search call.
-        if timing && !detail {
-            let now = Instant::now();
-            if let Some(m0) = mark {
-                tm.prepare_ns += span_ns(m0, now);
-            }
-            mark = Some(now);
-        }
-        let search_t0 = detail.then(Instant::now);
         tm.descended += 1;
         descend_pivot(ctx, query, &mut job, &mut stats);
-        if let Some(t0) = search_t0 {
-            tm.descend_ns += span_ns(t0, Instant::now());
-        } else if timing {
-            let now = Instant::now();
-            if let Some(m0) = mark {
-                tm.descend_ns += span_ns(m0, now);
-            }
-            mark = Some(now);
+        if let Some(m0) = mark.as_mut() {
+            tm.descend_ns += advance(m0);
         }
         arena.recycle(job);
     }
-    if timing {
-        if !detail {
-            // Tail of the loop after the last descent — pivots prepared
-            // but skipped, or none at all — is preparation time.
-            if let Some(m0) = mark {
-                tm.prepare_ns += span_ns(m0, Instant::now());
-            }
-        }
+    if let Some(mut m0) = mark {
+        // Tail of the loop after the last descent — pivots prepared but
+        // skipped, or none at all — is preparation time.
+        tm.prepare_ns += advance(&mut m0);
         arena.timings = tm;
     }
 
@@ -571,7 +542,7 @@ impl PivotJob {
     }
 }
 
-/// Recycler for [`PivotJob`] buffers (flattened availability words,
+/// Recycler for the pivot jobs' buffers (flattened availability words,
 /// bitmaps, Lemma-5 counters, undo logs, access-order permutations),
 /// plus the per-solve scratch of pivot preparation (the run cache and
 /// the one-entry peel memo).
@@ -589,7 +560,7 @@ impl PivotJob {
 ///
 /// The arena also carries the solve's wall-clock stage split: every
 /// sequential STGQ solve run on it refreshes [`timings`](Self::timings)
-/// (see [`crate::timings`] for the recording modes and their cost).
+/// (see [`crate::timings`] for what recording costs).
 pub struct PivotArena {
     /// Wall-clock stage split of the most recent sequential STGQ solve
     /// run on this arena (reset at the top of every such solve; stays
@@ -597,14 +568,9 @@ pub struct PivotArena {
     /// never entered the pivot loop).
     pub timings: StageTimings,
     /// Whether solves record [`timings`](Self::timings) (default on —
-    /// coarse mode costs two clock reads per descended pivot; the
-    /// instrumentation-overhead bench flips this off for its baseline
-    /// arm).
+    /// two clock reads per descended pivot; the instrumentation-overhead
+    /// bench flips this off for its baseline arm).
     pub record_timings: bool,
-    /// Isolate `prepare_pivot` / `finalize_pivot` / descent with
-    /// per-call clocks instead of the coarse span scheme (perf tooling
-    /// only; see [`crate::timings`]).
-    pub timing_detail: bool,
     spare: Option<PivotJob>,
     /// One-entry peel memo: the last distinct per-pivot eligible
     /// signature whose peel result was computed here. The first pivot
@@ -633,12 +599,11 @@ pub struct PivotArena {
 }
 
 impl Default for PivotArena {
-    /// Timing recording on (coarse mode).
+    /// Timing recording on.
     fn default() -> Self {
         PivotArena {
             timings: StageTimings::default(),
             record_timings: true,
-            timing_detail: false,
             spare: None,
             memo: None,
             run_cache: Vec::new(),
@@ -1369,42 +1334,23 @@ mod tests {
         let cfg = SelectConfig::default();
         let fg = FeasibleGraph::extract(&g, q, query.s());
 
-        // Coarse mode (the default): the solve fills the split and the
+        // Recording on (the default): the solve fills the split and the
         // spans cover every descended pivot.
         let mut arena = PivotArena::new();
         let out = Solver::new(&fg, &cfg)
             .arena(&mut arena)
             .stgq(&cals[..], &query);
         assert!(out.solution.is_some());
-        let coarse = arena.timings;
-        assert_eq!(coarse.pivots, 2, "horizon 7, m=3 → pivot slots {{2, 5}}");
-        assert!(coarse.prepared >= 1);
-        assert!(coarse.descended <= coarse.prepared);
-        assert!(coarse.prepare_ns > 0, "the loop ran, prep time is real");
-        assert_eq!(
-            coarse.finalize_ns, 0,
-            "coarse mode folds finalize into prepare"
-        );
-        if coarse.descended > 0 {
-            assert!(coarse.descend_ns > 0);
+        let split = arena.timings;
+        assert_eq!(split.pivots, 2, "horizon 7, m=3 → pivot slots {{2, 5}}");
+        assert!(split.prepared >= 1);
+        assert!(split.descended <= split.prepared);
+        assert!(split.prepare_ns > 0, "the loop ran, prep time is real");
+        if split.descended > 0 {
+            assert!(split.descend_ns > 0);
         }
 
-        // Detail mode isolates the phases; counters are identical.
-        arena.timing_detail = true;
-        let detailed_out = Solver::new(&fg, &cfg)
-            .arena(&mut arena)
-            .stgq(&cals[..], &query);
-        assert_eq!(detailed_out, out, "timing mode never changes the answer");
-        let detail = arena.timings;
-        assert_eq!(
-            (detail.pivots, detail.prepared, detail.descended),
-            (coarse.pivots, coarse.prepared, coarse.descended)
-        );
-        assert!(detail.prepare_ns > 0);
-        assert!(detail.prep_ns() >= detail.prepare_ns);
-
         // Recording off: the split is wiped, not stale.
-        arena.timing_detail = false;
         arena.record_timings = false;
         let off_out = Solver::new(&fg, &cfg)
             .arena(&mut arena)

@@ -1,4 +1,4 @@
-//! The executor front end: admission, shard-batched draining, snapshot
+//! The executor front end: shard-batched execution, snapshot
 //! publication, metrics.
 
 use std::sync::atomic::Ordering;
@@ -12,7 +12,7 @@ use stgq_schedule::Calendar;
 use crate::cache::ShardedFeasibleCache;
 use crate::metrics::{ExecCounters, ExecMetrics};
 use crate::obs::ExecObs;
-use crate::queue::{JobQueue, Ticket, TicketSlot};
+use crate::queue::{JobQueue, TicketSlot};
 use crate::request::{ExecError, PlanOutcome, PlanRequest};
 use crate::snapshot::{SnapshotCell, WorldSnapshot};
 use crate::worker::{run_entry, run_job, ExecShared, Job, Pending, WorkerPool};
@@ -25,10 +25,6 @@ pub struct ExecConfig {
     /// Initiator-shard count: the modulus partitioning both the
     /// feasible-graph cache and the batch scheduler's job grouping.
     pub shards: usize,
-    /// Auto-flush threshold: the admission queue drains itself once this
-    /// many entries are waiting (an explicit [`Executor::flush`] drains
-    /// earlier). There is no timer — draining is deterministic.
-    pub max_batch: usize,
     /// Total feasible-graph cache capacity, split across shards.
     pub cache_capacity: usize,
     /// Total version-stamped result-cache capacity, split across shards
@@ -56,7 +52,6 @@ impl Default for ExecConfig {
         ExecConfig {
             workers: 0,
             shards: 16,
-            max_batch: 64,
             cache_capacity: 256,
             result_cache_capacity: 512,
             select: SelectConfig::default(),
@@ -68,13 +63,12 @@ impl Default for ExecConfig {
 }
 
 /// The sharded, batched query-execution subsystem. See the crate docs
-/// for the architecture (admission → shard batching → worker pool →
-/// snapshot read path).
+/// for the architecture (shard batching → worker pool → snapshot read
+/// path).
 pub struct Executor {
     shared: Arc<ExecShared>,
     snapshot: SnapshotCell,
     select: Mutex<SelectConfig>,
-    admission: Mutex<Vec<Pending>>,
     /// Donation slot for inline ([`execute_one`](Self::execute_one))
     /// solves: taken under a short lock, never held across a solve, so
     /// concurrent inline queries at worst run with a fresh arena.
@@ -82,7 +76,6 @@ pub struct Executor {
     pool: Mutex<WorkerPool>,
     workers: usize,
     shards: usize,
-    max_batch: usize,
 }
 
 impl Executor {
@@ -108,12 +101,10 @@ impl Executor {
             shared,
             snapshot: SnapshotCell::default(),
             select: Mutex::new(cfg.select),
-            admission: Mutex::new(Vec::new()),
             inline_arena: Mutex::new(PivotArena::new()),
             pool: Mutex::new(pool),
             workers,
             shards,
-            max_batch: cfg.max_batch.max(1),
         }
     }
 
@@ -231,70 +222,9 @@ impl Executor {
 
     // -- execution ----------------------------------------------------
 
-    /// Admit one request; returns a [`Ticket`] for its eventual outcome.
-    /// The request executes when the admission queue drains — at
-    /// `max_batch` entries, on [`flush`](Self::flush), or inside
-    /// [`execute_batch`](Self::execute_batch).
-    pub fn submit(&self, request: PlanRequest) -> Ticket {
-        let slot = Arc::new(TicketSlot::new());
-        let pending = Pending {
-            request,
-            ticket: Arc::clone(&slot),
-            admitted_at: std::time::Instant::now(),
-        };
-        let drained = {
-            let mut admission = self.admission.lock();
-            admission.push(pending);
-            (admission.len() >= self.max_batch).then(|| std::mem::take(&mut *admission))
-        };
-        if let Some(batch) = drained {
-            self.dispatch(batch);
-        }
-        Ticket { slot }
-    }
-
-    /// Drain the admission queue now: group waiting entries by initiator
-    /// shard and hand the per-shard jobs to the worker pool.
-    pub fn flush(&self) {
-        let batch = std::mem::take(&mut *self.admission.lock());
-        if !batch.is_empty() {
-            self.dispatch(batch);
-        }
-    }
-
-    /// Group a drained batch by initiator shard (stable within a shard:
-    /// submission order is preserved, which request collapsing and the
-    /// determinism tests rely on) and enqueue the jobs.
-    fn dispatch(&self, batch: Vec<Pending>) {
-        let Some(snapshot) = self.snapshot.current() else {
-            for entry in batch {
-                entry.ticket.fulfill(Err(ExecError::NoSnapshot));
-            }
-            return;
-        };
-        let select = *self.select.lock();
-        let mut by_shard: Vec<Vec<Pending>> = Vec::new();
-        by_shard.resize_with(self.shards, Vec::new);
-        for entry in batch {
-            let shard = entry.request.initiator.0 as usize % self.shards;
-            by_shard[shard].push(entry);
-        }
-        for entries in by_shard.into_iter().filter(|e| !e.is_empty()) {
-            let job = Job {
-                snapshot: Arc::clone(&snapshot),
-                select,
-                entries,
-            };
-            // The queue only closes in `Drop`, which holds `&mut self` —
-            // no `&self` dispatch can race it.
-            let accepted = self.shared.jobs.push(job);
-            debug_assert!(accepted, "dispatch cannot race shutdown");
-        }
-    }
-
     /// Answer one request inline on the calling thread, against the
     /// current epoch. This is the low-latency single-query path (no
-    /// admission, no handoff); it still shares the feasible-graph cache,
+    /// queue, no handoff); it still shares the feasible-graph cache,
     /// counters and configuration with the batched path.
     pub fn execute_one(&self, request: PlanRequest) -> Result<PlanOutcome, ExecError> {
         let snapshot = self.snapshot.current().ok_or(ExecError::NoSnapshot)?;
@@ -305,23 +235,56 @@ impl Executor {
         result
     }
 
-    /// Submit a whole batch, drain it, help the worker pool execute it,
-    /// and wait for every outcome (in input order).
+    /// Answer a whole batch through the worker pool and wait for every
+    /// outcome (in input order).
     ///
-    /// The calling thread does not idle while the pool works: it pops
-    /// shard jobs from the same queue the workers block on, so a
-    /// single-core host (or a pool busy with another batch) never
-    /// serialises behind a sleeping caller.
+    /// The batch is grouped by initiator shard (`initiator mod shards`;
+    /// input order is kept within a shard, which request collapsing and
+    /// the determinism tests rely on), and each shard's entries become
+    /// one job on the pool's queue. The calling thread does not idle
+    /// while the pool works: it pops shard jobs from the same queue the
+    /// workers block on, so a single-core host (or a pool busy with
+    /// another batch) never serialises behind a sleeping caller.
     pub fn execute_batch(&self, requests: Vec<PlanRequest>) -> Vec<Result<PlanOutcome, ExecError>> {
-        let tickets: Vec<Ticket> = requests.into_iter().map(|r| self.submit(r)).collect();
-        self.flush();
+        let Some(snapshot) = self.snapshot.current() else {
+            return requests
+                .iter()
+                .map(|_| Err(ExecError::NoSnapshot))
+                .collect();
+        };
+        let select = *self.select.lock();
+        let admitted_at = std::time::Instant::now();
+        let slots: Vec<Arc<TicketSlot>> = requests
+            .iter()
+            .map(|_| Arc::new(TicketSlot::new()))
+            .collect();
+        let mut by_shard: Vec<Vec<Pending>> = Vec::new();
+        by_shard.resize_with(self.shards, Vec::new);
+        for (request, slot) in requests.into_iter().zip(&slots) {
+            by_shard[request.initiator.0 as usize % self.shards].push(Pending {
+                request,
+                ticket: Arc::clone(slot),
+                admitted_at,
+            });
+        }
+        for entries in by_shard.into_iter().filter(|e| !e.is_empty()) {
+            let job = Job {
+                snapshot: Arc::clone(&snapshot),
+                select,
+                entries,
+            };
+            // The queue only closes in `Drop`, which holds `&mut self` —
+            // no `&self` batch can race it.
+            let accepted = self.shared.jobs.push(job);
+            debug_assert!(accepted, "a batch cannot race shutdown");
+        }
         // Help drain: steal whole shard jobs onto this thread.
         let mut arena = std::mem::take(&mut *self.inline_arena.lock());
         while let Some(job) = self.shared.jobs.try_pop() {
             run_job(&self.shared, &mut arena, job);
         }
         *self.inline_arena.lock() = arena;
-        tickets.into_iter().map(Ticket::wait).collect()
+        slots.iter().map(|slot| slot.wait()).collect()
     }
 
     // -- observability ------------------------------------------------
@@ -374,12 +337,6 @@ impl Executor {
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        // Resolve anything still admitted but never drained, then release
-        // the workers.
-        let batch = std::mem::take(&mut *self.admission.lock());
-        for entry in batch {
-            entry.ticket.fulfill(Err(ExecError::ShuttingDown));
-        }
         self.pool.lock().shutdown(&self.shared);
     }
 }
@@ -434,7 +391,6 @@ mod tests {
         let exec = Executor::new(ExecConfig {
             workers,
             shards: 4,
-            max_batch: 64,
             cache_capacity: 32,
             result_cache_capacity: 64,
             ..ExecConfig::default()
@@ -730,44 +686,36 @@ mod tests {
     }
 
     #[test]
-    fn auto_flush_fires_at_max_batch() {
-        let exec = Executor::new(ExecConfig {
-            workers: 1,
-            shards: 2,
-            max_batch: 2,
-            cache_capacity: 8,
-            result_cache_capacity: 8,
-            ..ExecConfig::default()
-        });
-        exec.publish_snapshot(world());
-        let sgq = SgqQuery::new(3, 1, 0).unwrap();
-        let t1 = exec.submit(PlanRequest::new(
-            NodeId(0),
-            QuerySpec::Sgq(sgq),
-            Engine::Exact,
-        ));
-        let t2 = exec.submit(PlanRequest::new(
-            NodeId(1),
-            QuerySpec::Sgq(sgq),
-            Engine::Exact,
-        ));
-        // No explicit flush: max_batch = 2 drained the queue on the
-        // second submit, so both tickets resolve.
-        assert!(t1.wait().is_ok());
-        assert!(t2.wait().is_ok());
-        assert!(exec.metrics().shard_jobs >= 1);
-    }
+    fn a_batch_past_the_old_flush_threshold_matches_single_answers() {
+        // 100 entries — more than the 64 at which admission once flushed
+        // on its own — over all six people (5 is isolated) and both
+        // query kinds.
+        let sgq = SgqQuery::new(3, 2, 1).unwrap();
+        let stgq = StgqQuery::new(3, 2, 1, 3).unwrap();
+        let requests: Vec<PlanRequest> = (0..100u32)
+            .map(|i| {
+                let spec = if i % 2 == 0 {
+                    QuerySpec::Sgq(sgq)
+                } else {
+                    QuerySpec::Stgq(stgq)
+                };
+                PlanRequest::new(NodeId(i % 6), spec, Engine::Exact)
+            })
+            .collect();
+        let batch = executor(2);
+        let batched = batch.execute_batch(requests.clone());
+        assert_eq!(batched.len(), requests.len());
+        let m = batch.metrics();
+        assert_eq!(m.batched_entries, 100);
+        assert_eq!(
+            m.shard_jobs, 4,
+            "one job per initiator shard the batch touched"
+        );
 
-    #[test]
-    fn dropping_the_executor_resolves_admitted_tickets() {
-        let exec = executor(1);
-        let sgq = SgqQuery::new(3, 1, 0).unwrap();
-        let ticket = exec.submit(PlanRequest::new(
-            NodeId(0),
-            QuerySpec::Sgq(sgq),
-            Engine::Exact,
-        ));
-        drop(exec);
-        assert_eq!(ticket.wait(), Err(ExecError::ShuttingDown));
+        let alone = executor(1);
+        for (request, got) in requests.into_iter().zip(batched) {
+            let want = alone.execute_one(request).unwrap();
+            assert_eq!(got.unwrap().outcome.objective(), want.outcome.objective());
+        }
     }
 }

@@ -4,25 +4,26 @@
 //! `stgq-service` planner so execution policy (batching, sharding,
 //! worker placement, snapshot lifetimes) lives in one crate.
 //!
-//! # Architecture: admission → shard batching → worker pool → snapshots
+//! # Architecture: shard batching → worker pool → snapshots
 //!
-//! A query's life through the executor:
+//! A query's life through the executor. There are two ways in:
+//! [`Executor::execute_one`] answers one [`PlanRequest`] inline on the
+//! caller's thread, and [`Executor::execute_batch`] answers a whole
+//! batch through the pool:
 //!
-//! 1. **Admission.** [`Executor::submit`] appends a [`PlanRequest`] to
-//!    the admission queue and hands back a [`Ticket`]. Nothing executes
-//!    yet — admission is where batches form. The queue drains when it
-//!    reaches [`ExecConfig::max_batch`] entries or on an explicit
-//!    [`Executor::flush`] (no timers: draining is deterministic, which
-//!    the batch-equivalence tests rely on).
-//! 2. **Shard batching.** The drain groups queued entries by
+//! 1. **Shard batching.** `execute_batch` groups its requests by
 //!    **initiator shard** (`initiator mod shards`) into per-shard jobs,
-//!    preserving submission order within a shard. Everything keyed by
+//!    preserving input order within a shard. There is no admission
+//!    queue and no timer: a batch is exactly what its caller passed,
+//!    which the batch-equivalence tests rely on, and the pool's job
+//!    queue holds at most `shards` jobs per batch in flight (the caller
+//!    blocks until its own jobs are answered). Everything keyed by
 //!    initiator — above all the feasible-graph cache — is sharded the
 //!    same way, so one job touches one cache shard and same-initiator
 //!    queries run back to back against a warm cache entry. Within a
 //!    job, *identical* entries (same initiator, query, engine, no
 //!    per-entry deadline/cancel) are **collapsed**: solved once, the
-//!    outcome cloned to every ticket. On a serving workload with hot
+//!    outcome cloned to every copy. On a serving workload with hot
 //!    queries this is where batching beats a per-query loop even on a
 //!    single core. Across batches (and the inline path) the same sharing
 //!    continues through the **version-stamped result cache**: finished
@@ -31,14 +32,14 @@
 //!    a repeat of a deterministic query on an unchanged world is
 //!    replayed, not re-solved
 //!    ([`ExecMetrics::result_cache_hits`]/[`ExecMetrics::result_cache_misses`]).
-//! 3. **Worker pool.** A fixed set of threads (spawned at construction,
+//! 2. **Worker pool.** A fixed set of threads (spawned at construction,
 //!    joined on drop) blocks on the job queue. Each worker owns one
 //!    [`PivotArena`](stgq_core::PivotArena) reused across every STGQ it
 //!    solves — the zero-per-query-allocation property the sequential
 //!    planner had, preserved per worker. Batch callers *help drain* the
 //!    job queue instead of idling, so a one-core host pays no handoff
 //!    tax.
-//! 4. **Snapshot read path.** Workers never touch mutable state: they
+//! 3. **Snapshot read path.** Workers never touch mutable state: they
 //!    solve against an immutable [`WorldSnapshot`] (`Arc`-shared CSR
 //!    graph + calendars, stamped with the graph/calendar versions it
 //!    was built from). Writers publish a fresh snapshot into the
@@ -84,6 +85,5 @@ pub use engine::Engine;
 pub use executor::{ExecConfig, Executor};
 pub use metrics::ExecMetrics;
 pub use obs::{ExecObs, EXEC_HISTOGRAMS};
-pub use queue::Ticket;
 pub use request::{ExecError, PlanOutcome, PlanRequest, QuerySpec};
 pub use snapshot::WorldSnapshot;

@@ -10,11 +10,13 @@ pub struct ExecMetrics {
     /// Queries executed (collapsed entries included — every answered
     /// ticket counts).
     pub queries: u64,
-    /// Shard jobs drained from the admission queue.
+    /// Shard jobs run by the batched path: one per initiator shard an
+    /// [`Executor::execute_batch`](crate::Executor::execute_batch) call
+    /// touched.
     pub shard_jobs: u64,
-    /// Entries that went through the batched path (admitted + drained, as
-    /// opposed to [`Executor::execute_one`](crate::Executor::execute_one)
-    /// inline calls).
+    /// Entries that went through the batched path (as opposed to
+    /// [`Executor::execute_one`](crate::Executor::execute_one) inline
+    /// calls).
     pub batched_entries: u64,
     /// Batched entries answered by cloning an identical same-job entry's
     /// result instead of solving again (request collapsing).

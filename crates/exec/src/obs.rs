@@ -32,15 +32,15 @@ pub const EXEC_HISTOGRAMS: [&str; 7] = [
 /// [`Executor::obs`](crate::Executor::obs).
 #[derive(Debug)]
 pub struct ExecObs {
-    /// End-to-end answer latency: admission-queue wait plus the whole
+    /// End-to-end answer latency: job-queue wait plus the whole
     /// answer envelope (validation, cache lookups, extraction, solve,
     /// stamping). Every answered query samples this — result-cache
     /// replays and collapsed clones included, which is what makes the
     /// fast path visible as the distribution's low mode.
     pub end_to_end: Histogram,
-    /// Admission-queue wait: submit → a worker (or a helping batch
-    /// caller) picked the entry up. Batched entries only; the inline
-    /// path has no queue and records no sample.
+    /// Job-queue wait: `execute_batch` took the entry → a worker (or
+    /// the helping batch caller) picked it up. Batched entries only;
+    /// the inline path has no queue and records no sample.
     pub queue_wait: Histogram,
     /// Engine wall clock, per actual solve (fast-path answers skip it).
     pub solve: Histogram,
@@ -90,8 +90,8 @@ impl ExecObs {
                  cache replays and collapsed clones included)."
             }
             "queue_wait" => {
-                "Admission-queue wait in ns: submit until a worker picked the entry up \
-                 (batched entries only)."
+                "Job-queue wait in ns: from execute_batch taking the entry until a worker \
+                 or the batch caller picked it up (batched entries only)."
             }
             "solve" => "Engine wall clock per actual solve in ns (fast-path answers skip it).",
             "prep" => "Pivot-preparation share of STGQ solves in ns (StageTimings).",

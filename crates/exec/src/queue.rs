@@ -1,4 +1,4 @@
-//! Blocking queues and completion tickets (std `Mutex` + `Condvar`; the
+//! The blocking job queue and completion slots (std `Mutex` + `Condvar`; the
 //! workspace's `parking_lot` shim deliberately has no condition
 //! variables).
 
@@ -74,7 +74,8 @@ impl<T> JobQueue<T> {
     }
 }
 
-/// The write side of one submitted request's completion slot.
+/// One batched request's completion slot: a worker (or the helping
+/// batch caller) fulfills it, the batch caller waits on it.
 pub(crate) struct TicketSlot {
     state: Mutex<Option<Result<PlanOutcome, ExecError>>>,
     cv: Condvar,
@@ -97,7 +98,8 @@ impl TicketSlot {
         self.cv.notify_all();
     }
 
-    fn wait(&self) -> Result<PlanOutcome, ExecError> {
+    /// Block until the result is delivered, then take it.
+    pub(crate) fn wait(&self) -> Result<PlanOutcome, ExecError> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(result) = state.take() {
@@ -105,23 +107,6 @@ impl TicketSlot {
             }
             state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
         }
-    }
-}
-
-/// A claim on one submitted request's eventual [`PlanOutcome`]. Returned
-/// by [`Executor::submit`](crate::Executor::submit); redeem it with
-/// [`wait`](Self::wait) after the batch has been flushed.
-pub struct Ticket {
-    pub(crate) slot: std::sync::Arc<TicketSlot>,
-}
-
-impl Ticket {
-    /// Block until the executor answers this request. Call
-    /// [`Executor::flush`](crate::Executor::flush) first (or rely on the
-    /// `max_batch` auto-flush) — an admitted-but-undrained request has no
-    /// one working on it.
-    pub fn wait(self) -> Result<PlanOutcome, ExecError> {
-        self.slot.wait()
     }
 }
 

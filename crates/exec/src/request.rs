@@ -159,8 +159,6 @@ pub enum ExecError {
         /// The `(graph_version, calendar_version)` actually published.
         available: (u64, u64),
     },
-    /// The executor is shutting down and no longer accepts work.
-    ShuttingDown,
 }
 
 impl std::fmt::Display for ExecError {
@@ -182,7 +180,6 @@ impl std::fmt::Display for ExecError {
                 f,
                 "published epoch {available:?} is older than the required minimum {required:?}"
             ),
-            ExecError::ShuttingDown => write!(f, "executor is shutting down"),
         }
     }
 }

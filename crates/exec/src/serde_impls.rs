@@ -175,7 +175,6 @@ impl Serialize for ExecError {
                     ("available".to_string(), available.to_value()),
                 ]),
             )]),
-            ExecError::ShuttingDown => Value::Str("shutting_down".to_string()),
         }
     }
 }
@@ -185,7 +184,6 @@ impl Deserialize for ExecError {
         if let Value::Str(s) = v {
             return match s.as_str() {
                 "no_snapshot" => Ok(ExecError::NoSnapshot),
-                "shutting_down" => Ok(ExecError::ShuttingDown),
                 other => Err(DeError::new(format!("unknown ExecError `{other}`"))),
             };
         }
@@ -282,7 +280,6 @@ mod tests {
 
         for err in [
             ExecError::NoSnapshot,
-            ExecError::ShuttingDown,
             ExecError::InitiatorOutOfRange {
                 initiator: NodeId(9),
                 node_count: 5,

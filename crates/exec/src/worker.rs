@@ -17,16 +17,16 @@ use crate::queue::{JobQueue, TicketSlot};
 use crate::request::{ExecError, PlanOutcome, PlanRequest, QuerySpec};
 use crate::snapshot::WorldSnapshot;
 
-/// One admitted request awaiting execution.
+/// One batched request awaiting execution.
 pub(crate) struct Pending {
     pub(crate) request: PlanRequest,
     pub(crate) ticket: Arc<TicketSlot>,
-    /// When [`Executor::submit`](crate::Executor::submit) accepted the
-    /// request — the start of its admission-queue wait.
+    /// When [`Executor::execute_batch`](crate::Executor::execute_batch)
+    /// took the request — the start of its queue wait.
     pub(crate) admitted_at: Instant,
 }
 
-/// One shard's slice of a drained batch: every entry shares the
+/// One shard's slice of a batch: every entry shares the
 /// initiator shard, the snapshot epoch and the engine configuration.
 pub(crate) struct Job {
     pub(crate) snapshot: Arc<WorldSnapshot>,
@@ -112,7 +112,7 @@ pub(crate) fn run_job(shared: &ExecShared, arena: &mut PivotArena, job: Job) {
 }
 
 /// Solve one request against one snapshot epoch. `queue_wait_ns` is the
-/// entry's admission-queue wait (0 on the inline path), folded into its
+/// entry's queue wait (0 on the inline path), folded into its
 /// end-to-end latency sample and trace.
 pub(crate) fn run_entry(
     shared: &ExecShared,
@@ -254,7 +254,7 @@ pub(crate) fn run_entry(
     obs.solve.record(elapsed);
     obs.end_to_end.record_ns(total_ns);
     if !timings.is_empty() {
-        obs.prep.record_ns(timings.prep_ns());
+        obs.prep.record_ns(timings.prepare_ns);
         obs.descend.record_ns(timings.descend_ns);
     }
     if obs.recorder.enabled() {
@@ -266,7 +266,6 @@ pub(crate) fn run_entry(
                 queue_wait_ns,
                 extract_ns,
                 prepare_ns: timings.prepare_ns,
-                finalize_ns: timings.finalize_ns,
                 descend_ns: timings.descend_ns,
                 solve_ns: ns(elapsed),
                 total_ns,

@@ -2,7 +2,7 @@
 //! histograms, a per-query flight recorder, and Prometheus text
 //! exposition.
 //!
-//! The serving counters (`ExecMetrics`, `MetricsSnapshot`) say *how much*
+//! The serving counters (`ExecMetrics`) say *how much*
 //! work ran; this crate adds the time axis — *where a query's wall clock
 //! went* and *what the latency distribution looks like* — without putting
 //! a lock or an allocation on the solve hot path:
@@ -20,7 +20,7 @@
 //!   construction).
 //! * [`QueryTrace`] / [`FlightRecorder`] — each solve emits a trace of
 //!   stage spans (queue wait → feasible-graph extraction → prepare →
-//!   finalize → descend) plus the pruning/cache counters it touched; a
+//!   descend) plus the pruning/cache counters it touched; a
 //!   bounded ring buffer keeps the most recent traces and a slowest-N
 //!   slow-query log keeps the worst offenders over a configurable
 //!   threshold, both dumpable as JSON.

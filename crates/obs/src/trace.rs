@@ -12,29 +12,23 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Where one query's wall clock went, in nanoseconds, stage by stage
-/// along the serving pipeline (admission → extraction → prepare →
-/// finalize → descend).
+/// along the serving pipeline (queue → extraction → prepare →
+/// descend).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageBreakdown {
-    /// Admission-queue wait: submit → a worker picked the entry up
-    /// (≈0 on the inline path).
+    /// Job-queue wait: a batch took the entry → a worker picked it up
+    /// (0 on the inline path).
     pub queue_wait_ns: u64,
     /// Feasible-graph extraction (0 on a feasible-cache hit).
     pub extract_ns: u64,
-    /// Pivot preparation phase 1 (`prepare_pivot`) — availability
-    /// buffers, Definition-4 runs. STGQ sequential engines only; 0
-    /// elsewhere.
+    /// Pivot preparation — availability buffers, Definition-4 runs,
+    /// peel, floors, seeding: everything in the pivot loop that is not
+    /// descent. STGQ exact engines only; 0 elsewhere.
     pub prepare_ns: u64,
-    /// Pivot preparation phase 2 (`finalize_pivot`) — candidate
-    /// ordering and bounds. Folded into [`prepare_ns`] unless the
-    /// solver ran with detailed timing; STGQ sequential engines only.
-    ///
-    /// [`prepare_ns`]: StageBreakdown::prepare_ns
-    pub finalize_ns: u64,
     /// Exact-search descent (frame expansion) inside the engine.
     pub descend_ns: u64,
     /// Whole engine call (prep + descent + everything the split cannot
-    /// attribute; for SGQ and parallel engines the split is 0 and this
+    /// attribute; for SGQ and heuristic engines the split is 0 and this
     /// is the only solve-side number).
     pub solve_ns: u64,
     /// End-to-end: queue wait + envelope (extraction, solve, caches).
@@ -120,7 +114,6 @@ impl QueryTrace {
             ("queue_wait_ns", st.queue_wait_ns),
             ("extract_ns", st.extract_ns),
             ("prepare_ns", st.prepare_ns),
-            ("finalize_ns", st.finalize_ns),
             ("descend_ns", st.descend_ns),
             ("solve_ns", st.solve_ns),
             ("total_ns", st.total_ns),

@@ -67,10 +67,10 @@ pub enum ServiceError {
     /// The underlying query engine rejected the inputs.
     Query(QueryError),
     /// The execution subsystem refused the request for an
-    /// infrastructure reason (no published snapshot, shutdown in
-    /// progress). The planner façade keeps these states unreachable on
-    /// its own paths — seeing this error means the executor was driven
-    /// directly in an unexpected state.
+    /// infrastructure reason (no published snapshot, a stale epoch).
+    /// The planner façade keeps these states unreachable on its own
+    /// paths — seeing this error means the executor was driven directly
+    /// in an unexpected state.
     ExecutorUnavailable {
         /// The executor's own description of the condition.
         reason: String,

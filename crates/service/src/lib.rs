@@ -21,11 +21,11 @@
 //!   planner owns a [`Writer`] and publishes its world's immutable epoch
 //!   snapshots into an [`Executor`](stgq_exec::Executor), which owns the
 //!   shard-partitioned feasible-graph cache, engine dispatch
-//!   ([`Engine`]: exact, anytime, greedy, local search), the
-//!   admission queue + batch scheduler + fixed worker pool, and the
-//!   execution counters. Every answer carries provenance
-//!   ([`SgqReport`]/[`StgqReport`]: engine, wall time, cache hit,
-//!   exactness), single queries run inline, and
+//!   ([`Engine`]: exact, anytime, greedy, local search), the shard
+//!   batching + fixed worker pool, and the execution counters
+//!   ([`ExecMetrics`]). Every answer carries provenance
+//!   ([`PlanReport`], as [`SgqReport`]/[`StgqReport`]: engine, wall
+//!   time, cache hit, exactness), single queries run inline, and
 //!   [`Planner::plan_batch`] drains mixed SGQ/STGQ batches through the
 //!   pool with request collapsing;
 //! * [`SharedPlanner`] — a cheaply-cloneable thread-safe handle
@@ -71,7 +71,7 @@ pub use calendars::CalendarStore;
 pub use delta::{DeltaLog, DeltaRecord, WorldDelta, WorldState, DEFAULT_DELTA_LOG_CAPACITY};
 pub use error::ServiceError;
 pub use network::MutableNetwork;
-pub use planner::{BatchQuery, MetricsSnapshot, PlanReply, Planner, SgqReport, StgqReport};
+pub use planner::{BatchQuery, PlanReply, PlanReport, Planner, SgqReport, StgqReport};
 pub use shared::SharedPlanner;
 pub use world::{World, Writer};
 // Execution-subsystem vocabulary, re-exported so existing callers (and

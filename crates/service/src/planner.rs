@@ -5,11 +5,11 @@
 //! plus its delta log) and an [`Executor`] owning everything about
 //! *answering* queries: the epoch-swapped immutable snapshots, the
 //! shard-partitioned feasible-graph cache, engine dispatch, the
-//! admission queue + batch scheduler + fixed worker pool, and the
-//! execution counters. Mutations stay planner methods (`&mut self`)
-//! that hand the change to the writer, whose world applies it as a
-//! [`WorldDelta`](crate::WorldDelta) and whose log records it. Before any
-//! query the planner compares the world's versions against the
+//! shard batching + fixed worker pool, and the execution counters.
+//! Mutations stay planner methods (`&mut self`) that hand the change to
+//! the writer, whose world applies it as a
+//! [`WorldDelta`](crate::WorldDelta) and whose log records it. Before
+//! any query the planner compares the world's versions against the
 //! executor's published epoch and, on drift, publishes the world's
 //! [`snapshot`](crate::World::snapshot) — an `Arc` swap that never
 //! blocks in-flight solves.
@@ -17,11 +17,10 @@
 //! Single queries ([`plan_sgq`](Planner::plan_sgq) /
 //! [`plan_stgq`](Planner::plan_stgq)) run inline on the caller's thread
 //! (low latency, shared caches); batches
-//! ([`plan_batch`](Planner::plan_batch)) go through admission → shard
-//! batching → the worker pool, where identical entries are collapsed
-//! and same-initiator entries share cache locality.
+//! ([`plan_batch`](Planner::plan_batch)) go through shard batching →
+//! the worker pool, where identical entries are collapsed and
+//! same-initiator entries share cache locality.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -36,12 +35,14 @@ use stgq_schedule::{Calendar, SlotRange};
 
 use crate::{CalendarStore, MutableNetwork, ServiceError, Writer};
 
-/// Answer to an SGQ planning request, with provenance.
+/// An answer to a planning request, with provenance. `S` is the
+/// solution type: [`SgqSolution`] for an SGQ, [`StgqSolution`] (group
+/// and period) for an STGQ.
 #[derive(Clone, Debug)]
-pub struct SgqReport {
-    /// The group found, `None` if the engine found none (for exact engines
-    /// this proves infeasibility; for heuristics it does not).
-    pub solution: Option<SgqSolution>,
+pub struct PlanReport<S> {
+    /// The solution found, `None` if the engine found none (for exact
+    /// engines this proves infeasibility; for heuristics it does not).
+    pub solution: Option<S>,
     /// Search counters (exact engines only).
     pub stats: Option<SearchStats>,
     /// Feasibility evaluations (heuristic engines only).
@@ -59,26 +60,29 @@ pub struct SgqReport {
     pub result_cache_hit: bool,
 }
 
-/// Answer to an STGQ planning request, with provenance.
-#[derive(Clone, Debug)]
-pub struct StgqReport {
-    /// The (group, period) found, `None` if the engine found none.
-    pub solution: Option<StgqSolution>,
-    /// Search counters (exact engines only).
-    pub stats: Option<SearchStats>,
-    /// Feasibility evaluations (heuristic engines only).
-    pub evaluations: Option<u64>,
-    /// Whether the answer is proven optimal / proven infeasible.
-    pub exact: bool,
-    /// The engine that produced it.
-    pub engine: Engine,
-    /// Wall-clock time inside the engine (excludes cache work).
-    pub elapsed: std::time::Duration,
-    /// Whether the feasible graph came from the cache.
-    pub feasible_cache_hit: bool,
-    /// Whether the whole answer was replayed from the version-stamped
-    /// result cache (identical earlier query on an unchanged world).
-    pub result_cache_hit: bool,
+/// Answer to an SGQ planning request.
+pub type SgqReport = PlanReport<SgqSolution>;
+
+/// Answer to an STGQ planning request.
+pub type StgqReport = PlanReport<StgqSolution>;
+
+impl<S> PlanReport<S> {
+    /// `outcome`'s provenance around `solution`, taken out of it.
+    fn new(outcome: &PlanOutcome, solution: Option<S>) -> Self {
+        PlanReport {
+            solution,
+            stats: outcome
+                .engine
+                .reports_search_stats()
+                .then(|| *outcome.outcome.stats()),
+            evaluations: outcome.evaluations,
+            exact: outcome.exact,
+            engine: outcome.engine,
+            elapsed: outcome.elapsed,
+            feasible_cache_hit: outcome.feasible_cache_hit,
+            result_cache_hit: outcome.result_cache_hit,
+        }
+    }
 }
 
 /// One entry of a [`Planner::plan_batch`] call.
@@ -103,6 +107,20 @@ pub enum PlanReply {
 }
 
 impl PlanReply {
+    /// The report of an executor answer, of the answer's own kind.
+    fn from_outcome(mut outcome: PlanOutcome) -> Self {
+        match &mut outcome.outcome {
+            SolveOutcome::Sgq(out) => {
+                let solution = out.solution.take();
+                PlanReply::Sgq(PlanReport::new(&outcome, solution))
+            }
+            SolveOutcome::Stgq(out) => {
+                let solution = out.solution.take();
+                PlanReply::Stgq(PlanReport::new(&outcome, solution))
+            }
+        }
+    }
+
     /// The objective value, if a solution was found.
     pub fn objective(&self) -> Option<Dist> {
         match self {
@@ -136,79 +154,6 @@ impl PlanReply {
     }
 }
 
-/// Point-in-time view of the service counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Planning queries served.
-    pub queries: u64,
-    /// Mutations applied (network + calendar).
-    pub mutations: u64,
-    /// Feasible-graph cache hits.
-    pub feasible_cache_hits: u64,
-    /// Feasible-graph cache misses (each triggered an extraction).
-    pub feasible_cache_misses: u64,
-    /// CSR snapshot rebuilds.
-    pub snapshot_rebuilds: u64,
-    /// Feasible graphs currently cached.
-    pub cached_feasible_graphs: usize,
-    /// Search frames examined by exact engines, summed over all queries
-    /// served (the quantity the search-reduction work drives down).
-    pub frames_examined: u64,
-    /// Frames abandoned by the incumbent distance bound (Lemma 2), summed
-    /// over all exact queries.
-    pub frames_pruned_by_bound: u64,
-    /// Whole pivots skipped by the pivot-granularity distance bound,
-    /// summed over all exact STGQ queries.
-    pub pivots_skipped: u64,
-    /// Candidates removed by fixpoint (p, k)-core peeling before exact
-    /// descent, summed over all exact queries.
-    pub peeled_candidates: u64,
-    /// Pivots refused outright because their peeled core could not seat
-    /// a feasible group, summed over all exact STGQ queries.
-    pub pivots_refused_by_core: u64,
-    /// Frames abandoned by the k-plex matching bound, summed over all
-    /// exact queries.
-    pub frames_pruned_by_match: u64,
-    /// Children retired at the parent frame by the per-candidate
-    /// completion bound (child frames never opened), summed over all
-    /// exact queries.
-    pub children_pruned_by_parent_bound: u64,
-    /// Availability-buffer words whose rebuild was avoided by the
-    /// incremental-prep run cache, summed over all exact STGQ queries.
-    pub prep_words_delta: u64,
-    /// Availability-buffer words actually built from calendar words
-    /// during pivot preparation, summed over all exact STGQ queries.
-    pub prep_words_rebuilt: u64,
-    /// Adjacency words generated in place by zero-copy `FeasibleView`
-    /// extraction on feasible-cache misses (candidate rows masked
-    /// against the snapshot's CSR segments).
-    pub extract_words_borrowed: u64,
-    /// Entries that went through the batched executor path.
-    pub batched_entries: u64,
-    /// Batched entries answered by request collapsing (solved once,
-    /// shared within a shard job).
-    pub collapsed_entries: u64,
-    /// Whole answers replayed from the version-stamped result cache
-    /// (repeat queries across batches and the inline path on an
-    /// unchanged world).
-    pub result_cache_hits: u64,
-    /// Result-cache lookups that missed (fresh query or moved epoch).
-    pub result_cache_misses: u64,
-    /// Result-cache entries evicted at lookup because a shard they were
-    /// stamped with had moved (delta-scoped invalidation).
-    pub result_cache_evicted_stale_shard: u64,
-    /// Result-cache entries evicted to make room at capacity.
-    pub result_cache_evicted_capacity: u64,
-    /// Per-shard sub-snapshots publication actually rebuilt (dirty
-    /// shards, graph + calendar axes).
-    pub snapshot_shards_rebuilt: u64,
-    /// Per-shard sub-snapshots carried over by `Arc` reuse from the
-    /// previous epoch.
-    pub snapshot_shards_reused: u64,
-    /// Solves stopped early by a deadline or cancellation token.
-    pub cancelled: u64,
-}
-
 /// A long-lived activity-planning service instance.
 ///
 /// Mutations take `&mut self`; planning queries take `&self` (their
@@ -220,7 +165,6 @@ pub struct Planner {
     /// Serialises snapshot publication so concurrent readers racing the
     /// same version drift rebuild once, not once each.
     publish_lock: Mutex<()>,
-    snapshot_rebuilds: AtomicU64,
 }
 
 /// Default bound on distinct `(initiator, s)` feasible graphs kept.
@@ -247,7 +191,7 @@ impl Planner {
     }
 
     /// Fullest-control constructor: every executor knob (worker count,
-    /// shard count, batch threshold) is the caller's.
+    /// shard count, cache capacities, trace recorder) is the caller's.
     pub fn with_exec_config(horizon: usize, cfg: ExecConfig) -> Self {
         let exec = Executor::new(cfg);
         Planner {
@@ -256,7 +200,6 @@ impl Planner {
             writer: Writer::new(horizon, exec.shards()),
             exec,
             publish_lock: Mutex::new(()),
-            snapshot_rebuilds: AtomicU64::new(0),
         }
     }
 
@@ -275,7 +218,7 @@ impl Planner {
     }
 
     /// The execution subsystem behind this planner — for direct batch
-    /// submission with deadlines/cancellation tokens, executor metrics,
+    /// execution with deadlines/cancellation tokens, latency histograms,
     /// or snapshot inspection.
     pub fn executor(&self) -> &Executor {
         &self.exec
@@ -334,6 +277,12 @@ impl Planner {
         &self.writer
     }
 
+    /// The writer, mutably — the full mutation surface beyond the
+    /// helpers above. The next query publishes whatever it changed.
+    pub fn writer_mut(&mut self) -> &mut Writer {
+        &mut self.writer
+    }
+
     // -- reads ----------------------------------------------------------
 
     /// The underlying network (read-only).
@@ -346,42 +295,8 @@ impl Planner {
         self.writer.world().calendars()
     }
 
-    /// Service counters (the execution-side counters come from the
-    /// [`Executor`]; see [`exec_metrics`](Self::exec_metrics) for the
-    /// full executor view).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let e = self.exec.metrics();
-        MetricsSnapshot {
-            queries: e.queries,
-            mutations: self.writer.delta_seq(),
-            feasible_cache_hits: e.feasible_cache_hits,
-            feasible_cache_misses: e.feasible_cache_misses,
-            snapshot_rebuilds: self.snapshot_rebuilds.load(Ordering::Relaxed),
-            cached_feasible_graphs: e.cached_feasible_graphs,
-            frames_examined: e.frames_examined,
-            frames_pruned_by_bound: e.frames_pruned_by_bound,
-            pivots_skipped: e.pivots_skipped,
-            peeled_candidates: e.peeled_candidates,
-            pivots_refused_by_core: e.pivots_refused_by_core,
-            frames_pruned_by_match: e.frames_pruned_by_match,
-            children_pruned_by_parent_bound: e.children_pruned_by_parent_bound,
-            prep_words_delta: e.prep_words_delta,
-            prep_words_rebuilt: e.prep_words_rebuilt,
-            extract_words_borrowed: e.extract_words_borrowed,
-            batched_entries: e.batched_entries,
-            collapsed_entries: e.collapsed_entries,
-            result_cache_hits: e.result_cache_hits,
-            result_cache_misses: e.result_cache_misses,
-            result_cache_evicted_stale_shard: e.result_cache_evicted_stale_shard,
-            result_cache_evicted_capacity: e.result_cache_evicted_capacity,
-            snapshot_shards_rebuilt: e.snapshot_shards_rebuilt,
-            snapshot_shards_reused: e.snapshot_shards_reused,
-            cancelled: e.cancelled,
-        }
-    }
-
-    /// The raw executor counters (shard jobs, snapshot publishes, pool
-    /// sizing — everything [`MetricsSnapshot`] doesn't surface).
+    /// The executor's counters. Mutations are counted by the writer
+    /// ([`Writer::delta_seq`]).
     pub fn exec_metrics(&self) -> ExecMetrics {
         self.exec.metrics()
     }
@@ -408,9 +323,6 @@ impl Planner {
             return;
         }
         let snapshot = self.writer.world().snapshot(current.as_deref());
-        if current.is_none_or(|p| p.graph_shard_versions() != snapshot.graph_shard_versions()) {
-            self.snapshot_rebuilds.fetch_add(1, Ordering::Relaxed);
-        }
         self.exec.publish_snapshot(Arc::new(snapshot));
     }
 
@@ -425,7 +337,7 @@ impl Planner {
                 person: initiator,
                 person_count: node_count,
             },
-            ExecError::NoSnapshot | ExecError::EpochTooOld { .. } | ExecError::ShuttingDown => {
+            ExecError::NoSnapshot | ExecError::EpochTooOld { .. } => {
                 ServiceError::ExecutorUnavailable {
                     reason: e.to_string(),
                 }
@@ -433,56 +345,19 @@ impl Planner {
         }
     }
 
-    fn sgq_report(outcome: PlanOutcome) -> SgqReport {
-        let PlanOutcome {
-            outcome,
-            evaluations,
-            exact,
-            engine,
-            elapsed,
-            feasible_cache_hit,
-            result_cache_hit,
-            ..
-        } = outcome;
-        let SolveOutcome::Sgq(out) = outcome else {
-            unreachable!("SGQ request produced an STGQ outcome");
-        };
-        SgqReport {
-            solution: out.solution,
-            stats: engine.reports_search_stats().then_some(out.stats),
-            evaluations,
-            exact,
-            engine,
-            elapsed,
-            feasible_cache_hit,
-            result_cache_hit,
-        }
-    }
-
-    fn stgq_report(outcome: PlanOutcome) -> StgqReport {
-        let PlanOutcome {
-            outcome,
-            evaluations,
-            exact,
-            engine,
-            elapsed,
-            feasible_cache_hit,
-            result_cache_hit,
-            ..
-        } = outcome;
-        let SolveOutcome::Stgq(out) = outcome else {
-            unreachable!("STGQ request produced an SGQ outcome");
-        };
-        StgqReport {
-            solution: out.solution,
-            stats: engine.reports_search_stats().then_some(out.stats),
-            evaluations,
-            exact,
-            engine,
-            elapsed,
-            feasible_cache_hit,
-            result_cache_hit,
-        }
+    /// The one query path: validate the initiator, publish on drift,
+    /// answer inline on this thread against the current epoch.
+    fn plan(
+        &self,
+        initiator: NodeId,
+        spec: QuerySpec,
+        engine: Engine,
+    ) -> Result<PlanReply, ServiceError> {
+        self.network().check_person(initiator)?;
+        self.sync_snapshot();
+        let request = PlanRequest::new(initiator, spec, engine);
+        let outcome = self.exec.execute_one(request).map_err(Self::exec_error)?;
+        Ok(PlanReply::from_outcome(outcome))
     }
 
     /// Answer an SGQ with the chosen engine (inline on this thread,
@@ -493,11 +368,10 @@ impl Planner {
         query: &SgqQuery,
         engine: Engine,
     ) -> Result<SgqReport, ServiceError> {
-        self.network().check_person(initiator)?;
-        self.sync_snapshot();
-        let request = PlanRequest::new(initiator, QuerySpec::Sgq(*query), engine);
-        let outcome = self.exec.execute_one(request).map_err(Self::exec_error)?;
-        Ok(Self::sgq_report(outcome))
+        match self.plan(initiator, QuerySpec::Sgq(*query), engine)? {
+            PlanReply::Sgq(report) => Ok(report),
+            PlanReply::Stgq(_) => unreachable!("an SGQ is answered with an SGQ outcome"),
+        }
     }
 
     /// Answer an STGQ with the chosen engine (inline on this thread,
@@ -508,23 +382,22 @@ impl Planner {
         query: &StgqQuery,
         engine: Engine,
     ) -> Result<StgqReport, ServiceError> {
-        self.network().check_person(initiator)?;
-        self.sync_snapshot();
-        let request = PlanRequest::new(initiator, QuerySpec::Stgq(*query), engine);
-        let outcome = self.exec.execute_one(request).map_err(Self::exec_error)?;
-        Ok(Self::stgq_report(outcome))
+        match self.plan(initiator, QuerySpec::Stgq(*query), engine)? {
+            PlanReply::Stgq(report) => Ok(report),
+            PlanReply::Sgq(_) => unreachable!("an STGQ is answered with an STGQ outcome"),
+        }
     }
 
     /// Answer a whole batch of mixed SGQ/STGQ queries through the
-    /// executor's batched path: admission → initiator-shard grouping →
-    /// the fixed worker pool (identical entries collapsed, same-shard
-    /// entries cache-local). Replies come back in input order; entries
-    /// with an invalid initiator fail individually without poisoning the
-    /// batch. Exact engines return bit-identical objectives to solving
-    /// the same queries one by one.
+    /// executor's batched path: initiator-shard grouping → the fixed
+    /// worker pool (identical entries collapsed, same-shard entries
+    /// cache-local). Replies come back in input order; entries with an
+    /// invalid initiator fail individually without poisoning the batch.
+    /// Exact engines return bit-identical objectives to solving the same
+    /// queries one by one.
     pub fn plan_batch(&self, queries: &[BatchQuery]) -> Vec<Result<PlanReply, ServiceError>> {
-        // Pre-validate so invalid entries never reach admission, and so
-        // valid entries keep batching even when some fail.
+        // Pre-validate so invalid entries never reach the executor, and
+        // so valid entries keep batching even when some fail.
         let checked: Vec<Result<(), ServiceError>> = queries
             .iter()
             .map(|q| self.network().check_person(q.initiator))
@@ -547,10 +420,7 @@ impl Planner {
                         .next()
                         .expect("one executed entry per validated query")
                         .map_err(Self::exec_error)?;
-                    Ok(match &outcome.outcome {
-                        SolveOutcome::Sgq(_) => PlanReply::Sgq(Self::sgq_report(outcome)),
-                        SolveOutcome::Stgq(_) => PlanReply::Stgq(Self::stgq_report(outcome)),
-                    })
+                    Ok(PlanReply::from_outcome(outcome))
                 })
             })
             .collect()
@@ -769,18 +639,17 @@ mod tests {
             ..ExecConfig::default()
         });
         let q = SgqQuery::new(3, 1, 0).unwrap();
-        let m0 = p.metrics();
-        assert!(m0.mutations > 0, "setup mutations counted");
+        assert!(p.writer().delta_seq() > 0, "setup mutations counted");
         p.plan_sgq(ids[0], &q, Engine::Exact).unwrap();
         p.plan_sgq(ids[0], &q, Engine::Exact).unwrap();
         p.plan_sgq(ids[1], &q, Engine::Exact).unwrap();
-        let m = p.metrics();
+        let m = p.exec_metrics();
         assert_eq!(m.queries, 3);
         assert_eq!(m.feasible_cache_hits, 1);
         assert_eq!(m.feasible_cache_misses, 2);
         assert_eq!(m.cached_feasible_graphs, 2);
         assert_eq!(
-            m.snapshot_rebuilds, 1,
+            m.snapshot_publishes, 1,
             "one snapshot serves both extractions"
         );
     }
@@ -797,7 +666,7 @@ mod tests {
             r2.solution.as_ref().map(|s| s.total_distance),
             r1.solution.as_ref().map(|s| s.total_distance)
         );
-        let m = p.metrics();
+        let m = p.exec_metrics();
         assert_eq!(m.result_cache_hits, 1);
         assert!(m.result_cache_misses >= 1);
 
@@ -841,25 +710,27 @@ mod tests {
         }
         let q = SgqQuery::new(3, 1, 0).unwrap();
         p.plan_sgq(ids[0], &q, Engine::Exact).unwrap(); // first publish
-        let m0 = p.metrics();
+        let m0 = p.exec_metrics();
 
         // A graph delta confined to community 0 (shard 0) republished:
         // exactly one graph segment rebuilds, everything else is reused.
         p.connect(ids[0], ids[8], 2).unwrap();
         p.plan_sgq(ids[0], &q, Engine::Exact).unwrap();
-        let m1 = p.metrics();
+        let m1 = p.exec_metrics();
         assert_eq!(m1.snapshot_shards_rebuilt - m0.snapshot_shards_rebuilt, 1);
         assert_eq!(m1.snapshot_shards_reused - m0.snapshot_shards_reused, 7);
+        let e1 = p.executor().snapshot().unwrap();
 
         // A calendar delta in community 1 likewise re-slices one shard.
         p.set_availability(ids[1], 3, false).unwrap();
         p.plan_sgq(ids[1], &q, Engine::Exact).unwrap();
-        let m2 = p.metrics();
+        let m2 = p.exec_metrics();
         assert_eq!(m2.snapshot_shards_rebuilt - m1.snapshot_shards_rebuilt, 1);
         assert_eq!(m2.snapshot_shards_reused - m1.snapshot_shards_reused, 7);
-        assert_eq!(
-            m2.snapshot_rebuilds, m1.snapshot_rebuilds,
-            "no graph segment moved, so no graph rebuild is counted"
+        let e2 = p.executor().snapshot().unwrap();
+        assert!(
+            (0..4).all(|s| Arc::ptr_eq(e1.graph_segment(s), e2.graph_segment(s))),
+            "no graph segment moved, so none is rebuilt"
         );
 
         // The answers stay correct under all that reuse.
@@ -921,7 +792,7 @@ mod tests {
         );
         let r1 = p.plan_sgq(ids[1], &q, Engine::Exact).unwrap();
         assert!(!r1.result_cache_hit, "shard-1 entry is stale");
-        let m = p.metrics();
+        let m = p.exec_metrics();
         assert_eq!(m.result_cache_evicted_stale_shard, 1);
         assert_eq!(m.result_cache_evicted_capacity, 0);
     }
@@ -930,16 +801,16 @@ mod tests {
     fn search_metrics_accumulate_across_exact_queries_only() {
         let (p, ids) = demo();
         let q = StgqQuery::new(3, 1, 0, 3).unwrap();
-        let m0 = p.metrics();
+        let m0 = p.exec_metrics();
         assert_eq!(m0.frames_examined + m0.pivots_skipped, 0);
         p.plan_stgq(ids[0], &q, Engine::Exact).unwrap();
-        let m1 = p.metrics();
+        let m1 = p.exec_metrics();
         assert!(
             m1.frames_examined + m1.pivots_skipped > 0,
             "a feasible exact solve either examines frames or skips pivots"
         );
         p.plan_stgq(ids[0], &q, Engine::Exact).unwrap();
-        let m2 = p.metrics();
+        let m2 = p.exec_metrics();
         assert!(
             m2.frames_examined + m2.pivots_skipped >= m1.frames_examined + m1.pivots_skipped,
             "counters are cumulative"
@@ -947,7 +818,7 @@ mod tests {
         // Heuristic engines report no search stats and must not move them.
         p.plan_stgq(ids[0], &q, Engine::Greedy { restarts: 2 })
             .unwrap();
-        let m3 = p.metrics();
+        let m3 = p.exec_metrics();
         assert_eq!(m3.frames_examined, m2.frames_examined);
         assert_eq!(m3.pivots_skipped, m2.pivots_skipped);
     }

@@ -8,7 +8,7 @@ use stgq_graph::{Dist, NodeId};
 use stgq_schedule::SlotRange;
 
 use crate::{
-    BatchQuery, Engine, MetricsSnapshot, PlanReply, Planner, ServiceError, SgqReport, StgqReport,
+    BatchQuery, Engine, ExecMetrics, PlanReply, Planner, ServiceError, SgqReport, StgqReport,
 };
 
 /// `Arc<RwLock<Planner>>` with a planning-service API: queries take the
@@ -97,9 +97,9 @@ impl SharedPlanner {
         self.inner.read().plan_batch(queries)
     }
 
-    /// Service counters.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.read().metrics()
+    /// The executor's counters ([`Planner::exec_metrics`]).
+    pub fn exec_metrics(&self) -> ExecMetrics {
+        self.inner.read().exec_metrics()
     }
 }
 
@@ -156,7 +156,7 @@ mod tests {
             });
         });
 
-        let m = shared.metrics();
+        let m = shared.exec_metrics();
         assert_eq!(m.queries, 200);
     }
 

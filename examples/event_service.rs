@@ -134,9 +134,10 @@ fn main() {
         );
     }
 
-    let m = service.metrics();
+    let m = service.exec_metrics();
+    let mutations = service.inspect(|p| p.writer().delta_seq());
     println!(
-        "\nWeek summary: {} queries, {} mutations, snapshot rebuilds {}, fg-cache {} hits / {} misses",
-        m.queries, m.mutations, m.snapshot_rebuilds, m.feasible_cache_hits, m.feasible_cache_misses
+        "\nWeek summary: {} queries, {mutations} mutations, snapshot publishes {}, fg-cache {} hits / {} misses",
+        m.queries, m.snapshot_publishes, m.feasible_cache_hits, m.feasible_cache_misses
     );
 }

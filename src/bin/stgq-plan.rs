@@ -16,9 +16,14 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use stgq::cluster::{Cluster, ClusterConfig, Suspicion};
 use stgq::datagen::io::{load_dataset, save_dataset};
+use stgq::datagen::metropolis::{metropolis, MetropolisConfig};
 use stgq::datagen::scenario::{real_analog_194, synthetic_coauthor};
+use stgq::datagen::Dataset;
+use stgq::exec::{ExecConfig, QuerySpec};
 use stgq::prelude::*;
+use stgq::service::{BatchQuery, Engine, Planner, Writer};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -62,7 +67,7 @@ generate  writes a JSON dataset snapshot (194-person community analog by
 query     answers an SGQ (no -m) or STGQ (with -m) against a snapshot;
           --compare additionally runs PCArrange for a quality comparison.
 batch     drives a hot-query serving workload through the stgq-exec
-          executor (admission -> shard batching -> worker pool) and
+          executor (shard batching -> worker pool) and
           reports throughput against the sequential per-query loop.
 cluster   drives the same workload through stgq-cluster at 1, 2, ...,
           --max-nodes in-process nodes (shard router -> transport ->
@@ -101,7 +106,7 @@ slow-query triage, worked example:
          -> feasible-graph cache evictions: raise the cache capacity
             above the distinct-initiator count.
        queue_wait_ns dominating while solve_ns is modest
-         -> admission backlog: add workers (or nodes) rather than
+         -> job-queue backlog: add workers (or nodes) rather than
             tuning the engine.
 ";
 
@@ -122,16 +127,122 @@ fn parse<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("invalid {what}: '{v}'"))
 }
 
+/// The value of `name`, or `default` when the flag is absent.
+fn value_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    match take_value(args, &[name])? {
+        Some(v) => parse(&v, name),
+        None => Ok(default),
+    }
+}
+
+/// `-p/-s/-k/-m/--queries`: the query shape every serving command takes,
+/// and how many queries to drive.
+struct Shape {
+    p: usize,
+    s: usize,
+    /// Defaults to `p − 1` (no acquaintance constraint).
+    k: usize,
+    /// `None` asks an SGQ; the workload commands default it to 4.
+    m: Option<usize>,
+    queries: usize,
+}
+
+impl Shape {
+    /// Parse the shape of `command`'s invocation. `p` is required unless
+    /// `default_p` is given.
+    fn parse(
+        args: &[String],
+        command: &str,
+        default_p: Option<usize>,
+        default_s: usize,
+        default_queries: usize,
+    ) -> Result<Shape, String> {
+        let p = match (take_value(args, &["-p"])?, default_p) {
+            (Some(v), _) => parse(&v, "-p")?,
+            (None, Some(p)) => p,
+            (None, None) => return Err(format!("{command} requires -p N")),
+        };
+        Ok(Shape {
+            p,
+            s: value_or(args, "-s", default_s)?,
+            k: value_or(args, "-k", p.saturating_sub(1))?,
+            m: take_value(args, &["-m"])?
+                .map(|v| parse(&v, "-m"))
+                .transpose()?,
+            queries: value_or(args, "--queries", default_queries)?,
+        })
+    }
+
+    /// A hot workload of `queries` exact queries, alternating STGQ and
+    /// SGQ: they repeat across a small pool of popular initiators, as
+    /// server traffic does (~3 occurrences per distinct query — the
+    /// repetition request collapsing and the result cache exploit).
+    fn hot_workload(&self, people: usize) -> Result<Vec<BatchQuery>, String> {
+        let (p, s, k) = (self.p, self.s, self.k);
+        let sgq = SgqQuery::new(p, s, k).map_err(|e| e.to_string())?;
+        let stgq = StgqQuery::new(p, s, k, self.m.unwrap_or(4)).map_err(|e| e.to_string())?;
+        let n = people as u32;
+        let distinct = (self.queries / 3).max(1) as u32;
+        Ok((0..self.queries as u32)
+            .map(|i| {
+                let d = (i * 13 + i / 7) % distinct;
+                BatchQuery {
+                    initiator: NodeId((d * 29 + 7) % n),
+                    spec: if d.is_multiple_of(2) {
+                        QuerySpec::Stgq(stgq)
+                    } else {
+                        QuerySpec::Sgq(sgq)
+                    },
+                    engine: Engine::Exact,
+                }
+            })
+            .collect())
+    }
+}
+
+/// Load `--data FILE`; `command` names who requires it.
+fn load_data(args: &[String], command: &str) -> Result<Dataset, String> {
+    let data =
+        take_value(args, &["--data", "-d"])?.ok_or(format!("{command} requires --data FILE"))?;
+    load_dataset(&PathBuf::from(&data)).map_err(|e| e.to_string())
+}
+
+/// Register every person, tie and calendar of `ds` through `writer`.
+fn load_world(writer: &mut Writer, ds: &Dataset) -> Result<(), String> {
+    for v in 0..ds.graph.node_count() {
+        writer.add_person(format!("p{v}"));
+    }
+    for e in ds.graph.edges() {
+        writer
+            .connect(e.a, e.b, e.weight)
+            .map_err(|e| e.to_string())?;
+    }
+    for (v, cal) in ds.calendars.iter().enumerate() {
+        writer
+            .set_calendar(NodeId(v as u32), cal.clone())
+            .map_err(|e| e.to_string())?;
+    }
+    Ok(())
+}
+
+/// A planner serving `ds`.
+fn load_planner(ds: &Dataset, exec: ExecConfig) -> Result<Planner, String> {
+    let mut planner = Planner::with_exec_config(ds.grid.horizon(), exec);
+    load_world(planner.writer_mut(), ds)?;
+    Ok(planner)
+}
+
+/// A cluster serving `ds`.
+fn load_cluster(ds: &Dataset, cfg: ClusterConfig) -> Result<Cluster, String> {
+    let mut cluster = Cluster::new(ds.grid.horizon(), cfg);
+    load_world(cluster.writer_mut(), ds)?;
+    Ok(cluster)
+}
+
 fn generate(args: &[String]) -> Result<(), String> {
     let out = take_value(args, &["--out", "-o"])?.ok_or("generate requires --out FILE")?;
-    let days: usize = match take_value(args, &["--days"])? {
-        Some(v) => parse(&v, "--days")?,
-        None => 7,
-    };
-    let seed: u64 = match take_value(args, &["--seed"])? {
-        Some(v) => parse(&v, "--seed")?,
-        None => 42,
-    };
+    let days: usize = value_or(args, "--days", 7)?;
+    let seed: u64 = value_or(args, "--seed", 42)?;
     let ds = match take_value(args, &["--coauthor"])? {
         Some(n) => synthetic_coauthor(parse(&n, "--coauthor size")?, days, seed),
         None => real_analog_194(days, seed),
@@ -150,42 +261,13 @@ fn generate(args: &[String]) -> Result<(), String> {
 /// Serve a repeated-query workload through the executor and report
 /// queries/sec for the batched vs the sequential path.
 fn batch(args: &[String]) -> Result<(), String> {
-    use stgq::exec::{ExecConfig, QuerySpec};
-    use stgq::service::{BatchQuery, Engine, Planner};
+    let ds = load_data(args, "batch")?;
+    let shape = Shape::parse(args, "batch", None, 2, 64)?;
+    let workers: usize = value_or(args, "--workers", 0)?;
+    let chunk = value_or(args, "--chunk", 64usize)?.max(1);
 
-    let data = take_value(args, &["--data", "-d"])?.ok_or("batch requires --data FILE")?;
-    let p: usize = parse(
-        &take_value(args, &["-p"])?.ok_or("batch requires -p N")?,
-        "-p",
-    )?;
-    let s: usize = match take_value(args, &["-s"])? {
-        Some(v) => parse(&v, "-s")?,
-        None => 2,
-    };
-    let k: usize = match take_value(args, &["-k"])? {
-        Some(v) => parse(&v, "-k")?,
-        None => p.saturating_sub(1),
-    };
-    let m: usize = match take_value(args, &["-m"])? {
-        Some(v) => parse(&v, "-m")?,
-        None => 4,
-    };
-    let queries: usize = match take_value(args, &["--queries"])? {
-        Some(v) => parse(&v, "--queries")?,
-        None => 64,
-    };
-    let workers: usize = match take_value(args, &["--workers"])? {
-        Some(v) => parse(&v, "--workers")?,
-        None => 0,
-    };
-    let chunk: usize = match take_value(args, &["--chunk"])? {
-        Some(v) => parse::<usize>(&v, "--chunk")?.max(1),
-        None => 64,
-    };
-
-    let ds = load_dataset(&PathBuf::from(&data)).map_err(|e| e.to_string())?;
-    let mut planner = Planner::with_exec_config(
-        ds.grid.horizon(),
+    let planner = load_planner(
+        &ds,
         ExecConfig {
             workers,
             // The report compares batching against the sequential loop:
@@ -196,47 +278,14 @@ fn batch(args: &[String]) -> Result<(), String> {
             result_cache_capacity: 0,
             ..ExecConfig::default()
         },
-    );
-    for v in 0..ds.graph.node_count() {
-        planner.add_person(format!("p{v}"));
-    }
-    for e in ds.graph.edges() {
-        planner
-            .connect(e.a, e.b, e.weight)
-            .map_err(|e| e.to_string())?;
-    }
-    for (v, cal) in ds.calendars.iter().enumerate() {
-        planner
-            .set_calendar(NodeId(v as u32), cal.clone())
-            .map_err(|e| e.to_string())?;
-    }
-
-    // A hot workload: queries repeat across a small pool of popular
-    // initiators, as server traffic does (~3 occurrences per distinct
-    // query — the repetition is what request collapsing exploits).
-    let sgq = SgqQuery::new(p, s, k).map_err(|e| e.to_string())?;
-    let stgq = StgqQuery::new(p, s, k, m).map_err(|e| e.to_string())?;
-    let n = ds.graph.node_count() as u32;
-    let distinct = (queries / 3).max(1) as u32;
-    let workload: Vec<BatchQuery> = (0..queries as u32)
-        .map(|i| {
-            let d = (i * 13 + i / 7) % distinct;
-            BatchQuery {
-                initiator: NodeId((d * 29 + 7) % n),
-                spec: if d.is_multiple_of(2) {
-                    QuerySpec::Stgq(stgq)
-                } else {
-                    QuerySpec::Sgq(sgq)
-                },
-                engine: Engine::Exact,
-            }
-        })
-        .collect();
+    )?;
+    let workload = shape.hot_workload(ds.graph.node_count())?;
+    let distinct = (shape.queries / 3).max(1);
 
     // Untimed warmup of both paths: fills the feasible-graph cache and
     // the worker arenas so the timed comparison measures solving, not
     // first-touch extraction order.
-    for q in workload.iter().take(distinct as usize * 2) {
+    for q in workload.iter().take(distinct * 2) {
         match q.spec {
             QuerySpec::Sgq(query) => drop(planner.plan_sgq(q.initiator, &query, q.engine)),
             QuerySpec::Stgq(query) => drop(planner.plan_stgq(q.initiator, &query, q.engine)),
@@ -345,55 +394,10 @@ fn batch(args: &[String]) -> Result<(), String> {
 /// Serve a repeated-query workload through clusters of growing size and
 /// report scale-out throughput.
 fn cluster(args: &[String]) -> Result<(), String> {
-    use stgq::cluster::{Cluster, ClusterConfig, Suspicion};
-    use stgq::exec::{ExecConfig, QuerySpec};
-    use stgq::service::{BatchQuery, Engine};
-
-    let data = take_value(args, &["--data", "-d"])?.ok_or("cluster requires --data FILE")?;
-    let p: usize = parse(
-        &take_value(args, &["-p"])?.ok_or("cluster requires -p N")?,
-        "-p",
-    )?;
-    let s: usize = match take_value(args, &["-s"])? {
-        Some(v) => parse(&v, "-s")?,
-        None => 2,
-    };
-    let k: usize = match take_value(args, &["-k"])? {
-        Some(v) => parse(&v, "-k")?,
-        None => p.saturating_sub(1),
-    };
-    let m: usize = match take_value(args, &["-m"])? {
-        Some(v) => parse(&v, "-m")?,
-        None => 4,
-    };
-    let queries: usize = match take_value(args, &["--queries"])? {
-        Some(v) => parse(&v, "--queries")?,
-        None => 64,
-    };
-    let max_nodes: usize = match take_value(args, &["--max-nodes"])? {
-        Some(v) => parse::<usize>(&v, "--max-nodes")?.max(1),
-        None => 4,
-    };
-
-    let ds = load_dataset(&PathBuf::from(&data)).map_err(|e| e.to_string())?;
-    let sgq = SgqQuery::new(p, s, k).map_err(|e| e.to_string())?;
-    let stgq = StgqQuery::new(p, s, k, m).map_err(|e| e.to_string())?;
-    let n = ds.graph.node_count() as u32;
-    let distinct = (queries / 3).max(1) as u32;
-    let workload: Vec<BatchQuery> = (0..queries as u32)
-        .map(|i| {
-            let d = (i * 13 + i / 7) % distinct;
-            BatchQuery {
-                initiator: NodeId((d * 29 + 7) % n),
-                spec: if d.is_multiple_of(2) {
-                    QuerySpec::Stgq(stgq)
-                } else {
-                    QuerySpec::Sgq(sgq)
-                },
-                engine: Engine::Exact,
-            }
-        })
-        .collect();
+    let ds = load_data(args, "cluster")?;
+    let shape = Shape::parse(args, "cluster", None, 2, 64)?;
+    let max_nodes = value_or(args, "--max-nodes", 4usize)?.max(1);
+    let workload = shape.hot_workload(ds.graph.node_count())?;
 
     println!(
         "{} queries over {} people; host parallelism {}:",
@@ -415,20 +419,7 @@ fn cluster(args: &[String]) -> Result<(), String> {
             },
             ..ClusterConfig::default()
         };
-        let mut cluster = Cluster::new(ds.grid.horizon(), cfg);
-        for v in 0..ds.graph.node_count() {
-            cluster.add_person(format!("p{v}"));
-        }
-        for e in ds.graph.edges() {
-            cluster
-                .connect(e.a, e.b, e.weight)
-                .map_err(|e| e.to_string())?;
-        }
-        for (v, cal) in ds.calendars.iter().enumerate() {
-            cluster
-                .set_calendar(NodeId(v as u32), cal.clone())
-                .map_err(|e| e.to_string())?;
-        }
+        let cluster = load_cluster(&ds, cfg)?;
 
         // Untimed warmup: attaches the replicas (full sync) and fills the
         // per-node feasible-graph caches.
@@ -495,43 +486,10 @@ fn cluster(args: &[String]) -> Result<(), String> {
 /// and print the latency spectrum as Prometheus text — or, with
 /// `--slow-log`, the flight recorder's slowest-N traces as JSON.
 fn metrics(args: &[String]) -> Result<(), String> {
-    use stgq::cluster::{Cluster, ClusterConfig};
-    use stgq::datagen::metropolis::{metropolis, MetropolisConfig};
-    use stgq::exec::{ExecConfig, QuerySpec};
-    use stgq::service::{BatchQuery, Engine, Planner};
-
-    let p: usize = match take_value(args, &["-p"])? {
-        Some(v) => parse(&v, "-p")?,
-        None => 4,
-    };
-    let s: usize = match take_value(args, &["-s"])? {
-        Some(v) => parse(&v, "-s")?,
-        None => 2,
-    };
-    let k: usize = match take_value(args, &["-k"])? {
-        Some(v) => parse(&v, "-k")?,
-        None => p.saturating_sub(1),
-    };
-    let m: usize = match take_value(args, &["-m"])? {
-        Some(v) => parse(&v, "-m")?,
-        None => 4,
-    };
-    let queries: usize = match take_value(args, &["--queries"])? {
-        Some(v) => parse(&v, "--queries")?,
-        None => 48,
-    };
-    let nodes: usize = match take_value(args, &["--nodes"])? {
-        Some(v) => parse(&v, "--nodes")?,
-        None => 2,
-    };
-    let seed: u64 = match take_value(args, &["--seed"])? {
-        Some(v) => parse(&v, "--seed")?,
-        None => 42,
-    };
-    let members: usize = match take_value(args, &["--members"])? {
-        Some(v) => parse(&v, "--members")?,
-        None => 2_000,
-    };
+    let shape = Shape::parse(args, "metrics", Some(4), 2, 48)?;
+    let nodes: usize = value_or(args, "--nodes", 2)?;
+    let seed: u64 = value_or(args, "--seed", 42)?;
+    let members: usize = value_or(args, "--members", 2_000)?;
     let slow_log = args.iter().any(|a| a == "--slow-log");
     let slow_query_threshold = match take_value(args, &["--slow-threshold-us"])? {
         Some(v) => std::time::Duration::from_micros(parse(&v, "--slow-threshold-us")?),
@@ -539,52 +497,20 @@ fn metrics(args: &[String]) -> Result<(), String> {
     };
 
     let ds = match take_value(args, &["--data", "-d"])? {
-        Some(f) => load_dataset(&PathBuf::from(&f)).map_err(|e| e.to_string())?,
+        Some(_) => load_data(args, "metrics")?,
         None => metropolis(&MetropolisConfig::with_members(members), 2, seed),
     };
     let exec = ExecConfig {
         slow_query_threshold,
         ..ExecConfig::default()
     };
-
-    // The same hot workload shape as `batch`/`cluster`: queries repeat
-    // across a small pool of popular initiators, so the spectrum shows
-    // both the solve mode and the replay/collapse fast path.
-    let sgq = SgqQuery::new(p, s, k).map_err(|e| e.to_string())?;
-    let stgq = StgqQuery::new(p, s, k, m).map_err(|e| e.to_string())?;
-    let n = ds.graph.node_count() as u32;
-    let distinct = (queries / 3).max(1) as u32;
-    let workload: Vec<BatchQuery> = (0..queries as u32)
-        .map(|i| {
-            let d = (i * 13 + i / 7) % distinct;
-            BatchQuery {
-                initiator: NodeId((d * 29 + 7) % n),
-                spec: if d.is_multiple_of(2) {
-                    QuerySpec::Stgq(stgq)
-                } else {
-                    QuerySpec::Sgq(sgq)
-                },
-                engine: Engine::Exact,
-            }
-        })
-        .collect();
+    // The same hot workload shape as `batch`/`cluster`: the spectrum
+    // shows both the solve mode and the replay/collapse fast path.
+    let workload = shape.hot_workload(ds.graph.node_count())?;
 
     if nodes == 0 {
         // One in-process planner: the single-process spectrum.
-        let mut planner = Planner::with_exec_config(ds.grid.horizon(), exec);
-        for v in 0..ds.graph.node_count() {
-            planner.add_person(format!("p{v}"));
-        }
-        for e in ds.graph.edges() {
-            planner
-                .connect(e.a, e.b, e.weight)
-                .map_err(|e| e.to_string())?;
-        }
-        for (v, cal) in ds.calendars.iter().enumerate() {
-            planner
-                .set_calendar(NodeId(v as u32), cal.clone())
-                .map_err(|e| e.to_string())?;
-        }
+        let planner = load_planner(&ds, exec)?;
         // Two passes: the first solves, the second replays — both modes
         // of the end-to-end distribution get samples.
         for _ in 0..2 {
@@ -605,20 +531,7 @@ fn metrics(args: &[String]) -> Result<(), String> {
         node_exec: ExecConfig { workers: 1, ..exec },
         ..ClusterConfig::default()
     };
-    let mut cluster = Cluster::new(ds.grid.horizon(), cfg);
-    for v in 0..ds.graph.node_count() {
-        cluster.add_person(format!("p{v}"));
-    }
-    for e in ds.graph.edges() {
-        cluster
-            .connect(e.a, e.b, e.weight)
-            .map_err(|e| e.to_string())?;
-    }
-    for (v, cal) in ds.calendars.iter().enumerate() {
-        cluster
-            .set_calendar(NodeId(v as u32), cal.clone())
-            .map_err(|e| e.to_string())?;
-    }
+    let cluster = load_cluster(&ds, cfg)?;
     for _ in 0..2 {
         for reply in cluster.plan_batch(&workload) {
             reply.map_err(|e| e.to_string())?;
@@ -642,30 +555,14 @@ fn metrics(args: &[String]) -> Result<(), String> {
 }
 
 fn query(args: &[String]) -> Result<(), String> {
-    let data = take_value(args, &["--data", "-d"])?.ok_or("query requires --data FILE")?;
+    let ds = load_data(args, "query")?;
     let initiator: u32 = parse(
         &take_value(args, &["--initiator", "-i"])?.ok_or("query requires --initiator ID")?,
         "--initiator",
     )?;
-    let p: usize = parse(
-        &take_value(args, &["-p"])?.ok_or("query requires -p N")?,
-        "-p",
-    )?;
-    let s: usize = match take_value(args, &["-s"])? {
-        Some(v) => parse(&v, "-s")?,
-        None => 1,
-    };
-    let k: usize = match take_value(args, &["-k"])? {
-        Some(v) => parse(&v, "-k")?,
-        None => p.saturating_sub(1),
-    };
-    let m: Option<usize> = match take_value(args, &["-m"])? {
-        Some(v) => Some(parse(&v, "-m")?),
-        None => None,
-    };
+    let Shape { p, s, k, m, .. } = Shape::parse(args, "query", None, 1, 0)?;
     let compare = args.iter().any(|a| a == "--compare");
 
-    let ds = load_dataset(&PathBuf::from(&data)).map_err(|e| e.to_string())?;
     let q = NodeId(initiator);
     let cfg = SelectConfig::default();
 

@@ -49,8 +49,8 @@
 //! * [`mip`] — a from-scratch simplex + branch & bound;
 //! * [`ip`] — the paper's Appendix-D Integer Programming formulation;
 //! * [`datagen`] — synthetic datasets shaped after the paper's evaluation;
-//! * [`exec`] — the sharded, batched query-execution subsystem (admission
-//!   queue → initiator-shard batching → fixed worker pool → epoch-swapped
+//! * [`exec`] — the sharded, batched query-execution subsystem
+//!   (initiator-shard batching → fixed worker pool → epoch-swapped
 //!   snapshot read path) serving many concurrent queries over one shared
 //!   graph;
 //! * [`service`] — a long-lived planning service with incremental updates;
@@ -80,17 +80,17 @@
 //! The counters and histograms map onto the serving pipeline like this
 //! (histogram families carry the `_ns` suffix in the exposition):
 //!
-//! | Pipeline stage | Histograms | Counters (`MetricsSnapshot`) |
+//! | Pipeline stage | Histograms | Counters (`exec::ExecMetrics`) |
 //! |---|---|---|
-//! | **admission** — submit → a worker picks the entry up | `queue_wait` | `batched_entries` |
-//! | **shard batch** — group by initiator shard, collapse repeats | — | `collapsed_entries` (and `queries`) |
+//! | **queue** — `execute_batch` takes the entry → a worker picks it up | `queue_wait` | `batched_entries` |
+//! | **shard batch** — group by initiator shard, collapse repeats | — | `shard_jobs`, `collapsed_entries` (and `queries`) |
 //! | **cache** — version-stamped result replay, feasible-graph lookup | `end_to_end` low mode | `result_cache_hits`/`misses`, `result_cache_evicted_*`, `feasible_cache_hits`/`misses` |
 //! | **extract** — zero-copy candidate view over the snapshot's CSR segments | `feasible_extract` | `extract_words_borrowed` |
 //! | **prepare** — pivot availability buffers from a per-solve run cache | `prep` | `prep_words_delta`, `prep_words_rebuilt` |
 //! | **peel** — fixpoint (p, k)-core reduction before descent | inside `solve` | `peeled_candidates`, `pivots_refused_by_core` |
 //! | **floor** — pivot-granularity distance bound skipping whole pivots | inside `solve` | `pivots_skipped` |
 //! | **descend** — the exact branch & bound itself | `descend`, `solve` | `frames_examined`, `frames_pruned_by_bound`, `frames_pruned_by_match`, `children_pruned_by_parent_bound`, `cancelled` |
-//! | **publish** — epoch-swapped snapshot rebuild after mutations | `snapshot_publish` | `snapshot_rebuilds`, `snapshot_shards_rebuilt`/`reused`, `mutations` |
+//! | **publish** — epoch-swapped snapshot rebuild after mutations | `snapshot_publish` | `snapshot_publishes`, `snapshot_shards_rebuilt`/`reused` (the exposition adds `mutations`, the writer's delta sequence) |
 //!
 //! End-to-end latency (`end_to_end`) spans the whole row set: queue wait
 //! plus the answer envelope, sampled for every answer including replays.

@@ -117,7 +117,7 @@ fn batched_execution_is_deterministic_on_the_sparse_fringe_scenario() {
         );
     }
     // The reduction layer really fires on this workload.
-    let m = reference_planner.metrics();
+    let m = reference_planner.exec_metrics();
     assert!(
         m.peeled_candidates > 0,
         "fringe fans must be peeled somewhere in the batch"
@@ -200,7 +200,7 @@ fn budget_exhaustion_and_cancellation_are_distinct_stop_causes() {
     let report = planner.plan_stgq(initiator, &stgq, Engine::Exact).unwrap();
     assert!(report.exact);
     assert_eq!(
-        planner.metrics().cancelled,
+        planner.exec_metrics().cancelled,
         2,
         "both stopped solves counted"
     );
@@ -229,7 +229,7 @@ fn batch_collapsing_preserves_answers_and_counts_queries() {
         .solution
         .map(|s| s.total_distance);
     assert_eq!(objectives[0], sequential);
-    let m = planner.metrics();
+    let m = planner.exec_metrics();
     assert_eq!(m.collapsed_entries, 5, "five of six entries collapsed");
     assert_eq!(m.batched_entries, 6);
 }

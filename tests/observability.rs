@@ -88,18 +88,75 @@ fn planner_exposition_round_trips_and_matches_its_counters() {
         assert!(histograms.contains(&family), "missing histogram {family}");
     }
 
-    let m = planner.metrics();
-    assert_eq!(report.family_type("stgq_queries"), Some("counter"));
-    assert_eq!(
-        report.value("stgq_queries", &[]),
-        Some(m.queries as f64),
-        "rendered counter must equal the snapshot"
-    );
-    assert_eq!(
-        report.value("stgq_result_cache_hits", &[]),
-        Some(m.result_cache_hits as f64)
-    );
+    // Every counter and gauge family the planner renders equals the
+    // counter it was rendered from, and no family goes unchecked.
+    let m = planner.exec_metrics();
+    let counters: [(&str, u64); 24] = [
+        ("stgq_queries", m.queries),
+        ("stgq_mutations", planner.writer().delta_seq()),
+        ("stgq_feasible_cache_hits", m.feasible_cache_hits),
+        ("stgq_feasible_cache_misses", m.feasible_cache_misses),
+        ("stgq_snapshot_publishes", m.snapshot_publishes),
+        ("stgq_frames_examined", m.frames_examined),
+        ("stgq_frames_pruned_by_bound", m.frames_pruned_by_bound),
+        ("stgq_pivots_skipped", m.pivots_skipped),
+        ("stgq_peeled_candidates", m.peeled_candidates),
+        ("stgq_pivots_refused_by_core", m.pivots_refused_by_core),
+        ("stgq_frames_pruned_by_match", m.frames_pruned_by_match),
+        (
+            "stgq_children_pruned_by_parent_bound",
+            m.children_pruned_by_parent_bound,
+        ),
+        ("stgq_prep_words_delta", m.prep_words_delta),
+        ("stgq_prep_words_rebuilt", m.prep_words_rebuilt),
+        ("stgq_extract_words_borrowed", m.extract_words_borrowed),
+        ("stgq_batched_entries", m.batched_entries),
+        ("stgq_collapsed_entries", m.collapsed_entries),
+        ("stgq_result_cache_hits", m.result_cache_hits),
+        ("stgq_result_cache_misses", m.result_cache_misses),
+        (
+            "stgq_result_cache_evicted_stale_shard",
+            m.result_cache_evicted_stale_shard,
+        ),
+        (
+            "stgq_result_cache_evicted_capacity",
+            m.result_cache_evicted_capacity,
+        ),
+        ("stgq_snapshot_shards_rebuilt", m.snapshot_shards_rebuilt),
+        ("stgq_snapshot_shards_reused", m.snapshot_shards_reused),
+        ("stgq_cancelled", m.cancelled),
+    ];
+    let obs = planner.executor().obs();
+    let gauges: [(&str, usize); 3] = [
+        ("stgq_cached_feasible_graphs", m.cached_feasible_graphs),
+        (
+            "stgq_slow_queries_logged",
+            obs.recorder.slow_queries().len(),
+        ),
+        ("stgq_traces_buffered", obs.recorder.traces().len()),
+    ];
+    for (family, value) in counters {
+        assert_eq!(report.family_type(family), Some("counter"), "{family}");
+        assert_eq!(
+            report.value(family, &[]),
+            Some(value as f64),
+            "rendered {family} must equal its counter"
+        );
+    }
+    for (family, value) in gauges {
+        assert_eq!(report.family_type(family), Some("gauge"), "{family}");
+        assert_eq!(report.value(family, &[]), Some(value as f64), "{family}");
+    }
+    for (family, kind) in &report.families {
+        assert!(
+            kind == "histogram"
+                || counters.iter().any(|(f, _)| f == family)
+                || gauges.iter().any(|(f, _)| f == family),
+            "{family} is rendered but not checked"
+        );
+    }
     assert!(m.result_cache_hits >= batch.len() as u64, "pass 2 replays");
+    assert!(m.snapshot_publishes >= 1 && planner.writer().delta_seq() > 0);
 
     // Every answer samples end-to-end; only actual solves sample solve.
     let end_to_end = report.value("stgq_end_to_end_ns_count", &[]).unwrap();
@@ -112,7 +169,7 @@ fn planner_exposition_round_trips_and_matches_its_counters() {
     assert_eq!(
         report.value("stgq_queue_wait_ns_count", &[]),
         Some(m.batched_entries as f64),
-        "every batched entry waits in the admission queue exactly once"
+        "every batched entry waits in the job queue exactly once"
     );
 }
 
@@ -268,7 +325,7 @@ fn slow_query_log_captures_the_hard_query_with_stage_breakdown() {
     // engine call inside the end-to-end total.
     let st = &hard_trace.stages;
     assert!(st.solve_ns > 0 && st.solve_ns <= st.total_ns);
-    assert!(st.prepare_ns + st.finalize_ns + st.descend_ns <= st.solve_ns);
+    assert!(st.prepare_ns + st.descend_ns <= st.solve_ns);
     assert!(st.descend_ns > 0, "an exact STGQ descends");
     assert!(st.prepare_ns > 0, "an exact STGQ prepares pivots");
     // And the solve's counters came along for triage.
@@ -356,5 +413,5 @@ fn replays_sample_end_to_end_but_never_solve_traces_or_cancellations() {
     assert_eq!(obs.end_to_end.count(), 2);
     assert_eq!(obs.solve.count(), 1, "a replay never samples solve");
     assert_eq!(obs.recorder.traces().len(), 1, "a replay never traces");
-    assert_eq!(planner.metrics().cancelled, 0);
+    assert_eq!(planner.exec_metrics().cancelled, 0);
 }

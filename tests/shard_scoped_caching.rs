@@ -150,8 +150,8 @@ proptest! {
                 prop_assert_eq!(o_sharded, o_fresh, "cached answer is stale");
             }
         }
-        let m_sharded = sharded.metrics();
-        let m_flood = flood.metrics();
+        let m_sharded = sharded.exec_metrics();
+        let m_flood = flood.exec_metrics();
         prop_assert!(
             m_sharded.result_cache_hits >= m_flood.result_cache_hits,
             "delta-scoped stamps must hit at least as often ({} < {})",
@@ -207,7 +207,7 @@ fn a_single_community_delta_rebuilds_and_evicts_one_shard_at_100k_members() {
     // rebuilt), both answers enter the result cache.
     assert!(!p.plan_sgq(xa, &q, Engine::Exact).unwrap().result_cache_hit);
     assert!(!p.plan_sgq(ya, &q, Engine::Exact).unwrap().result_cache_hit);
-    let m0 = p.metrics();
+    let m0 = p.exec_metrics();
     assert_eq!(m0.snapshot_shards_rebuilt, 2 * SHARDS as u64);
 
     // One delta, confined to community A: re-weight an intra-community
@@ -222,7 +222,7 @@ fn a_single_community_delta_rebuilds_and_evicts_one_shard_at_100k_members() {
         rb.result_cache_hit,
         "an untouched community keeps replaying"
     );
-    let m1 = p.metrics();
+    let m1 = p.exec_metrics();
     assert_eq!(m1.snapshot_shards_rebuilt - m0.snapshot_shards_rebuilt, 1);
     assert_eq!(
         m1.snapshot_shards_reused - m0.snapshot_shards_reused,
@@ -232,7 +232,7 @@ fn a_single_community_delta_rebuilds_and_evicts_one_shard_at_100k_members() {
     // A's repeat is the only eviction in the whole cache.
     let ra = p.plan_sgq(xa, &q, Engine::Exact).unwrap();
     assert!(!ra.result_cache_hit, "the touched community re-solves");
-    let m2 = p.metrics();
+    let m2 = p.exec_metrics();
     assert_eq!(m2.result_cache_evicted_stale_shard, 1);
     assert_eq!(m2.result_cache_evicted_capacity, 0);
 }
