@@ -9,12 +9,21 @@
 //! * **data** — the router scatters [`WireRequest`] batches and gathers
 //!   per-entry outcomes.
 //!
-//! All of it is JSON-encodable through the workspace serde shim: the
-//! in-process transport can run in a codec-exercising mode that
-//! round-trips every message through its wire form, so a future network
-//! transport changes *where* bytes go, not *what* they say.
+//! # Wire encodings
+//!
+//! Every type here, and every executor, core and service type inside
+//! it, derives its JSON form, in upstream serde's default encoding:
+//! structs are objects, and enums are externally tagged in snake case —
+//! a unit variant is `"status"`, a newtype variant `{"replicate": …}`, a
+//! struct variant `{"ack": {"seq": …, "epoch": …}}`. An outcome list is
+//! `[{"Ok": …}, {"Err": …}]`, and a `Duration` is
+//! `{"secs": …, "nanos": …}`. The one exception is [`NodeObs`]: its
+//! histograms are a foreign type, trimmed of trailing empty buckets on
+//! the wire. The TCP transport and the in-process transport's
+//! codec-exercising mode both ship these encodings, so a transport
+//! changes *where* bytes go, not *what* they say.
 
-use serde::value::{get, Value};
+use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
 use stgq_exec::{Engine, ExecError, PlanOutcome, QuerySpec};
 use stgq_graph::NodeId;
@@ -25,7 +34,7 @@ use stgq_service::{DeltaRecord, WorldState};
 /// published epoch. Ordered axis-wise — an epoch *covers* a requirement
 /// iff it is at least as new on **both** axes (graph and calendar
 /// versions advance independently).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Epoch {
     /// The network (graph) version.
     pub graph: u64,
@@ -49,7 +58,7 @@ impl Epoch {
 /// process-local control handles (deadlines and cancellation tokens do
 /// not serialize; cluster requests are the deterministic, collapsible
 /// kind).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WireRequest {
     /// Who is asking.
     pub initiator: NodeId,
@@ -63,7 +72,8 @@ pub struct WireRequest {
 }
 
 /// What the writer ships to a replica in one replication round.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum ReplicationPayload {
     /// The ordered mutations after the replica's acknowledged sequence.
     /// `from_seq` is the sequence the records splice onto — a replica
@@ -81,7 +91,8 @@ pub enum ReplicationPayload {
 }
 
 /// A message to one cluster node.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum NodeMsg {
     /// Replication plane: apply this payload and acknowledge.
     Replicate(ReplicationPayload),
@@ -103,7 +114,7 @@ pub enum NodeMsg {
 
 /// Point-in-time serving counters of one node, as reported by
 /// [`NodeMsg::Status`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct NodeStatus {
     /// The last delta sequence applied.
     pub seq: u64,
@@ -135,7 +146,8 @@ pub struct NodeObs {
 }
 
 /// A node's answer to one [`NodeMsg`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum NodeReply {
     /// Replication applied; the node now stands at this sequence/epoch.
     Ack {
@@ -166,358 +178,85 @@ pub enum NodeReply {
     State(WorldState),
 }
 
-// ---- wire encodings --------------------------------------------------
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// `HistogramSnapshot` is foreign to both this crate and the serde shim
+/// (and `stgq-obs` is deliberately dependency-free), so [`NodeObs`]
+/// crosses the wire through this form: trailing zero buckets are trimmed
+/// on encode and padded back on decode — a mostly-empty 64-bucket
+/// spectrum costs a few array elements, not 64.
+#[derive(Serialize, Deserialize)]
+struct WireHistogram {
+    name: String,
+    count: u64,
+    sum_ns: u64,
+    buckets: Vec<u64>,
 }
 
-fn need<'a>(entries: &'a [(String, Value)], name: &str, ty: &str) -> Result<&'a Value, DeError> {
-    get(entries, name).ok_or_else(|| DeError::new(format!("missing field `{name}` in {ty}")))
-}
-
-fn tagged(v: &Value, ty: &str) -> Result<(String, Vec<(String, Value)>), DeError> {
-    let entries = v
-        .as_object()
-        .ok_or_else(|| DeError::new(format!("expected object for {ty}")))?;
-    let [(tag, inner)] = entries else {
-        return Err(DeError::new(format!(
-            "{ty} object must have exactly one key"
-        )));
-    };
-    let fields = inner
-        .as_object()
-        .ok_or_else(|| DeError::new(format!("expected object payload for {ty}::{tag}")))?;
-    Ok((tag.clone(), fields.to_vec()))
-}
-
-impl Serialize for Epoch {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("graph", self.graph.to_value()),
-            ("calendar", self.calendar.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Epoch {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| DeError::new("expected object for Epoch"))?;
-        Ok(Epoch {
-            graph: u64::from_value(need(entries, "graph", "Epoch")?)?,
-            calendar: u64::from_value(need(entries, "calendar", "Epoch")?)?,
-        })
-    }
-}
-
-impl Serialize for WireRequest {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("initiator", self.initiator.0.to_value()),
-            ("spec", self.spec.to_value()),
-            ("engine", self.engine.to_value()),
-            ("min_epoch", self.min_epoch.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for WireRequest {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| DeError::new("expected object for WireRequest"))?;
-        Ok(WireRequest {
-            initiator: NodeId(u32::from_value(need(entries, "initiator", "WireRequest")?)?),
-            spec: QuerySpec::from_value(need(entries, "spec", "WireRequest")?)?,
-            engine: Engine::from_value(need(entries, "engine", "WireRequest")?)?,
-            min_epoch: Option::from_value(need(entries, "min_epoch", "WireRequest")?)?,
-        })
-    }
-}
-
-impl Serialize for ReplicationPayload {
-    fn to_value(&self) -> Value {
-        match self {
-            ReplicationPayload::Deltas { from_seq, records } => obj(vec![(
-                "deltas",
-                obj(vec![
-                    ("from_seq", from_seq.to_value()),
-                    ("records", records.to_value()),
-                ]),
-            )]),
-            ReplicationPayload::Full(state) => {
-                obj(vec![("full", obj(vec![("state", state.to_value())]))])
-            }
-        }
-    }
-}
-
-impl Deserialize for ReplicationPayload {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let (tag, fields) = tagged(v, "ReplicationPayload")?;
-        match tag.as_str() {
-            "deltas" => Ok(ReplicationPayload::Deltas {
-                from_seq: u64::from_value(need(&fields, "from_seq", "deltas")?)?,
-                records: Vec::from_value(need(&fields, "records", "deltas")?)?,
-            }),
-            "full" => Ok(ReplicationPayload::Full(WorldState::from_value(need(
-                &fields, "state", "full",
-            )?)?)),
-            other => Err(DeError::new(format!(
-                "unknown ReplicationPayload `{other}`"
-            ))),
-        }
-    }
-}
-
-impl Serialize for NodeMsg {
-    fn to_value(&self) -> Value {
-        match self {
-            NodeMsg::Replicate(p) => obj(vec![("replicate", obj(vec![("payload", p.to_value())]))]),
-            NodeMsg::Execute(reqs) => {
-                obj(vec![("execute", obj(vec![("requests", reqs.to_value())]))])
-            }
-            NodeMsg::Status => Value::Str("status".to_string()),
-            NodeMsg::Metrics => Value::Str("metrics".to_string()),
-            NodeMsg::Export => Value::Str("export".to_string()),
-        }
-    }
-}
-
-impl Deserialize for NodeMsg {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        if let Value::Str(s) = v {
-            return match s.as_str() {
-                "status" => Ok(NodeMsg::Status),
-                "metrics" => Ok(NodeMsg::Metrics),
-                "export" => Ok(NodeMsg::Export),
-                other => Err(DeError::new(format!("unknown NodeMsg `{other}`"))),
-            };
-        }
-        let (tag, fields) = tagged(v, "NodeMsg")?;
-        match tag.as_str() {
-            "replicate" => Ok(NodeMsg::Replicate(ReplicationPayload::from_value(need(
-                &fields,
-                "payload",
-                "replicate",
-            )?)?)),
-            "execute" => Ok(NodeMsg::Execute(Vec::from_value(need(
-                &fields, "requests", "execute",
-            )?)?)),
-            other => Err(DeError::new(format!("unknown NodeMsg `{other}`"))),
-        }
-    }
-}
-
-impl Serialize for NodeStatus {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("seq", self.seq.to_value()),
-            ("epoch", self.epoch.to_value()),
-            ("attached", self.attached.to_value()),
-            ("full_syncs", self.full_syncs.to_value()),
-            ("delta_batches", self.delta_batches.to_value()),
-            ("queries", self.queries.to_value()),
-            ("result_cache_hits", self.result_cache_hits.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for NodeStatus {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| DeError::new("expected object for NodeStatus"))?;
-        Ok(NodeStatus {
-            seq: u64::from_value(need(entries, "seq", "NodeStatus")?)?,
-            epoch: Epoch::from_value(need(entries, "epoch", "NodeStatus")?)?,
-            attached: bool::from_value(need(entries, "attached", "NodeStatus")?)?,
-            full_syncs: u64::from_value(need(entries, "full_syncs", "NodeStatus")?)?,
-            delta_batches: u64::from_value(need(entries, "delta_batches", "NodeStatus")?)?,
-            queries: u64::from_value(need(entries, "queries", "NodeStatus")?)?,
-            result_cache_hits: u64::from_value(need(entries, "result_cache_hits", "NodeStatus")?)?,
-        })
-    }
-}
-
-// `HistogramSnapshot` is foreign to both this crate and the serde shim
-// (and `stgq-obs` is deliberately dependency-free), so its wire form
-// lives here: trailing zero buckets are trimmed on encode and padded
-// back on decode — a mostly-empty 64-bucket spectrum costs a few array
-// elements, not 64.
-fn hist_to_value(name: &str, h: &HistogramSnapshot) -> Value {
-    let used = BUCKETS - h.buckets.iter().rev().take_while(|&&b| b == 0).count();
-    obj(vec![
-        ("name", name.to_value()),
-        ("count", h.count.to_value()),
-        ("sum_ns", h.sum_ns.to_value()),
-        ("buckets", h.buckets[..used].to_vec().to_value()),
-    ])
-}
-
-fn hist_from_value(v: &Value) -> Result<(String, HistogramSnapshot), DeError> {
-    let entries = v
-        .as_object()
-        .ok_or_else(|| DeError::new("expected object for histogram"))?;
-    let raw: Vec<u64> = Vec::from_value(need(entries, "buckets", "histogram")?)?;
-    if raw.len() > BUCKETS {
-        return Err(DeError::new(format!(
-            "histogram has {} buckets, max {BUCKETS}",
-            raw.len()
-        )));
-    }
-    let mut buckets = [0u64; BUCKETS];
-    buckets[..raw.len()].copy_from_slice(&raw);
-    Ok((
-        String::from_value(need(entries, "name", "histogram")?)?,
-        HistogramSnapshot {
-            buckets,
-            count: u64::from_value(need(entries, "count", "histogram")?)?,
-            sum_ns: u64::from_value(need(entries, "sum_ns", "histogram")?)?,
-        },
-    ))
+#[derive(Serialize, Deserialize)]
+struct WireObs {
+    status: NodeStatus,
+    histograms: Vec<WireHistogram>,
 }
 
 impl Serialize for NodeObs {
     fn to_value(&self) -> Value {
-        obj(vec![
-            ("status", self.status.to_value()),
-            (
-                "histograms",
-                Value::Array(
-                    self.histograms
-                        .iter()
-                        .map(|(name, h)| hist_to_value(name, h))
-                        .collect(),
-                ),
-            ),
-        ])
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            let used = BUCKETS - h.buckets.iter().rev().take_while(|&&b| b == 0).count();
+            WireHistogram {
+                name: name.clone(),
+                count: h.count,
+                sum_ns: h.sum_ns,
+                buckets: h.buckets[..used].to_vec(),
+            }
+        });
+        WireObs {
+            status: self.status,
+            histograms: histograms.collect(),
+        }
+        .to_value()
     }
 }
 
 impl Deserialize for NodeObs {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| DeError::new("expected object for NodeObs"))?;
-        let items = need(entries, "histograms", "NodeObs")?
-            .as_array()
-            .ok_or_else(|| DeError::new("expected array for NodeObs histograms"))?;
+        let WireObs { status, histograms } = WireObs::from_value(v)?;
+        let histograms = histograms.into_iter().map(|h| {
+            if h.buckets.len() > BUCKETS {
+                return Err(DeError::new(format!(
+                    "histogram has {} buckets, max {BUCKETS}",
+                    h.buckets.len()
+                )));
+            }
+            let mut buckets = [0u64; BUCKETS];
+            buckets[..h.buckets.len()].copy_from_slice(&h.buckets);
+            let (count, sum_ns) = (h.count, h.sum_ns);
+            Ok((
+                h.name,
+                HistogramSnapshot {
+                    buckets,
+                    count,
+                    sum_ns,
+                },
+            ))
+        });
         Ok(NodeObs {
-            status: NodeStatus::from_value(need(entries, "status", "NodeObs")?)?,
-            histograms: items
-                .iter()
-                .map(hist_from_value)
-                .collect::<Result<_, _>>()?,
+            status,
+            histograms: histograms.collect::<Result<_, _>>()?,
         })
-    }
-}
-
-impl Serialize for NodeReply {
-    fn to_value(&self) -> Value {
-        match self {
-            NodeReply::Ack { seq, epoch } => obj(vec![(
-                "ack",
-                obj(vec![("seq", seq.to_value()), ("epoch", epoch.to_value())]),
-            )]),
-            NodeReply::Stale { have_seq } => obj(vec![(
-                "stale",
-                obj(vec![("have_seq", have_seq.to_value())]),
-            )]),
-            NodeReply::Failed { reason } => {
-                obj(vec![("failed", obj(vec![("reason", reason.to_value())]))])
-            }
-            NodeReply::Outcomes(outcomes) => {
-                // Result<_, _> has no blanket impl in the shim: encode as
-                // {"ok": ...} / {"err": ...} objects.
-                let items: Vec<Value> = outcomes
-                    .iter()
-                    .map(|r| match r {
-                        Ok(o) => obj(vec![("ok", o.to_value())]),
-                        Err(e) => obj(vec![("err", e.to_value())]),
-                    })
-                    .collect();
-                obj(vec![(
-                    "outcomes",
-                    obj(vec![("items", Value::Array(items))]),
-                )])
-            }
-            NodeReply::Status(status) => {
-                obj(vec![("status", obj(vec![("report", status.to_value())]))])
-            }
-            NodeReply::Metrics(node_obs) => obj(vec![(
-                "metrics",
-                obj(vec![("report", node_obs.to_value())]),
-            )]),
-            NodeReply::State(state) => obj(vec![("state", obj(vec![("world", state.to_value())]))]),
-        }
-    }
-}
-
-impl Deserialize for NodeReply {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let (tag, fields) = tagged(v, "NodeReply")?;
-        match tag.as_str() {
-            "ack" => Ok(NodeReply::Ack {
-                seq: u64::from_value(need(&fields, "seq", "ack")?)?,
-                epoch: Epoch::from_value(need(&fields, "epoch", "ack")?)?,
-            }),
-            "stale" => Ok(NodeReply::Stale {
-                have_seq: u64::from_value(need(&fields, "have_seq", "stale")?)?,
-            }),
-            "failed" => Ok(NodeReply::Failed {
-                reason: String::from_value(need(&fields, "reason", "failed")?)?,
-            }),
-            "outcomes" => {
-                let items = need(&fields, "items", "outcomes")?
-                    .as_array()
-                    .ok_or_else(|| DeError::new("expected array for outcomes"))?;
-                let mut outcomes = Vec::with_capacity(items.len());
-                for item in items {
-                    let (kind, inner) = {
-                        let entries = item
-                            .as_object()
-                            .ok_or_else(|| DeError::new("expected ok/err object"))?;
-                        let [(k, v)] = entries else {
-                            return Err(DeError::new("outcome entry must have one key"));
-                        };
-                        (k.clone(), v.clone())
-                    };
-                    outcomes.push(match kind.as_str() {
-                        "ok" => Ok(PlanOutcome::from_value(&inner)?),
-                        "err" => Err(ExecError::from_value(&inner)?),
-                        other => {
-                            return Err(DeError::new(format!("unknown outcome kind `{other}`")))
-                        }
-                    });
-                }
-                Ok(NodeReply::Outcomes(outcomes))
-            }
-            "status" => Ok(NodeReply::Status(NodeStatus::from_value(need(
-                &fields, "report", "status",
-            )?)?)),
-            "metrics" => Ok(NodeReply::Metrics(NodeObs::from_value(need(
-                &fields, "report", "metrics",
-            )?)?)),
-            "state" => Ok(NodeReply::State(WorldState::from_value(need(
-                &fields, "world", "state",
-            )?)?)),
-            other => Err(DeError::new(format!("unknown NodeReply `{other}`"))),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stgq_core::SgqQuery;
+    use proptest::prelude::*;
+    use std::fmt::Debug;
+    use std::time::Duration;
+    use stgq_core::{
+        SearchStats, SgqOutcome, SgqQuery, SgqSolution, SolveOutcome, StgqOutcome, StgqQuery,
+        StgqSolution, StopCause,
+    };
+    use stgq_schedule::{Calendar, SlotRange};
+    use stgq_service::WorldDelta;
 
     #[test]
     fn epoch_covering_is_axis_wise() {
@@ -596,5 +335,224 @@ mod tests {
             let back: NodeReply = serde_json::from_str(&json).unwrap();
             assert_eq!(back, reply);
         }
+    }
+
+    /// Decode `bytes` the way a TCP frame is decoded. The result does
+    /// not matter, only that decoding returns.
+    fn decode_quietly<T: Deserialize>(bytes: &[u8]) {
+        if let Ok(text) = std::str::from_utf8(bytes) {
+            let _ = serde_json::from_str::<T>(text);
+        }
+    }
+
+    /// `value` round-trips to an equal value, and every truncated prefix
+    /// and every single-byte flip (`^ mask`) of its encoding decodes to
+    /// `Ok` or `Err` without a panic.
+    fn survives_hostile_bytes<T: Serialize + Deserialize + PartialEq + Debug>(value: &T, mask: u8) {
+        let json = serde_json::to_string(value).unwrap();
+        assert_eq!(&serde_json::from_str::<T>(&json).unwrap(), value, "{json}");
+        let mut bytes = json.into_bytes();
+        for end in 0..bytes.len() {
+            decode_quietly::<T>(&bytes[..end]);
+        }
+        for i in 0..bytes.len() {
+            bytes[i] ^= mask;
+            decode_quietly::<T>(&bytes);
+            bytes[i] ^= mask;
+        }
+    }
+
+    /// An executor answer built from `n`, feasible or not.
+    fn plan_outcome(n: u64, stgq: bool, feasible: bool, engine: Engine) -> PlanOutcome {
+        let stats = SearchStats {
+            frames: n,
+            pivots_skipped: n / 3,
+            truncated: feasible,
+            ..Default::default()
+        };
+        let members = vec![NodeId(0), NodeId(n as u32)];
+        let outcome = if stgq {
+            let solution = StgqSolution {
+                members,
+                total_distance: n,
+                period: SlotRange::new(1, 2),
+                pivot: 1,
+            };
+            SolveOutcome::Stgq(StgqOutcome {
+                solution: feasible.then_some(solution),
+                stats,
+            })
+        } else {
+            let solution = SgqSolution {
+                members,
+                total_distance: n,
+            };
+            SolveOutcome::Sgq(SgqOutcome {
+                solution: feasible.then_some(solution),
+                stats,
+            })
+        };
+        PlanOutcome {
+            outcome,
+            evaluations: feasible.then_some(n),
+            exact: !feasible,
+            stop: [
+                StopCause::Completed,
+                StopCause::FrameBudget,
+                StopCause::Cancelled,
+            ][(n % 3) as usize],
+            engine,
+            elapsed: Duration::new(n, (n % 1_000_000_000) as u32),
+            feasible_cache_hit: feasible,
+            collapsed: stgq,
+            result_cache_hit: !stgq,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Every message and reply variant — every engine, query kind,
+        /// delta kind, `Ok` and `Err` outcome — round-trips through JSON,
+        /// and no truncation or byte flip of its frame panics the decoder.
+        #[test]
+        fn hostile_frames_decode_without_panicking(
+            n in proptest::collection::vec(0u64..=u64::MAX, 4),
+            small in proptest::collection::vec(0usize..4, 4),
+            flag in proptest::bool::ANY,
+            mask in 1u8..128,
+        ) {
+            let engines = [
+                Engine::Exact,
+                Engine::Anytime { frame_budget: n[0] },
+                Engine::Greedy { restarts: small[0] },
+                Engine::LocalSearch { restarts: small[1], passes: small[2] },
+            ];
+            let (p, s, k, m) = (small[0] + 1, small[1] + 1, small[2], small[3] + 1);
+            let specs = [
+                QuerySpec::Sgq(SgqQuery::new(p, s, k).unwrap()),
+                QuerySpec::Stgq(StgqQuery::new(p, s, k, m).unwrap()),
+            ];
+            let requests = engines
+                .iter()
+                .zip(specs.iter().cycle())
+                .enumerate()
+                .map(|(i, (&engine, &spec))| WireRequest {
+                    initiator: NodeId(n[i] as u32),
+                    spec,
+                    engine,
+                    min_epoch: (i % 2 == 0).then(|| Epoch::new(n[1], n[2])),
+                })
+                .collect();
+
+            let horizon = 64 + small[3];
+            let calendar = Calendar::from_slots(horizon, [small[0], horizon - 1]);
+            let (a, b) = (NodeId(small[0] as u32), NodeId(small[1] as u32));
+            let deltas = [
+                WorldDelta::AddPerson { label: format!("p{}\"\\\té", n[0]) },
+                WorldDelta::Connect { a, b, distance: n[1] },
+                WorldDelta::Disconnect { a, b },
+                WorldDelta::RemovePerson { person: a },
+                WorldDelta::SetSlot { person: b, slot: small[2], available: flag },
+                WorldDelta::SetRange {
+                    person: a,
+                    range: SlotRange::new(small[0], small[0] + small[1]),
+                    available: !flag,
+                },
+                WorldDelta::SetCalendar { person: b, calendar: calendar.clone() },
+            ];
+            let records = deltas
+                .into_iter()
+                .zip(1..)
+                .map(|(delta, i)| DeltaRecord {
+                    seq: n[2].wrapping_add(i),
+                    graph_version: n[3],
+                    calendar_version: n[0],
+                    delta,
+                })
+                .collect();
+            let state = WorldState {
+                horizon,
+                labels: vec!["ann".into(), "bob\n".into()],
+                active: vec![true, flag],
+                edges: vec![(0, 1, n[1])],
+                calendars: vec![calendar, Calendar::new(horizon)],
+                graph_version: n[0],
+                calendar_version: n[1],
+                seq: n[2],
+            };
+            let msgs = [
+                NodeMsg::Replicate(ReplicationPayload::Deltas { from_seq: n[2], records }),
+                NodeMsg::Replicate(ReplicationPayload::Full(state.clone())),
+                NodeMsg::Execute(requests),
+                NodeMsg::Status,
+                NodeMsg::Metrics,
+                NodeMsg::Export,
+            ];
+            for msg in &msgs {
+                survives_hostile_bytes(msg, mask);
+            }
+
+            let status = NodeStatus {
+                seq: n[0],
+                epoch: Epoch::new(n[1], n[2]),
+                attached: flag,
+                full_syncs: n[3],
+                delta_batches: n[0] / 2,
+                queries: n[1] / 2,
+                result_cache_hits: n[2] / 2,
+            };
+            let histogram = stgq_obs::Histogram::new();
+            histogram.record_ns(n[3] >> small[0]);
+            let outcomes = vec![
+                Ok(plan_outcome(n[0], flag, true, engines[small[0]])),
+                Ok(plan_outcome(n[1], !flag, false, engines[small[1]])),
+                Err(ExecError::NoSnapshot),
+                Err(ExecError::InitiatorOutOfRange {
+                    initiator: NodeId(n[2] as u32),
+                    node_count: small[3],
+                }),
+                Err(ExecError::EpochTooOld { required: (n[0], n[1]), available: (n[2], n[3]) }),
+            ];
+            let replies = [
+                NodeReply::Ack { seq: n[0], epoch: status.epoch },
+                NodeReply::Stale { have_seq: n[1] },
+                NodeReply::Failed { reason: format!("bad \"frame\" {}", n[2]) },
+                NodeReply::Outcomes(outcomes),
+                NodeReply::Status(status),
+                NodeReply::Metrics(NodeObs {
+                    status,
+                    histograms: vec![("end_to_end".to_string(), histogram.snapshot())],
+                }),
+                NodeReply::State(state),
+            ];
+            for reply in &replies {
+                survives_hostile_bytes(reply, mask);
+            }
+        }
+    }
+
+    #[test]
+    fn retired_tags_in_a_frame_are_typed_errors() {
+        let execute = |engine: &str| {
+            format!(
+                r#"{{"execute":[{{"initiator":0,"spec":{{"sgq":{{"p":2,"s":1,"k":0}}}},"engine":{engine},"min_epoch":null}}]}}"#
+            )
+        };
+        assert!(serde_json::from_str::<NodeMsg>(&execute(r#""exact""#)).is_ok());
+        let err = serde_json::from_str::<NodeMsg>(&execute(r#"{"exact_parallel":{"threads":2}}"#))
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("unknown variant `exact_parallel`"),
+            "{err}"
+        );
+
+        let outcomes = |error: &str| format!(r#"{{"outcomes":[{{"Err":{error}}}]}}"#);
+        assert!(serde_json::from_str::<NodeReply>(&outcomes(r#""no_snapshot""#)).is_ok());
+        let err = serde_json::from_str::<NodeReply>(&outcomes(r#""shutting_down""#)).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown variant `shutting_down`"),
+            "{err}"
+        );
     }
 }

@@ -2,14 +2,48 @@
 //! [`value::Value`] tree instead of upstream's visitor machinery.
 //!
 //! [`Serialize`] renders a type into a `Value`; [`Deserialize`] rebuilds
-//! it. The companion `serde_derive` shim generates both impls for the
-//! struct shapes this repo snapshots (named structs, newtype structs,
-//! `#[serde(transparent)]`, `#[serde(default, skip_serializing_if)]`), and
-//! the `serde_json` shim converts `Value` ⇄ JSON text. The visible API —
-//! `use serde::{Serialize, Deserialize}` + `#[derive(...)]` — matches
-//! upstream, so swapping the real crates back in later is a manifest edit.
+//! it, and the `serde_json` shim converts `Value` ⇄ JSON text. The
+//! companion `serde_derive` shim generates both impls, with upstream's
+//! default encodings, for:
+//!
+//! * named structs → `{"field": …}` (`#[serde(default)]`,
+//!   `#[serde(skip_serializing_if = "path")]` on fields);
+//! * tuple structs → `[…]`, or the inner value under
+//!   `#[serde(transparent)]`;
+//! * enums, externally tagged: unit variant → `"tag"`, newtype variant →
+//!   `{"tag": inner}`, struct variant → `{"tag": {fields}}`
+//!   (`#[serde(rename_all = "snake_case")]` renames the tags).
+//!
+//! The hand-written impls here match upstream too: `Result` as
+//! `{"Ok": …}` / `{"Err": …}`, `Duration` as `{"secs": …, "nanos": …}`,
+//! `Option` as the value or `null`, tuples and `Vec` as arrays. The
+//! visible API — `use serde::{Serialize, Deserialize}` + `#[derive(...)]`
+//! — matches upstream, so a derived impl survives swapping the real
+//! crates back in; an impl written against `to_value`/`from_value` does
+//! not.
+//!
+//! ```
+//! use serde::{value::Value, Serialize};
+//!
+//! #[derive(Serialize)]
+//! #[serde(rename_all = "snake_case")]
+//! enum Engine {
+//!     Exact,
+//!     Anytime { frame_budget: u64 },
+//! }
+//! assert_eq!(Engine::Exact.to_value(), Value::Str("exact".into()));
+//! ```
+//!
+//! Generic types are refused at compile time:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Wrapper<T>(T);
+//! ```
 
 pub use serde_derive::{Deserialize, Serialize};
+
+use std::time::Duration;
 
 /// The serialized form: a JSON-shaped value tree.
 pub mod value {
@@ -257,6 +291,91 @@ impl_tuple! {
     (A/0, B/1; 2)
     (A/0, B/1, C/2; 3)
     (A/0, B/1, C/2, D/3; 4)
+}
+
+impl<T: Serialize, E: Serialize> Serialize for Result<T, E> {
+    fn to_value(&self) -> Value {
+        let (tag, inner) = match self {
+            Ok(t) => ("Ok", t.to_value()),
+            Err(e) => ("Err", e.to_value()),
+        };
+        Value::Object(vec![(tag.to_string(), inner)])
+    }
+}
+impl<T: Deserialize, E: Deserialize> Deserialize for Result<T, E> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match __private::variant(v, "Result")? {
+            ("Ok", Some(t)) => Ok(Ok(T::from_value(t)?)),
+            ("Err", Some(e)) => Ok(Err(E::from_value(e)?)),
+            (tag, _) => Err(__private::bad_variant("Result", tag, &["Ok", "Err"])),
+        }
+    }
+}
+
+impl Serialize for Duration {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("secs".to_string(), self.as_secs().to_value()),
+            ("nanos".to_string(), self.subsec_nanos().to_value()),
+        ])
+    }
+}
+impl Deserialize for Duration {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let entries = v
+            .as_object()
+            .ok_or_else(|| DeError::new("expected object for Duration"))?;
+        let field = |name: &str| {
+            value::get(entries, name)
+                .ok_or_else(|| DeError::new(format!("missing field `{name}` in Duration")))
+        };
+        let secs = u64::from_value(field("secs")?)?;
+        let nanos = u32::from_value(field("nanos")?)?;
+        // `Duration::new` carries whole seconds out of `nanos` and panics
+        // if that overflows `secs`.
+        if secs.checked_add(u64::from(nanos / 1_000_000_000)).is_none() {
+            return Err(DeError::new("overflow deserializing Duration"));
+        }
+        Ok(Duration::new(secs, nanos))
+    }
+}
+
+/// Support for the derive's generated code and the enum-shaped impls
+/// above; not a public API.
+#[doc(hidden)]
+pub mod __private {
+    use crate::value::Value;
+    use crate::DeError;
+
+    /// Split an externally tagged enum value: `"tag"` → `(tag, None)`,
+    /// `{"tag": payload}` → `(tag, Some(payload))`. Borrows, so decoding
+    /// a variant never copies its payload.
+    pub fn variant<'a>(v: &'a Value, ty: &str) -> Result<(&'a str, Option<&'a Value>), DeError> {
+        match v {
+            Value::Str(tag) => Ok((tag, None)),
+            Value::Object(entries) => match entries.as_slice() {
+                [(tag, payload)] => Ok((tag, Some(payload))),
+                _ => Err(DeError::new(format!(
+                    "expected a one-key object for {ty}, got {} keys",
+                    entries.len()
+                ))),
+            },
+            _ => Err(DeError::new(format!("expected string or object for {ty}"))),
+        }
+    }
+
+    /// The error for a tag no variant of `ty` accepts: either unknown, or
+    /// known but unit where a payload is due (or the reverse).
+    pub fn bad_variant(ty: &str, tag: &str, variants: &[&str]) -> DeError {
+        if variants.contains(&tag) {
+            return DeError::new(format!("wrong form for variant `{tag}` of {ty}"));
+        }
+        let expected: Vec<String> = variants.iter().map(|v| format!("`{v}`")).collect();
+        DeError::new(format!(
+            "unknown variant `{tag}`, expected one of {}",
+            expected.join(", ")
+        ))
+    }
 }
 
 #[cfg(test)]

@@ -3,118 +3,155 @@
 //!
 //! Written against raw [`proc_macro`] token streams (no `syn`/`quote`
 //! available offline), so it supports exactly the shapes this repo
-//! derives on:
+//! derives on, each encoded the way upstream serde encodes it by default:
 //!
-//! * named-field structs (`struct S { a: T, … }`), with per-field
+//! * named-field structs → `{"field": …}`, with per-field
 //!   `#[serde(default)]` and `#[serde(skip_serializing_if = "path")]`;
-//! * tuple structs — a single-field newtype with `#[serde(transparent)]`
-//!   serializes as its inner value, any other tuple struct as an array.
+//! * tuple structs → an array, or the inner value for a single-field
+//!   newtype with `#[serde(transparent)]`;
+//! * enums, externally tagged: a unit variant → `"tag"`, a newtype
+//!   variant → `{"tag": inner}`, a struct variant → `{"tag": {fields}}`,
+//!   with the container attribute `#[serde(rename_all = "snake_case")]`
+//!   renaming the tags.
 //!
-//! Generics and enums are rejected with a compile error naming this file,
-//! so accidental reliance fails loudly rather than silently mis-serializing.
+//! Generics, tuple variants of more than one field and every other serde
+//! attribute are rejected with a compile error naming this crate, so
+//! accidental reliance fails loudly rather than silently mis-serializing.
 
-use proc_macro::{Delimiter, TokenStream, TokenTree};
+use proc_macro::{token_stream, Delimiter, TokenStream, TokenTree};
+use std::iter::Peekable;
 
-/// Field description gathered from the struct body.
+type Tokens = Peekable<token_stream::IntoIter>;
+
+/// Field description gathered from a struct or struct-variant body.
 struct Field {
     name: String,
     default: bool,
     skip_serializing_if: Option<String>,
 }
 
-/// What we parsed out of the derive input.
-struct StructDef {
-    name: String,
-    transparent: bool,
-    kind: Kind,
-}
-
-enum Kind {
+enum Shape {
     Named(Vec<Field>),
     Tuple(usize),
+    Unit,
+}
+
+struct Variant {
+    name: String,
+    tag: String,
+    shape: Shape,
+}
+
+enum Body {
+    Struct(Shape),
+    Enum(Vec<Variant>),
+}
+
+/// What we parsed out of the derive input.
+struct Input {
+    name: String,
+    transparent: bool,
+    body: Body,
 }
 
 /// Derive the workspace `serde::Serialize` shim trait.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let def = parse_struct(input);
-    let body = match &def.kind {
-        Kind::Named(fields) => {
-            let mut pushes = String::new();
-            for f in fields {
-                let push = format!(
-                    "entries.push(({n:?}.to_string(), ::serde::Serialize::to_value(&self.{n})));",
-                    n = f.name
-                );
-                if let Some(pred) = &f.skip_serializing_if {
-                    pushes.push_str(&format!("if !{pred}(&self.{n}) {{ {push} }}\n", n = f.name));
-                } else {
-                    pushes.push_str(&push);
-                    pushes.push('\n');
-                }
-            }
-            format!(
-                "let mut entries: Vec<(String, ::serde::value::Value)> = Vec::new();\n\
-                 {pushes}\
-                 ::serde::value::Value::Object(entries)"
-            )
+    let Input {
+        name,
+        transparent,
+        body,
+    } = parse_input(input);
+    let body = match body {
+        Body::Struct(Shape::Named(fields)) => ser_fields(&fields, |n| format!("&self.{n}")),
+        Body::Struct(Shape::Tuple(1)) if transparent => {
+            "::serde::Serialize::to_value(&self.0)".to_string()
         }
-        Kind::Tuple(1) if def.transparent => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Kind::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
+        Body::Struct(Shape::Tuple(n)) => {
+            let items: Vec<String> = (0..n)
                 .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
                 .collect();
             format!("::serde::value::Value::Array(vec![{}])", items.join(", "))
+        }
+        Body::Struct(Shape::Unit) => unreachable!("unit structs are refused while parsing"),
+        Body::Enum(variants) => {
+            let mut arms = String::new();
+            for Variant {
+                name: v,
+                tag,
+                shape,
+            } in &variants
+            {
+                let tagged = |inner: String| {
+                    format!("::serde::value::Value::Object(vec![({tag:?}.to_string(), {inner})])")
+                };
+                arms.push_str(&match shape {
+                    Shape::Unit => {
+                        format!("{name}::{v} => ::serde::value::Value::Str({tag:?}.to_string()),\n")
+                    }
+                    Shape::Tuple(_) => format!(
+                        "{name}::{v}(__inner) => {},\n",
+                        tagged("::serde::Serialize::to_value(__inner)".to_string())
+                    ),
+                    Shape::Named(fields) => format!(
+                        "{name}::{v} {{ {} }} => {},\n",
+                        fields
+                            .iter()
+                            .map(|f| f.name.as_str())
+                            .collect::<Vec<_>>()
+                            .join(", "),
+                        tagged(ser_fields(fields, str::to_string))
+                    ),
+                });
+            }
+            format!("match self {{\n{arms}}}")
         }
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
              fn to_value(&self) -> ::serde::value::Value {{\n{body}\n}}\n\
-         }}",
-        name = def.name
+         }}"
     )
     .parse()
     .expect("serde_derive shim generated invalid Serialize impl")
 }
 
+/// An object expression of `fields`, each read through `access(name)`
+/// (a reference).
+fn ser_fields(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let mut pushes = String::new();
+    for f in fields {
+        let val = access(&f.name);
+        let push = format!(
+            "__entries.push(({:?}.to_string(), ::serde::Serialize::to_value({val})));",
+            f.name
+        );
+        match &f.skip_serializing_if {
+            Some(pred) => pushes.push_str(&format!("if !{pred}({val}) {{ {push} }}\n")),
+            None => pushes.push_str(&format!("{push}\n")),
+        }
+    }
+    format!(
+        "{{ let mut __entries: Vec<(String, ::serde::value::Value)> = Vec::new();\n\
+         {pushes}::serde::value::Value::Object(__entries) }}"
+    )
+}
+
 /// Derive the workspace `serde::Deserialize` shim trait.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let def = parse_struct(input);
-    let body = match &def.kind {
-        Kind::Named(fields) => {
-            let mut inits = String::new();
-            for f in fields {
-                let missing = if f.default || f.skip_serializing_if.is_some() {
-                    "Default::default()".to_string()
-                } else {
-                    format!(
-                        "return Err(::serde::DeError::new(concat!(\
-                             \"missing field `{n}` in {name}\")))",
-                        n = f.name,
-                        name = def.name
-                    )
-                };
-                inits.push_str(&format!(
-                    "{n}: match ::serde::value::get(entries, {n:?}) {{\n\
-                         Some(v) => ::serde::Deserialize::from_value(v)?,\n\
-                         None => {missing},\n\
-                     }},\n",
-                    n = f.name
-                ));
-            }
-            format!(
-                "let entries = v.as_object().ok_or_else(|| ::serde::DeError::new(\
-                     concat!(\"expected object for \", {name:?})))?;\n\
-                 Ok({name} {{\n{inits}}})",
-                name = def.name
-            )
+    let Input {
+        name,
+        transparent,
+        body,
+    } = parse_input(input);
+    let body = match body {
+        Body::Struct(Shape::Named(fields)) => de_fields(&name, &fields),
+        Body::Struct(Shape::Tuple(1)) if transparent => {
+            format!("Ok({name}(::serde::Deserialize::from_value(v)?))")
         }
-        Kind::Tuple(1) if def.transparent => {
-            format!("Ok({}(::serde::Deserialize::from_value(v)?))", def.name)
-        }
-        Kind::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
+        Body::Struct(Shape::Tuple(n)) => {
+            let items: Vec<String> = (0..n)
                 .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
                 .collect();
             format!(
@@ -124,8 +161,35 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                      return Err(::serde::DeError::new(concat!(\"wrong arity for \", {name:?})));\n\
                  }}\n\
                  Ok({name}({items}))",
-                name = def.name,
                 items = items.join(", ")
+            )
+        }
+        Body::Struct(Shape::Unit) => unreachable!("unit structs are refused while parsing"),
+        Body::Enum(variants) => {
+            let mut arms = String::new();
+            for Variant {
+                name: v,
+                tag,
+                shape,
+            } in &variants
+            {
+                arms.push_str(&match shape {
+                    Shape::Unit => format!("({tag:?}, None) => Ok({name}::{v}),\n"),
+                    Shape::Tuple(_) => format!(
+                        "({tag:?}, Some(v)) => Ok({name}::{v}(::serde::Deserialize::from_value(v)?)),\n"
+                    ),
+                    Shape::Named(fields) => format!(
+                        "({tag:?}, Some(v)) => {},\n",
+                        de_fields(&format!("{name}::{v}"), fields)
+                    ),
+                });
+            }
+            let tags: Vec<String> = variants.iter().map(|v| format!("{:?}", v.tag)).collect();
+            format!(
+                "match ::serde::__private::variant(v, {name:?})? {{\n{arms}\
+                     (tag, _) => Err(::serde::__private::bad_variant({name:?}, tag, &[{}])),\n\
+                 }}",
+                tags.join(", ")
             )
         }
     };
@@ -134,156 +198,216 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
              fn from_value(v: &::serde::value::Value) -> Result<Self, ::serde::DeError> {{\n\
                  {body}\n\
              }}\n\
-         }}",
-        name = def.name
+         }}"
     )
     .parse()
     .expect("serde_derive shim generated invalid Deserialize impl")
 }
 
-/// Parse `[attrs] [vis] struct Name { … } | ( … );` from the derive input.
-fn parse_struct(input: TokenStream) -> StructDef {
+/// A block building `path { fields }` from the object `v`.
+fn de_fields(path: &str, fields: &[Field]) -> String {
+    let mut inits = String::new();
+    for f in fields {
+        let missing = if f.default || f.skip_serializing_if.is_some() {
+            "Default::default()".to_string()
+        } else {
+            format!(
+                "return Err(::serde::DeError::new(\"missing field `{}` in {path}\"))",
+                f.name
+            )
+        };
+        inits.push_str(&format!(
+            "{n}: match ::serde::value::get(__entries, {n:?}) {{\n\
+                 Some(v) => ::serde::Deserialize::from_value(v)?,\n\
+                 None => {missing},\n\
+             }},\n",
+            n = f.name
+        ));
+    }
+    format!(
+        "{{ let __entries = v.as_object().ok_or_else(|| ::serde::DeError::new(\
+             \"expected object for {path}\"))?;\n\
+         Ok({path} {{\n{inits}}}) }}"
+    )
+}
+
+/// Parse `[attrs] [vis] (struct|enum) Name body` from the derive input.
+fn parse_input(input: TokenStream) -> Input {
     let mut iter = input.into_iter().peekable();
     let mut transparent = false;
+    let mut snake_case = false;
+    for (key, val) in take_attrs_and_vis(&mut iter) {
+        match (key.as_str(), val.as_deref()) {
+            ("transparent", None) => transparent = true,
+            ("rename_all", Some("snake_case")) => snake_case = true,
+            (other, _) => panic!("unsupported #[serde({other})] on a container in the serde shim"),
+        }
+    }
+    let keyword = match iter.next() {
+        Some(TokenTree::Ident(id)) => id.to_string(),
+        other => panic!("expected `struct` or `enum`, got {other:?}"),
+    };
+    let name = match iter.next() {
+        Some(TokenTree::Ident(id)) => id.to_string(),
+        other => panic!("expected a type name, got {other:?}"),
+    };
+    let body = match (keyword.as_str(), iter.next()) {
+        (_, Some(TokenTree::Punct(p))) if p.as_char() == '<' => {
+            panic!("serde shim derive does not support generics ({keyword} {name})")
+        }
+        ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
+            Body::Struct(Shape::Named(parse_named_fields(g.stream())))
+        }
+        ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Parenthesis => {
+            Body::Struct(Shape::Tuple(count_tuple_fields(g.stream())))
+        }
+        ("enum", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
+            Body::Enum(parse_variants(g.stream(), snake_case))
+        }
+        (_, other) => panic!(
+            "serde shim derive supports named/tuple structs and enums \
+             (crates/compat/serde_derive), got {keyword} {name} {other:?}"
+        ),
+    };
+    Input {
+        name,
+        transparent,
+        body,
+    }
+}
 
-    // Leading attributes and visibility, collecting #[serde(...)] flags.
+/// Consume leading `#[…]` attributes and an optional visibility,
+/// returning the `#[serde(...)]` flags among them.
+fn take_attrs_and_vis(iter: &mut Tokens) -> Vec<(String, Option<String>)> {
+    let mut flags = Vec::new();
     loop {
         match iter.peek() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 iter.next();
                 if let Some(TokenTree::Group(g)) = iter.next() {
-                    let flags = serde_attr_flags(&g.stream());
-                    if flags.iter().any(|(k, _)| k == "transparent") {
-                        transparent = true;
-                    }
+                    flags.extend(serde_attr_flags(&g.stream()));
                 }
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                 iter.next();
                 // Optional (crate)/(super) restriction.
-                if let Some(TokenTree::Group(g)) = iter.peek() {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        iter.next();
-                    }
+                if matches!(iter.peek(), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis)
+                {
+                    iter.next();
                 }
             }
-            _ => break,
+            _ => return flags,
         }
-    }
-
-    match iter.next() {
-        Some(TokenTree::Ident(id)) if id.to_string() == "struct" => {}
-        other => panic!(
-            "serde shim derive supports structs only (crates/compat/serde_derive), got {other:?}"
-        ),
-    }
-    let name = match iter.next() {
-        Some(TokenTree::Ident(id)) => id.to_string(),
-        other => panic!("expected struct name, got {other:?}"),
-    };
-
-    match iter.next() {
-        Some(TokenTree::Punct(p)) if p.as_char() == '<' => {
-            panic!("serde shim derive does not support generics (struct {name})")
-        }
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => StructDef {
-            name,
-            transparent,
-            kind: Kind::Named(parse_named_fields(g.stream())),
-        },
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => StructDef {
-            name,
-            transparent,
-            kind: Kind::Tuple(count_tuple_fields(g.stream())),
-        },
-        other => panic!("expected struct body for {name}, got {other:?}"),
     }
 }
 
-/// Parse the brace body: `[attrs] [vis] name : type ,` repeated.
-fn parse_named_fields(body: TokenStream) -> Vec<Field> {
-    let mut fields = Vec::new();
-    let mut iter = body.into_iter().peekable();
-    loop {
-        let mut default = false;
-        let mut skip_serializing_if = None;
-        // Attributes (docs and serde flags).
-        while matches!(iter.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
-            iter.next();
-            if let Some(TokenTree::Group(g)) = iter.next() {
-                for (key, val) in serde_attr_flags(&g.stream()) {
-                    match key.as_str() {
-                        "default" => default = true,
-                        "skip_serializing_if" => skip_serializing_if = val,
-                        other => panic!("unsupported #[serde({other})] in shim derive"),
-                    }
-                }
-            }
-        }
-        // Visibility.
-        if matches!(iter.peek(), Some(TokenTree::Ident(id)) if id.to_string() == "pub") {
-            iter.next();
-            if let Some(TokenTree::Group(g)) = iter.peek() {
-                if g.delimiter() == Delimiter::Parenthesis {
-                    iter.next();
-                }
-            }
-        }
-        let Some(TokenTree::Ident(fname)) = iter.next() else {
-            break;
-        };
-        match iter.next() {
-            Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
-            other => panic!("expected ':' after field {fname}, got {other:?}"),
-        }
-        // Skip the type: consume until a top-level ',' (or end). Generic
-        // angle brackets never enclose commas at depth issues here because
-        // `<` groups are not token groups — track them manually.
-        let mut angle_depth = 0i32;
-        loop {
-            match iter.peek() {
-                None => break,
-                Some(TokenTree::Punct(p)) if p.as_char() == ',' && angle_depth == 0 => {
-                    iter.next();
-                    break;
-                }
-                Some(TokenTree::Punct(p)) if p.as_char() == '<' => {
-                    angle_depth += 1;
-                    iter.next();
-                }
-                Some(TokenTree::Punct(p)) if p.as_char() == '>' => {
-                    angle_depth -= 1;
-                    iter.next();
-                }
-                _ => {
-                    iter.next();
-                }
-            }
-        }
-        fields.push(Field {
-            name: fname.to_string(),
-            default,
-            skip_serializing_if,
-        });
-    }
-    fields
-}
-
-/// Count tuple-struct fields: top-level commas + 1 (0 fields unsupported).
-fn count_tuple_fields(body: TokenStream) -> usize {
-    let mut count = 1;
+/// Consume up to and including the next top-level `,` (a field type or
+/// a variant discriminant). `<…>` are not token groups, so generic
+/// arguments' commas are skipped by tracking their depth.
+fn skip_past_comma(iter: &mut Tokens) {
     let mut angle_depth = 0i32;
-    let mut saw_any = false;
-    for t in body {
+    for t in iter.by_ref() {
         match t {
-            TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => count += 1,
+            TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => return,
             TokenTree::Punct(p) if p.as_char() == '<' => angle_depth += 1,
             TokenTree::Punct(p) if p.as_char() == '>' => angle_depth -= 1,
             _ => {}
         }
-        saw_any = true;
     }
-    assert!(saw_any, "serde shim derive: unit tuple structs unsupported");
+}
+
+/// Parse a brace body: `[attrs] [vis] name : type ,` repeated.
+fn parse_named_fields(body: TokenStream) -> Vec<Field> {
+    let mut fields = Vec::new();
+    let mut iter = body.into_iter().peekable();
+    loop {
+        let flags = take_attrs_and_vis(&mut iter);
+        let Some(TokenTree::Ident(name)) = iter.next() else {
+            return fields;
+        };
+        match iter.next() {
+            Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
+            other => panic!("expected ':' after field {name}, got {other:?}"),
+        }
+        skip_past_comma(&mut iter);
+        let mut field = Field {
+            name: name.to_string(),
+            default: false,
+            skip_serializing_if: None,
+        };
+        for (key, val) in flags {
+            match key.as_str() {
+                "default" => field.default = true,
+                "skip_serializing_if" => field.skip_serializing_if = val,
+                other => panic!("unsupported #[serde({other})] on a field in the serde shim"),
+            }
+        }
+        fields.push(field);
+    }
+}
+
+/// Parse an enum body: `[attrs] Name [{ fields } | (type)] [= expr] ,`
+/// repeated.
+fn parse_variants(body: TokenStream, snake_case: bool) -> Vec<Variant> {
+    let mut variants = Vec::new();
+    let mut iter = body.into_iter().peekable();
+    loop {
+        if let Some((key, _)) = take_attrs_and_vis(&mut iter).first() {
+            panic!("unsupported #[serde({key})] on a variant in the serde shim");
+        }
+        let Some(TokenTree::Ident(name)) = iter.next() else {
+            return variants;
+        };
+        let name = name.to_string();
+        let shape = match iter.peek() {
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+                Shape::Named(parse_named_fields(g.stream()))
+            }
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
+                match count_tuple_fields(g.stream()) {
+                    1 => Shape::Tuple(1),
+                    n => panic!("serde shim derive: tuple variant {name} has {n} fields, max 1"),
+                }
+            }
+            _ => Shape::Unit,
+        };
+        if !matches!(shape, Shape::Unit) {
+            iter.next();
+        }
+        skip_past_comma(&mut iter);
+        let tag = if snake_case {
+            to_snake_case(&name)
+        } else {
+            name.clone()
+        };
+        variants.push(Variant { name, tag, shape });
+    }
+}
+
+/// Upstream serde's `snake_case` rule: `LocalSearch` → `local_search`.
+fn to_snake_case(name: &str) -> String {
+    let mut out = String::new();
+    for (i, c) in name.char_indices() {
+        if i > 0 && c.is_uppercase() {
+            out.push('_');
+        }
+        out.push(c.to_ascii_lowercase());
+    }
+    out
+}
+
+/// Count tuple fields: top-level commas + 1 (0 fields unsupported).
+fn count_tuple_fields(body: TokenStream) -> usize {
+    let mut iter = body.into_iter().peekable();
+    assert!(
+        iter.peek().is_some(),
+        "serde shim derive: empty tuple structs and variants unsupported"
+    );
+    let mut count = 0;
+    while iter.peek().is_some() {
+        skip_past_comma(&mut iter);
+        count += 1;
+    }
     count
 }
 

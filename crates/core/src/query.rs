@@ -19,6 +19,7 @@ const MAX_GROUP_SPAN: u64 = Dist::MAX / MAX_DISTANCE;
 /// * `k` — acquaintance constraint: each attendee may be unacquainted with
 ///   at most `k` other attendees.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct SgqQuery {
     p: usize,
     s: usize,

@@ -10,6 +10,8 @@ use crate::SearchStats;
 /// cancelled answer have very different operational meaning, even though
 /// both return the incumbent found so far).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", serde(rename_all = "snake_case"))]
 pub enum StopCause {
     /// The search ran to proven optimality (or proven infeasibility).
     Completed,
@@ -25,6 +27,8 @@ pub enum StopCause {
 /// envelope — the `stgq-exec` worker pool solves mixed SGQ/STGQ batches
 /// and reports every entry through this one type.
 #[derive(Clone, Debug, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", serde(rename_all = "snake_case"))]
 pub enum SolveOutcome {
     /// An SGQ entry's result.
     Sgq(SgqOutcome),

@@ -1,129 +1,56 @@
-//! Wire encodings (`serde` feature) for the types that cross the
-//! cluster transport: query specs, solve outcomes and stop provenance.
-//!
-//! The struct-shaped types ([`SgqSolution`](crate::SgqSolution),
-//! [`StgqSolution`](crate::StgqSolution), outcomes,
-//! [`SearchStats`](crate::SearchStats)) derive the workspace serde
-//! shim's traits in place; this module hand-writes the impls the shim's
-//! derive cannot express — enums ([`SolveOutcome`], [`StopCause`]) and
-//! the validated query parameter types, whose deserializers go through
-//! `new()` so a decoded query can never violate the constructors'
-//! invariants (`p ≥ 1`, `s ≥ 1`, `m ≥ 1`).
+//! Wire encodings (`serde` feature) of the validated query parameter
+//! types. Everything else that crosses the cluster transport derives the
+//! serde shim's traits in place; [`SgqQuery`] and [`StgqQuery`] decode
+//! through a derived raw struct and then `new()`, so a decoded query can
+//! never violate the constructors' invariants (`p ≥ 1`, `s ≥ 1`, `m ≥ 1`,
+//! a group total that fits a `Dist`). Both keep the flat
+//! `{"p", "s", "k"[, "m"]}` form.
 
-use serde::value::{get, Value};
+use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
 
-use crate::{SgqOutcome, SgqQuery, SolveOutcome, StgqOutcome, StgqQuery, StopCause};
+use crate::{SgqQuery, StgqQuery};
 
-impl Serialize for SgqQuery {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("p".to_string(), self.p().to_value()),
-            ("s".to_string(), self.s().to_value()),
-            ("k".to_string(), self.k().to_value()),
-        ])
-    }
+#[derive(Deserialize)]
+struct SgqFields {
+    p: usize,
+    s: usize,
+    k: usize,
+}
+
+#[derive(Serialize, Deserialize)]
+struct StgqFields {
+    p: usize,
+    s: usize,
+    k: usize,
+    m: usize,
 }
 
 impl Deserialize for SgqQuery {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| DeError::new("expected object for SgqQuery"))?;
-        let field = |name: &str| -> Result<usize, DeError> {
-            usize::from_value(
-                get(entries, name)
-                    .ok_or_else(|| DeError::new(format!("missing field `{name}` in SgqQuery")))?,
-            )
-        };
-        SgqQuery::new(field("p")?, field("s")?, field("k")?)
-            .map_err(|e| DeError::new(format!("invalid SgqQuery: {e}")))
+        let SgqFields { p, s, k } = SgqFields::from_value(v)?;
+        SgqQuery::new(p, s, k).map_err(|e| DeError::new(format!("invalid SgqQuery: {e}")))
     }
 }
 
 impl Serialize for StgqQuery {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("p".to_string(), self.p().to_value()),
-            ("s".to_string(), self.s().to_value()),
-            ("k".to_string(), self.k().to_value()),
-            ("m".to_string(), self.m().to_value()),
-        ])
+        let (p, s, k, m) = (self.p(), self.s(), self.k(), self.m());
+        StgqFields { p, s, k, m }.to_value()
     }
 }
 
 impl Deserialize for StgqQuery {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| DeError::new("expected object for StgqQuery"))?;
-        let field = |name: &str| -> Result<usize, DeError> {
-            usize::from_value(
-                get(entries, name)
-                    .ok_or_else(|| DeError::new(format!("missing field `{name}` in StgqQuery")))?,
-            )
-        };
-        StgqQuery::new(field("p")?, field("s")?, field("k")?, field("m")?)
-            .map_err(|e| DeError::new(format!("invalid StgqQuery: {e}")))
-    }
-}
-
-impl Serialize for SolveOutcome {
-    fn to_value(&self) -> Value {
-        let (tag, inner) = match self {
-            SolveOutcome::Sgq(o) => ("sgq", o.to_value()),
-            SolveOutcome::Stgq(o) => ("stgq", o.to_value()),
-        };
-        Value::Object(vec![(tag.to_string(), inner)])
-    }
-}
-
-impl Deserialize for SolveOutcome {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| DeError::new("expected object for SolveOutcome"))?;
-        if let Some(inner) = get(entries, "sgq") {
-            return Ok(SolveOutcome::Sgq(SgqOutcome::from_value(inner)?));
-        }
-        if let Some(inner) = get(entries, "stgq") {
-            return Ok(SolveOutcome::Stgq(StgqOutcome::from_value(inner)?));
-        }
-        Err(DeError::new("SolveOutcome needs an `sgq` or `stgq` key"))
-    }
-}
-
-impl Serialize for StopCause {
-    fn to_value(&self) -> Value {
-        Value::Str(
-            match self {
-                StopCause::Completed => "completed",
-                StopCause::FrameBudget => "frame_budget",
-                StopCause::Cancelled => "cancelled",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl Deserialize for StopCause {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => match s.as_str() {
-                "completed" => Ok(StopCause::Completed),
-                "frame_budget" => Ok(StopCause::FrameBudget),
-                "cancelled" => Ok(StopCause::Cancelled),
-                other => Err(DeError::new(format!("unknown StopCause `{other}`"))),
-            },
-            _ => Err(DeError::new("expected string for StopCause")),
-        }
+        let StgqFields { p, s, k, m } = StgqFields::from_value(v)?;
+        StgqQuery::new(p, s, k, m).map_err(|e| DeError::new(format!("invalid StgqQuery: {e}")))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SearchStats, StgqSolution};
+    use crate::{SearchStats, SgqOutcome, SolveOutcome, StgqOutcome, StgqSolution, StopCause};
     use stgq_graph::NodeId;
     use stgq_schedule::SlotRange;
 

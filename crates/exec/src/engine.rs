@@ -14,6 +14,8 @@ use crate::request::QuerySpec;
 
 /// Which solver answers a planning query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", serde(rename_all = "snake_case"))]
 pub enum Engine {
     /// SGSelect / STGSelect — proven optimal.
     Exact,
@@ -115,5 +117,31 @@ fn run_heuristic(
             };
             (SolveOutcome::Stgq(outcome), Some(out.evaluations))
         }
+    }
+}
+
+#[cfg(all(test, feature = "serde"))]
+mod tests {
+    use super::Engine;
+    use serde::value::Value;
+    use serde::{DeError, Deserialize, Serialize};
+
+    #[test]
+    fn retired_exact_parallel_tag_is_a_typed_error() {
+        // Intra-query parallelism is gone; a peer or batch file still
+        // sending its tag gets a typed refusal, not a panic.
+        let wire = Value::Object(vec![(
+            "exact_parallel".to_string(),
+            Value::Object(vec![("threads".to_string(), 2usize.to_value())]),
+        )]);
+        assert_eq!(
+            Engine::from_value(&wire),
+            Err(DeError::new(
+                "unknown variant `exact_parallel`, expected one of \
+                 `exact`, `anytime`, `greedy`, `local_search`"
+            ))
+        );
+        let text = r#"{"exact_parallel":{"threads":2}}"#;
+        assert!(serde_json::from_str::<Engine>(text).is_err());
     }
 }

@@ -76,8 +76,6 @@ mod metrics;
 mod obs;
 mod queue;
 mod request;
-#[cfg(feature = "serde")]
-mod serde_impls;
 mod snapshot;
 mod worker;
 

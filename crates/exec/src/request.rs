@@ -9,6 +9,8 @@ use crate::engine::Engine;
 
 /// Either kind of planning query, uniformly submittable to the executor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", serde(rename_all = "snake_case"))]
 pub enum QuerySpec {
     /// A social-only group query.
     Sgq(SgqQuery),
@@ -109,6 +111,7 @@ impl PlanRequest {
 /// One executed batch entry: the engine's uniform [`SolveOutcome`] plus
 /// executor provenance.
 #[derive(Clone, Debug, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlanOutcome {
     /// The solution and its [`stgq_core::SearchStats`].
     pub outcome: SolveOutcome,
@@ -140,6 +143,8 @@ pub struct PlanOutcome {
 
 /// Why the executor refused (rather than answered) a request.
 #[derive(Clone, Debug, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", serde(rename_all = "snake_case"))]
 pub enum ExecError {
     /// The initiator does not exist in the published snapshot.
     InitiatorOutOfRange {
@@ -185,3 +190,69 @@ impl std::fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
+
+#[cfg(all(test, feature = "serde"))]
+mod tests {
+    use super::*;
+    use stgq_core::{SearchStats, SgqOutcome};
+
+    #[test]
+    fn engines_and_specs_roundtrip() {
+        for engine in [
+            Engine::Exact,
+            Engine::Anytime { frame_budget: 99 },
+            Engine::Greedy { restarts: 3 },
+            Engine::LocalSearch {
+                restarts: 2,
+                passes: 5,
+            },
+        ] {
+            let back: Engine =
+                serde_json::from_str(&serde_json::to_string(&engine).unwrap()).unwrap();
+            assert_eq!(back, engine);
+        }
+        let spec = QuerySpec::Stgq(StgqQuery::new(4, 2, 1, 3).unwrap());
+        let back: QuerySpec = serde_json::from_str(&serde_json::to_string(&spec).unwrap()).unwrap();
+        assert_eq!(back, spec);
+    }
+
+    #[test]
+    fn outcomes_and_errors_roundtrip() {
+        let outcome = PlanOutcome {
+            outcome: SolveOutcome::Sgq(SgqOutcome {
+                solution: None,
+                stats: SearchStats {
+                    frames: 3,
+                    ..Default::default()
+                },
+            }),
+            evaluations: Some(17),
+            exact: true,
+            stop: StopCause::Completed,
+            engine: Engine::Exact,
+            elapsed: Duration::from_nanos(1234),
+            feasible_cache_hit: true,
+            collapsed: false,
+            result_cache_hit: true,
+        };
+        let back: PlanOutcome =
+            serde_json::from_str(&serde_json::to_string(&outcome).unwrap()).unwrap();
+        assert_eq!(back, outcome);
+
+        for err in [
+            ExecError::NoSnapshot,
+            ExecError::InitiatorOutOfRange {
+                initiator: NodeId(9),
+                node_count: 5,
+            },
+            ExecError::EpochTooOld {
+                required: (4, 7),
+                available: (4, 6),
+            },
+        ] {
+            let back: ExecError =
+                serde_json::from_str(&serde_json::to_string(&err).unwrap()).unwrap();
+            assert_eq!(back, err);
+        }
+    }
+}

@@ -13,6 +13,9 @@
 //! has missed more history than the log retains (gap detection via
 //! [`DeltaLog::since`] returning `None`), it falls back to a
 //! [`WorldState`] **full sync** and resumes deltas from there.
+//!
+//! With the `serde` feature all three types derive their wire encoding
+//! (the cluster ships them inside its replication messages).
 
 use std::collections::VecDeque;
 
@@ -26,6 +29,8 @@ use crate::ServiceError;
 /// place a delta takes effect, so replaying a delta on a faithful mirror
 /// bumps its version stamps exactly like the original mutation did.
 #[derive(Clone, Debug, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", serde(rename_all = "snake_case"))]
 pub enum WorldDelta {
     /// A person was registered.
     AddPerson {
@@ -84,6 +89,7 @@ pub enum WorldDelta {
 /// One log entry: the mutation plus the sequence number and the version
 /// stamps that resulted from applying it on the writer.
 #[derive(Clone, Debug, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeltaRecord {
     /// Position in the writer's total mutation order (1-based, dense).
     pub seq: u64,
@@ -207,6 +213,7 @@ impl DeltaLog {
 /// stamp — the full-sync payload for a replica attaching fresh or too
 /// far behind the delta log.
 #[derive(Clone, Debug, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorldState {
     /// The shared calendar horizon.
     pub horizon: usize,
@@ -225,206 +232,6 @@ pub struct WorldState {
     /// The writer's delta sequence at capture time — where incremental
     /// replication resumes after restoring this state.
     pub seq: u64,
-}
-
-#[cfg(feature = "serde")]
-mod serde_impls {
-    //! Wire encodings for the replication payloads (enum shapes are
-    //! hand-written; the struct shapes use explicit field lists so the
-    //! format is stable against field reordering).
-
-    use serde::value::{get, Value};
-    use serde::{DeError, Deserialize, Serialize};
-    use stgq_graph::NodeId;
-    use stgq_schedule::{Calendar, SlotRange};
-
-    use super::{DeltaRecord, WorldDelta, WorldState};
-
-    fn obj(fields: Vec<(&str, Value)>) -> Value {
-        Value::Object(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    fn need<'a>(
-        entries: &'a [(String, Value)],
-        name: &str,
-        ty: &str,
-    ) -> Result<&'a Value, DeError> {
-        get(entries, name).ok_or_else(|| DeError::new(format!("missing field `{name}` in {ty}")))
-    }
-
-    impl Serialize for WorldDelta {
-        fn to_value(&self) -> Value {
-            match self {
-                WorldDelta::AddPerson { label } => {
-                    obj(vec![("add_person", obj(vec![("label", label.to_value())]))])
-                }
-                WorldDelta::Connect { a, b, distance } => obj(vec![(
-                    "connect",
-                    obj(vec![
-                        ("a", a.0.to_value()),
-                        ("b", b.0.to_value()),
-                        ("distance", distance.to_value()),
-                    ]),
-                )]),
-                WorldDelta::Disconnect { a, b } => obj(vec![(
-                    "disconnect",
-                    obj(vec![("a", a.0.to_value()), ("b", b.0.to_value())]),
-                )]),
-                WorldDelta::RemovePerson { person } => obj(vec![(
-                    "remove_person",
-                    obj(vec![("person", person.0.to_value())]),
-                )]),
-                WorldDelta::SetSlot {
-                    person,
-                    slot,
-                    available,
-                } => obj(vec![(
-                    "set_slot",
-                    obj(vec![
-                        ("person", person.0.to_value()),
-                        ("slot", slot.to_value()),
-                        ("available", available.to_value()),
-                    ]),
-                )]),
-                WorldDelta::SetRange {
-                    person,
-                    range,
-                    available,
-                } => obj(vec![(
-                    "set_range",
-                    obj(vec![
-                        ("person", person.0.to_value()),
-                        ("range", range.to_value()),
-                        ("available", available.to_value()),
-                    ]),
-                )]),
-                WorldDelta::SetCalendar { person, calendar } => obj(vec![(
-                    "set_calendar",
-                    obj(vec![
-                        ("person", person.0.to_value()),
-                        ("calendar", calendar.to_value()),
-                    ]),
-                )]),
-            }
-        }
-    }
-
-    impl Deserialize for WorldDelta {
-        fn from_value(v: &Value) -> Result<Self, DeError> {
-            let entries = v
-                .as_object()
-                .ok_or_else(|| DeError::new("expected object for WorldDelta"))?;
-            let [(tag, inner)] = entries else {
-                return Err(DeError::new("WorldDelta object must have exactly one key"));
-            };
-            let fields = inner
-                .as_object()
-                .ok_or_else(|| DeError::new("expected object for WorldDelta payload"))?;
-            match tag.as_str() {
-                "add_person" => Ok(WorldDelta::AddPerson {
-                    label: String::from_value(need(fields, "label", tag)?)?,
-                }),
-                "connect" => Ok(WorldDelta::Connect {
-                    a: NodeId(u32::from_value(need(fields, "a", tag)?)?),
-                    b: NodeId(u32::from_value(need(fields, "b", tag)?)?),
-                    distance: u64::from_value(need(fields, "distance", tag)?)?,
-                }),
-                "disconnect" => Ok(WorldDelta::Disconnect {
-                    a: NodeId(u32::from_value(need(fields, "a", tag)?)?),
-                    b: NodeId(u32::from_value(need(fields, "b", tag)?)?),
-                }),
-                "remove_person" => Ok(WorldDelta::RemovePerson {
-                    person: NodeId(u32::from_value(need(fields, "person", tag)?)?),
-                }),
-                "set_slot" => Ok(WorldDelta::SetSlot {
-                    person: NodeId(u32::from_value(need(fields, "person", tag)?)?),
-                    slot: usize::from_value(need(fields, "slot", tag)?)?,
-                    available: bool::from_value(need(fields, "available", tag)?)?,
-                }),
-                "set_range" => Ok(WorldDelta::SetRange {
-                    person: NodeId(u32::from_value(need(fields, "person", tag)?)?),
-                    range: SlotRange::from_value(need(fields, "range", tag)?)?,
-                    available: bool::from_value(need(fields, "available", tag)?)?,
-                }),
-                "set_calendar" => Ok(WorldDelta::SetCalendar {
-                    person: NodeId(u32::from_value(need(fields, "person", tag)?)?),
-                    calendar: Calendar::from_value(need(fields, "calendar", tag)?)?,
-                }),
-                other => Err(DeError::new(format!("unknown WorldDelta `{other}`"))),
-            }
-        }
-    }
-
-    impl Serialize for DeltaRecord {
-        fn to_value(&self) -> Value {
-            obj(vec![
-                ("seq", self.seq.to_value()),
-                ("graph_version", self.graph_version.to_value()),
-                ("calendar_version", self.calendar_version.to_value()),
-                ("delta", self.delta.to_value()),
-            ])
-        }
-    }
-
-    impl Deserialize for DeltaRecord {
-        fn from_value(v: &Value) -> Result<Self, DeError> {
-            let entries = v
-                .as_object()
-                .ok_or_else(|| DeError::new("expected object for DeltaRecord"))?;
-            Ok(DeltaRecord {
-                seq: u64::from_value(need(entries, "seq", "DeltaRecord")?)?,
-                graph_version: u64::from_value(need(entries, "graph_version", "DeltaRecord")?)?,
-                calendar_version: u64::from_value(need(
-                    entries,
-                    "calendar_version",
-                    "DeltaRecord",
-                )?)?,
-                delta: WorldDelta::from_value(need(entries, "delta", "DeltaRecord")?)?,
-            })
-        }
-    }
-
-    impl Serialize for WorldState {
-        fn to_value(&self) -> Value {
-            obj(vec![
-                ("horizon", self.horizon.to_value()),
-                ("labels", self.labels.to_value()),
-                ("active", self.active.to_value()),
-                ("edges", self.edges.to_value()),
-                ("calendars", self.calendars.to_value()),
-                ("graph_version", self.graph_version.to_value()),
-                ("calendar_version", self.calendar_version.to_value()),
-                ("seq", self.seq.to_value()),
-            ])
-        }
-    }
-
-    impl Deserialize for WorldState {
-        fn from_value(v: &Value) -> Result<Self, DeError> {
-            let entries = v
-                .as_object()
-                .ok_or_else(|| DeError::new("expected object for WorldState"))?;
-            Ok(WorldState {
-                horizon: usize::from_value(need(entries, "horizon", "WorldState")?)?,
-                labels: Vec::from_value(need(entries, "labels", "WorldState")?)?,
-                active: Vec::from_value(need(entries, "active", "WorldState")?)?,
-                edges: Vec::from_value(need(entries, "edges", "WorldState")?)?,
-                calendars: Vec::from_value(need(entries, "calendars", "WorldState")?)?,
-                graph_version: u64::from_value(need(entries, "graph_version", "WorldState")?)?,
-                calendar_version: u64::from_value(need(
-                    entries,
-                    "calendar_version",
-                    "WorldState",
-                )?)?,
-                seq: u64::from_value(need(entries, "seq", "WorldState")?)?,
-            })
-        }
-    }
 }
 
 #[cfg(test)]

@@ -92,16 +92,19 @@ slow-query triage, worked example:
        {\"initiator\":931,\"query\":\"stgq(p=6,s=2,k=5,m=4)\",
         \"queue_wait_ns\":2901,\"extract_ns\":102,\"prepare_ns\":312876,
         \"descend_ns\":501234,\"total_ns\":841303,
-        \"frames\":184223,\"frames_pruned_by_bound\":1742,
-        \"prep_words_delta\":0,\"prep_words_rebuilt\":96320,...}
+        \"frames\":184223,\"frames_pruned_by_bound\":1742,...,
+        \"pivots_processed\":61,\"pivots_skipped\":58,...,
+        \"prep_words_delta\":0,\"prep_words_rebuilt\":96320}
   3. read the dominant span against its counters:
        descend_ns dominating, frames_pruned_by_bound low
          -> the distance bounds are not biting: suspect a query shape
             the incumbent cannot tighten (large p, loose k) or a cold
             incumbent right after a write burst.
-       prepare_ns dominating, prep_words_rebuilt >> prep_words_delta
-         -> calendar churn invalidated the incremental-prep run cache:
-            batch mutations between query waves.
+       prepare_ns dominating, pivots_skipped close to pivots_processed
+         -> pivots are prepared only to be skipped: each pivot's
+            distance floor could not beat the incumbent, so the
+            preparation was wasted work. It grows with the horizon
+            and the candidate count; no setting avoids it today.
        extract_ns large on repeat initiators
          -> feasible-graph cache evictions: raise the cache capacity
             above the distinct-initiator count.
