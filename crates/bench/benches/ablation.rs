@@ -1,7 +1,5 @@
 //! Criterion version of the pruning ablation: SGSelect and STGSelect with
-//! each pruning strategy disabled in turn, plus the search-order
-//! ablation (incumbent seeding, promise-ordered pivots, availability
-//! ordering) with each piece disabled in turn.
+//! each pruning strategy disabled in turn.
 
 use std::time::Duration;
 
@@ -37,28 +35,6 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // Search-order ablation on the headline fig1f m = 4 config: each
-    // piece disabled in turn against the full engine and the whole
-    // layer off.
-    let reduction: [(&str, SelectConfig); 5] = [
-        ("full", SelectConfig::default()),
-        ("no_seed", SelectConfig::default().with_seed_restarts(0)),
-        (
-            "no_pivot_order",
-            SelectConfig::default().with_pivot_promise_order(false),
-        ),
-        (
-            "no_avail_order",
-            SelectConfig::default().with_availability_ordering(false),
-        ),
-        ("all_off", SelectConfig::NO_SEARCH_REDUCTION),
-    ];
-    let headline = StgqQuery::new(4, 2, 2, 4).unwrap();
-    for (name, cfg) in reduction {
-        g.bench_function(format!("stgselect-reduction/{name}"), |b| {
-            b.iter(|| solve_stgq(&ds.graph, tq, &ds.calendars, &headline, &cfg).unwrap())
-        });
-    }
     g.finish();
 }
 

@@ -1,8 +1,8 @@
 //! Serving-layer throughput: the `stgq-exec` batched path against the
 //! sequential per-query planner loop, on the fig1f workload (194-person
 //! community dataset, 3 days of half-hour slots) and on the
-//! coarse-distance scenario (few distinct hop values, so the
-//! availability-ordering tie-break actually fires).
+//! coarse-distance scenario (few distinct hop values, so equal-distance
+//! ties in the access order are the norm).
 //!
 //! Each benchmark processes the same 64-query hot workload
 //! (`stgq_bench::serving::hot_workload`: 24 distinct queries, zipf-ish

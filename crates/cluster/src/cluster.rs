@@ -614,7 +614,10 @@ impl Cluster {
     /// suspected, auto-drained (when [`HealthConfig::auto_drain`] is
     /// on), and its entries **re-dispatched** to the shards' new owners
     /// inside this same call — a mid-batch node loss costs latency, not
-    /// answers.
+    /// answers. A slice whose scatter thread panics is treated the same
+    /// way once; if its entries panic again on their new node, they are
+    /// answered with [`TransportError::Panicked`] and no further node is
+    /// drained.
     ///
     /// [`plan_batch`]: Self::plan_batch
     pub fn execute(&self, requests: Vec<WireRequest>) -> Vec<Result<PlanOutcome, ClusterError>> {
@@ -624,6 +627,10 @@ impl Cluster {
         // shrink this. Each healing round drains at least one node, so
         // the loop is bounded by the cluster size.
         let mut pending: Vec<usize> = (0..requests.len()).collect();
+        // Positions whose slice has already panicked once. A panic may
+        // follow its entry rather than its node, so a second one is
+        // answered as an error instead of draining another node.
+        let mut panicked = vec![false; requests.len()];
         loop {
             let initiators: Vec<NodeId> = pending.iter().map(|&p| requests[p].initiator).collect();
             // Plan positions index into `pending`.
@@ -644,27 +651,26 @@ impl Cluster {
                             let retries = &self.exec_retries;
                             let rpc = &self.rpc;
                             scope.spawn(move || {
-                                (
+                                send_with_retry(
+                                    &*transport,
                                     node,
-                                    send_with_retry(
-                                        &*transport,
-                                        node,
-                                        NodeMsg::Execute(batch),
-                                        policy,
-                                        MsgClass::Execute,
-                                        retries,
-                                        rpc,
-                                    ),
+                                    NodeMsg::Execute(batch),
+                                    policy,
+                                    MsgClass::Execute,
+                                    retries,
+                                    rpc,
                                 )
                             })
                         })
                         .collect();
+                    // A scatter thread that panicked failed its node's
+                    // exchange.
                     handles
                         .into_iter()
                         .zip(plan.iter())
-                        .map(|(h, (_, positions))| {
-                            let (node, reply) = h.join().expect("scatter worker never panics");
-                            (node, positions, reply)
+                        .map(|(h, (node, positions))| {
+                            let reply = h.join().unwrap_or(Err(TransportError::Panicked));
+                            (*node, positions, reply)
                         })
                         .collect()
                 });
@@ -681,7 +687,22 @@ impl Cluster {
                             slots[pending[p]] = Some(Err(ClusterError::Protocol));
                         }
                     }
-                    Err(e) => failed.push((node, positions.clone(), e)),
+                    Err(TransportError::Panicked)
+                        if positions.iter().any(|&p| panicked[pending[p]]) =>
+                    {
+                        for &p in positions {
+                            slots[pending[p]] =
+                                Some(Err(ClusterError::Transport(TransportError::Panicked)));
+                        }
+                    }
+                    Err(e) => {
+                        if e == TransportError::Panicked {
+                            for &p in positions {
+                                panicked[pending[p]] = true;
+                            }
+                        }
+                        failed.push((node, positions.clone(), e));
+                    }
                 }
             }
             if failed.is_empty() {

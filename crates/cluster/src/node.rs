@@ -563,6 +563,44 @@ mod tests {
         assert!(matches!(reply, NodeReply::Ack { .. }), "{reply:?}");
     }
 
+    /// A `SetRange` whose range is inverted (`lo > hi`, built field by
+    /// field; the codec refuses to decode one) is refused with a typed
+    /// reason: the calendar version does not move, the world is
+    /// untouched and the node keeps serving.
+    #[test]
+    fn an_inverted_set_range_is_refused_and_moves_no_version() {
+        let w = writer();
+        let node = attached(&w);
+        let (graph, calendar) = w.world().versions();
+        let epoch = node.executor().snapshot_versions();
+        let before = node.export_state();
+        let frame = NodeMsg::Replicate(ReplicationPayload::Deltas {
+            from_seq: w.delta_seq(),
+            records: vec![DeltaRecord {
+                seq: w.delta_seq() + 1,
+                graph_version: graph,
+                calendar_version: calendar + 1,
+                delta: WorldDelta::SetRange {
+                    person: NodeId(1),
+                    range: SlotRange { lo: 5, hi: 2 },
+                    available: false,
+                },
+            }],
+        });
+        let json = serde_json::to_string(&frame).unwrap();
+        assert!(json.contains(r#"{"lo":5,"hi":2}"#), "{json}");
+        assert!(serde_json::from_str::<NodeMsg>(&json).is_err());
+        let reply = node.handle(frame);
+        let NodeReply::Failed { reason } = reply else {
+            panic!("an inverted range must be refused, got {reply:?}");
+        };
+        assert!(reason.contains("lo <= hi"), "{reason}");
+        assert_eq!(node.export_state(), before, "world untouched");
+        assert_eq!(node.export_state().calendar_version, calendar);
+        assert_eq!(node.executor().snapshot_versions(), epoch);
+        assert_eq!(ask(&node), Some(5), "still serving");
+    }
+
     /// A full sync at `calendar_version = u64::MAX` followed by one
     /// calendar delta: the replay cannot advance the version, so the
     /// node replies `Failed` (not an overflow panic, and not the wrapped

@@ -43,6 +43,8 @@ pub enum TransportError {
     /// A socket-level failure: connect refused, read/write timeout,
     /// connection reset. Transient for retry purposes.
     Io(String),
+    /// The thread carrying the exchange panicked; the reply is lost.
+    Panicked,
 }
 
 impl std::fmt::Display for TransportError {
@@ -52,6 +54,7 @@ impl std::fmt::Display for TransportError {
             TransportError::Dropped => write!(f, "message dropped in flight"),
             TransportError::Codec(why) => write!(f, "wire codec failure: {why}"),
             TransportError::Io(why) => write!(f, "transport i/o failure: {why}"),
+            TransportError::Panicked => write!(f, "the exchange's thread panicked"),
         }
     }
 }

@@ -20,11 +20,14 @@
 /// The engines also run a set of exact reductions and allocation
 /// strategies that no switch turns off. Each is either bit-identical to
 /// the plain search or retires only subtrees that provably cannot
-/// strictly beat the incumbent, and each shows its effect through a
-/// [`SearchStats`] counter:
+/// strictly beat the incumbent. Each one that retires work shows it
+/// through a [`SearchStats`] counter; the two search-order mechanisms
+/// only change which incumbent arms Lemma 2 first:
 ///
 /// | mechanism | counter |
 /// |-----------|---------|
+/// | greedy incumbent seed before exact descent (SGQ a first-fit probe, STGQ a first-fit probe then 2 greedy restarts per pivot until an incumbent exists) | none: search order only |
+/// | promise-ordered pivots (STGQ): descending initiator run length, so early pivots tighten the incumbent for the pivot floor | none: search order only |
 /// | fixpoint (p, k)-core peel of the candidate set (SGQ once per solve, STGQ per pivot) | [`peeled_candidates`], [`pivots_refused_by_core`] |
 /// | Helly-window pivot floor over the peeled core (STGQ) | [`pivots_skipped`] |
 /// | frame-level k-plex bound: admissible-completion floor and missing-pair matching | [`frames_pruned_by_match`] |
@@ -33,9 +36,12 @@
 /// | availability rows built only for pivots that reach descent (STGQ) | [`prep_words_rebuilt`] |
 /// | pooled pivot buffers and a per-solve one-entry peel memo | none: allocation and caching only |
 ///
+/// Both engines visit candidates in the one access order the paper
+/// prescribes: ascending social distance, ties by original member id
+/// (`candidate_order()` of the candidate space).
+///
 /// The distance-relative halves of the pivot floor, the k-plex bound and
-/// the parent bound fire only when [`distance_pruning`] is on, and the
-/// pivot-floor skip only when [`pivot_promise_order`] is on too.
+/// the parent bound fire only when [`distance_pruning`] is on.
 ///
 /// [`SearchStats`]: crate::SearchStats
 /// [`peeled_candidates`]: crate::SearchStats::peeled_candidates
@@ -46,7 +52,6 @@
 /// [`prep_words_delta`]: crate::SearchStats::prep_words_delta
 /// [`prep_words_rebuilt`]: crate::SearchStats::prep_words_rebuilt
 /// [`distance_pruning`]: Self::distance_pruning
-/// [`pivot_promise_order`]: Self::pivot_promise_order
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SelectConfig {
     /// Initial θ for the interior unfamiliarity condition
@@ -73,29 +78,6 @@ pub struct SelectConfig {
     /// (the default) searches to proven optimality. The budget caps the
     /// whole solve (every pivot of an STGQ counts into it).
     pub frame_budget: Option<u64>,
-    /// Greedy restarts used to **seed the incumbent** before exact descent
-    /// (`0` disables seeding). A feasible seed activates Lemma-2 distance
-    /// pruning from the very first frame; seeding with a non-optimal bound
-    /// never cuts a strictly better solution, so exactness is untouched.
-    /// STGSelect seeds per pivot (reusing the pivot's prepared state),
-    /// SGSelect once per solve with a first-fit probe.
-    pub seed_restarts: usize,
-    /// Process pivot time slots **best-first** (descending initiator run
-    /// length) and skip any pivot whose optimistic distance floor can no
-    /// longer beat the incumbent. The floor is the sum of the `p − 1`
-    /// smallest incident distances among its eligible candidates,
-    /// sharpened after the core peel to the cheapest `p − 1` candidates
-    /// whose runs cover one common `m`-slot window. This is Lemma 2
-    /// applied at pivot granularity; skipped pivots are counted in
-    /// [`SearchStats::pivots_skipped`](crate::SearchStats). The skip only
-    /// fires when [`distance_pruning`](Self::distance_pruning) is also on.
-    pub pivot_promise_order: bool,
-    /// Break ties in the total-distance access order by availability
-    /// overlap with the pivot's initiator run (descending), so temporally
-    /// doomed candidates sink to the back of their tie group and Lemma-5
-    /// counters kill subtrees earlier. Ordering is a search heuristic:
-    /// it never changes the optimum, only how fast it is found.
-    pub availability_ordering: bool,
 }
 
 impl SelectConfig {
@@ -108,21 +90,6 @@ impl SelectConfig {
         acquaintance_pruning: true,
         availability_pruning: true,
         frame_budget: None,
-        seed_restarts: 2,
-        pivot_promise_order: true,
-        availability_ordering: true,
-    };
-
-    /// Ablation preset: the search-order layer off — no incumbent
-    /// seeding, pivots in calendar order (so no pivot-floor skip), pure
-    /// distance access order. The always-on mechanisms listed on
-    /// [`SelectConfig`] still run. The search-reduction benchmarks and
-    /// the stats-regression tests diff against this.
-    pub const NO_SEARCH_REDUCTION: SelectConfig = SelectConfig {
-        seed_restarts: 0,
-        pivot_promise_order: false,
-        availability_ordering: false,
-        ..SelectConfig::PAPER_EXAMPLE
     };
 
     /// Greedy-est ordering: both conditions start fully relaxed. Useful in
@@ -170,32 +137,6 @@ impl SelectConfig {
     pub const fn with_frame_budget(self, budget: u64) -> Self {
         SelectConfig {
             frame_budget: Some(budget),
-            ..self
-        }
-    }
-
-    /// This config with the given greedy incumbent-seed restart budget
-    /// (`0` disables seeding).
-    pub const fn with_seed_restarts(self, restarts: usize) -> Self {
-        SelectConfig {
-            seed_restarts: restarts,
-            ..self
-        }
-    }
-
-    /// This config with promise-ordered pivots (and the pivot-granularity
-    /// Lemma-2 skip) toggled.
-    pub const fn with_pivot_promise_order(self, on: bool) -> Self {
-        SelectConfig {
-            pivot_promise_order: on,
-            ..self
-        }
-    }
-
-    /// This config with availability-aware access-order tie-breaking toggled.
-    pub const fn with_availability_ordering(self, on: bool) -> Self {
-        SelectConfig {
-            availability_ordering: on,
             ..self
         }
     }
@@ -259,28 +200,5 @@ mod tests {
             .with_acquaintance_pruning(false)
             .with_availability_pruning(true);
         assert!(!c.distance_pruning && !c.acquaintance_pruning && c.availability_pruning);
-    }
-
-    #[test]
-    fn search_reduction_defaults_and_toggles() {
-        let c = SelectConfig::default();
-        assert_eq!(c.seed_restarts, 2);
-        assert!(c.pivot_promise_order && c.availability_ordering);
-
-        let off = SelectConfig::NO_SEARCH_REDUCTION;
-        assert_eq!(off.seed_restarts, 0);
-        assert!(!off.pivot_promise_order && !off.availability_ordering);
-        assert!(
-            off.distance_pruning && off.acquaintance_pruning,
-            "the baseline keeps the paper's pruning; only the search order is off"
-        );
-
-        let c = SelectConfig::PAPER_EXAMPLE
-            .with_seed_restarts(5)
-            .with_pivot_promise_order(false)
-            .with_availability_ordering(false);
-        assert_eq!(c.seed_restarts, 5);
-        assert!(!c.pivot_promise_order && !c.availability_ordering);
-        assert_eq!(c.with_seed_restarts(0), SelectConfig::NO_SEARCH_REDUCTION);
     }
 }

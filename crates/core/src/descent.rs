@@ -146,16 +146,11 @@ pub(crate) struct VaState {
     /// Membership of `VA` over compact indices.
     pub(crate) set: BitSet,
     /// Membership of `VA` over **access-order positions** — the same set
-    /// as `set`, permuted by [`order_pos`](Self::order_pos). The expand
-    /// loop's "next unvisited candidate by distance" and
+    /// as `set`, permuted by the candidate space's `order_pos()`. The
+    /// expand loop's "next unvisited candidate by distance" and
     /// "minimum-distance member" queries become word-parallel successor
     /// scans on this bitmap instead of per-position membership probes.
     pub(crate) pos_set: BitSet,
-    /// Position of each compact candidate in the access order this state
-    /// runs on — `fg.candidate_order()` for SGQ, the pivot job's
-    /// availability-tie-broken permutation for STGQ (`u32::MAX` for the
-    /// initiator). Owned so one `VaState` can serve per-pivot orders.
-    pub(crate) order_pos: Vec<u32>,
     /// `|N_v ∩ VA|` for **every** compact vertex `v` (members of `VS` too —
     /// the exterior expansibility terms need them).
     pub(crate) cnt_in_a: Vec<u32>,
@@ -174,7 +169,6 @@ impl Default for VaState {
         VaState {
             set: BitSet::new(0),
             pos_set: BitSet::new(0),
-            order_pos: Vec::new(),
             cnt_in_a: Vec::new(),
             total_inner: 0,
             log: Vec::new(),
@@ -184,25 +178,19 @@ impl Default for VaState {
 }
 
 impl VaState {
-    /// `VA = V_F − {q}`, optionally intersected with `mask`, over the
-    /// graph's global access order.
+    /// `VA = V_F − {q}`, optionally intersected with `mask`.
     pub(crate) fn init<G: CandidateTopology>(fg: &G, mask: Option<&BitSet>) -> Self {
         let mut s = VaState::default();
-        s.fill(fg, mask, fg.candidate_order());
+        s.fill(fg, mask);
         s
     }
 
-    /// (Re)initialise this state in place for the given access `order`
-    /// (a permutation of `fg.candidate_order()`): membership = `mask`
-    /// (or all candidates), counters rebuilt, undo log cleared. Reuses
-    /// every buffer whose capacity still fits — the pivot-arena hook.
-    pub(crate) fn fill<G: CandidateTopology>(
-        &mut self,
-        fg: &G,
-        mask: Option<&BitSet>,
-        order: &[u32],
-    ) {
+    /// (Re)initialise this state in place: membership = `mask` (or all
+    /// candidates), counters rebuilt, undo log cleared. Reuses every
+    /// buffer whose capacity still fits — the pivot-arena hook.
+    pub(crate) fn fill<G: CandidateTopology>(&mut self, fg: &G, mask: Option<&BitSet>) {
         let f = fg.len();
+        let order = fg.candidate_order();
         if self.set.capacity() == f {
             self.set.clear();
         } else {
@@ -213,10 +201,7 @@ impl VaState {
         } else {
             self.pos_set = BitSet::new(order.len());
         }
-        self.order_pos.clear();
-        self.order_pos.resize(f, u32::MAX);
         for (pos, &c) in order.iter().enumerate() {
-            self.order_pos[c as usize] = pos as u32;
             if mask.is_none_or(|m| m.contains(c as usize)) {
                 self.set.insert(c as usize);
                 self.pos_set.insert(pos);
@@ -250,7 +235,7 @@ impl VaState {
         debug_assert!(self.set.contains(u as usize));
         self.total_inner -= 2 * u64::from(self.cnt_in_a[u as usize]);
         self.set.remove(u as usize);
-        self.pos_set.remove(self.order_pos[u as usize] as usize);
+        self.pos_set.remove(fg.order_pos(u) as usize);
         let cnt_in_a = &mut self.cnt_in_a;
         fg.for_each_neighbor(u, |nb| {
             cnt_in_a[nb as usize] -= 1;
@@ -273,7 +258,7 @@ impl VaState {
             cnt_in_a[nb as usize] += 1;
         });
         self.set.insert(u as usize);
-        self.pos_set.insert(self.order_pos[u as usize] as usize);
+        self.pos_set.insert(fg.order_pos(u) as usize);
         // cnt_in_a[u] is already back to its pre-removal value: every
         // neighbor removed after u has been re-inserted first (LIFO).
         self.total_inner += 2 * u64::from(self.cnt_in_a[u as usize]);
@@ -468,8 +453,7 @@ impl VsAggregates {
 /// [`SelectConfig::frame_budget`] caps the whole solve, not each pivot.
 pub(crate) struct Searcher<'a, G, A: TemporalAxis> {
     fg: &'a G,
-    /// The access order `va` runs on (`fg.candidate_order()` for SGQ,
-    /// the pivot's availability-tie-broken permutation for STGQ).
+    /// The access order `va` runs on: `fg.candidate_order()`.
     order: &'a [u32],
     p: usize,
     k: i64,
@@ -493,17 +477,13 @@ pub(crate) struct Searcher<'a, G, A: TemporalAxis> {
 }
 
 impl<'a, G: CandidateTopology, A: TemporalAxis> Searcher<'a, G, A> {
-    /// A searcher over `order` with `VS = {q}`.
-    pub(crate) fn new(
-        ctx: SearchCtx<'a, G, A::Best>,
-        order: &'a [u32],
-        axis: A,
-        stats: &'a mut SearchStats,
-    ) -> Self {
+    /// A searcher over the candidate space's access order with
+    /// `VS = {q}`.
+    pub(crate) fn new(ctx: SearchCtx<'a, G, A::Best>, axis: A, stats: &'a mut SearchStats) -> Self {
         let (fg, p) = (ctx.fg, ctx.p);
         let mut s = Searcher {
             fg,
-            order,
+            order: fg.candidate_order(),
             p,
             // k ≥ p−1 makes the acquaintance constraint vacuous (a member
             // has only p−1 co-attendees); clamping keeps the i64 pruning
@@ -570,7 +550,7 @@ impl<'a, G: CandidateTopology, A: TemporalAxis> Searcher<'a, G, A> {
     fn discard(&mut self, va: &mut VaState, depth: usize, u: u32) {
         self.remove_from_va(va, u);
         if self.floor_active(depth) {
-            self.floors[depth].remove(va.order_pos[u as usize] as usize);
+            self.floors[depth].remove(self.fg.order_pos(u) as usize);
         }
     }
 

@@ -220,13 +220,10 @@ fn run_stgq_heuristic<G: CandidateTopology>(
     let mut evaluations = 0u64;
     let mut best: Option<(Vec<u32>, Dist, SlotRange, usize)> = None;
     let mut scratch = SearchStats::default();
-    // The greedy engine keeps the graph's plain distance order (pinned by
-    // its behaviour tests), but pools the pivot buffers like the exact
-    // loop does.
+    // The greedy engine pools the pivot buffers like the exact loop
+    // does, but preps plainly (no peel): its evaluation counts are
+    // pinned by behaviour tests, and it never consults the bound.
     let mut arena = PivotArena::new();
-    // Plain prep (no peel, no tie-breaking): the greedy engine's
-    // evaluation counts are pinned by behaviour tests, and it never
-    // consults the bound.
     let prep = PivotPrep::plain(p, m, horizon);
 
     for pivot in pivot_slots(horizon, m) {
@@ -267,6 +264,10 @@ fn run_stgq_heuristic<G: CandidateTopology>(
     }
 }
 
+/// Greedy restarts behind the exact STGQ engine's incumbent seed, when
+/// the first-fit probe misses.
+const SEED_RESTARTS: usize = 2;
+
 /// Greedy descent restricted to one prepared pivot — the exact engine's
 /// **incumbent seed**. Reuses the pivot's `PivotJob` (no extra
 /// preparation) and returns the compact member set (initiator included),
@@ -278,7 +279,6 @@ pub(crate) fn greedy_seed_for_pivot<G: CandidateTopology>(
     k: usize,
     m: usize,
     job: &PivotJob,
-    restarts: usize,
 ) -> Option<(Vec<u32>, Dist, SlotRange)> {
     let mut ctx = GreedyCtx::new(fg, p, k, None, Some(job), m);
     // First-fit first: when it lands it realises the pivot's distance
@@ -290,7 +290,7 @@ pub(crate) fn greedy_seed_for_pivot<G: CandidateTopology>(
             .expect("feasible groups share an m-run");
         return Some((members, dist, ts));
     }
-    let (best, _evaluations) = ctx.run_restarts(restarts.max(1));
+    let (best, _evaluations) = ctx.run_restarts(SEED_RESTARTS);
     let (members, dist) = best?;
     let ts = ctx.common_run(&members)?;
     Some((members, dist, ts))

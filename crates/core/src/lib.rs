@@ -66,41 +66,37 @@
 //!   subset test against the flattened adjacency. Frame-level prune
 //!   checks re-run only when `VA` actually mutated — between mutation-free
 //!   iterations they are provably no-ops.
-//! * **Access order as a bitmap.** `VA` is mirrored over access-order
-//!   positions (owned by the `VA` state, so each pivot may carry its own
-//!   permutation), so "next unvisited candidate by distance" and
-//!   "minimum-distance member" are find-first-set scans.
+//! * **Access order as a bitmap.** `VA` is mirrored over positions of
+//!   the candidate space's one access order (`candidate_order()`,
+//!   ascending social distance), so "next unvisited candidate by
+//!   distance" and "minimum-distance member" are find-first-set scans.
 //!
 //! On top of the constant-factor work, the engines cut *how many*
-//! candidates they examine at all (the search-reduction release):
+//! candidates they examine at all. None of these has a switch, and
+//! none changes the optimum. Both engines run on one access order.
 //!
-//! * **Incumbent seeding** ([`SelectConfig::seed_restarts`]). Before exact
-//!   descent the incumbent is pre-loaded with a cheap feasible solution —
-//!   a first-fit probe of the `p − 1` nearest (eligible) candidates,
-//!   falling back to the greedy heuristic for STGQ pivots — so Lemma-2
-//!   distance pruning is live from the very first frame. A non-optimal
-//!   bound never cuts a strictly better solution, so the optimum is
-//!   untouched; ties simply return the seed as the optimal witness.
-//! * **Promise-ordered pivots with a pivot-granularity bound**
-//!   ([`SelectConfig::pivot_promise_order`]). Pivot slots are processed
-//!   longest-initiator-run first, and each prepared pivot carries the sum
-//!   of its `p − 1` smallest eligible incident distances as an optimistic
-//!   floor: an incumbent at or below the floor retires the whole pivot
-//!   without opening a frame ([`SearchStats::pivots_skipped`]). On easy
-//!   instances the seed hits the first pivot's floor and the entire
-//!   pivot loop collapses to zero frames.
-//! * **Clipped eligibility + availability-aware ordering**
-//!   ([`SelectConfig::availability_ordering`]). A candidate's Definition-4
-//!   run is clipped to the initiator's — an overlap under `m` slots can
-//!   never serve any group containing her, so such candidates never enter
-//!   `VA` at all — and equal-distance access-order ties are broken by
-//!   remaining overlap (descending), computed from per-solve tie blocks
-//!   so pivots pay only the permutation, not the scan.
+//! * **Incumbent seeding.** Before exact descent the incumbent is
+//!   pre-loaded with a cheap feasible solution — a first-fit probe of
+//!   the `p − 1` nearest (eligible) candidates, falling back to two
+//!   greedy restarts for STGQ pivots — so Lemma-2 distance pruning is
+//!   live from the very first frame. A non-optimal bound never cuts a
+//!   strictly better solution, so the optimum is untouched; ties simply
+//!   return the seed as the optimal witness.
+//! * **Promise-ordered pivots with a pivot-granularity bound.** Pivot
+//!   slots are processed longest-initiator-run first, and each prepared
+//!   pivot carries the sum of its `p − 1` smallest eligible incident
+//!   distances as an optimistic floor: an incumbent at or below the
+//!   floor retires the whole pivot without opening a frame
+//!   ([`SearchStats::pivots_skipped`]). On easy instances the seed hits
+//!   the first pivot's floor and the entire pivot loop collapses to
+//!   zero frames.
+//! * **Clipped eligibility.** A candidate's Definition-4 run is clipped
+//!   to the initiator's — an overlap under `m` slots can never serve any
+//!   group containing her, so such candidates never enter `VA` at all.
 //! * **Pivot-arena pooling** ([`PivotArena`]). The flattened
-//!   availability buffers, bitmaps, undo logs and order permutations are
-//!   recycled across the sequential pivot loop, and — via
-//!   [`Solver::arena`] — across whole query streams (the executor's
-//!   workers each hold one arena).
+//!   availability buffers, bitmaps and undo logs are recycled across the
+//!   sequential pivot loop, and — via [`Solver::arena`] — across whole
+//!   query streams (the executor's workers each hold one arena).
 //! * **Compatibility-restricted pivot floor.** Per-pivot runs are
 //!   intervals all containing the pivot, so (Helly property) a group
 //!   shares an `m`-run iff one `m`-window lies inside every member's

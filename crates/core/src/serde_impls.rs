@@ -101,6 +101,21 @@ mod tests {
     }
 
     #[test]
+    fn a_solution_with_an_inverted_period_does_not_decode() {
+        let sol = StgqSolution {
+            members: vec![NodeId(0), NodeId(3)],
+            total_distance: 7,
+            period: SlotRange::new(2, 5),
+            pivot: 3,
+        };
+        let json = serde_json::to_string(&sol).unwrap();
+        assert!(json.contains(r#""period":{"lo":2,"hi":5}"#), "{json}");
+        assert_eq!(serde_json::from_str::<StgqSolution>(&json).unwrap(), sol);
+        let inverted = json.replace(r#""lo":2,"hi":5"#, r#""lo":5,"hi":2"#);
+        assert!(serde_json::from_str::<StgqSolution>(&inverted).is_err());
+    }
+
+    #[test]
     fn stop_cause_roundtrips() {
         for cause in [
             StopCause::Completed,

@@ -81,12 +81,10 @@ pub(crate) fn solve<G: CandidateTopology>(
     // rarely pays here — only the near-free first-fit probe (the
     // initiator plus the p − 1 nearest candidates, also the instance's
     // distance floor) runs ahead of it.
-    if cfg.seed_restarts > 0 {
-        if let Some((members, dist)) =
-            crate::heuristics::first_fit_sgq_seed(fg, p, query.k(), candidate_mask)
-        {
-            incumbent.offer(dist, || members);
-        }
+    if let Some((members, dist)) =
+        crate::heuristics::first_fit_sgq_seed(fg, p, query.k(), candidate_mask)
+    {
+        incumbent.offer(dist, || members);
     }
     let mut stats = SearchStats {
         peeled_candidates,
@@ -101,7 +99,7 @@ pub(crate) fn solve<G: CandidateTopology>(
         control,
     };
     let mut va = VaState::init(fg, candidate_mask);
-    Searcher::new(ctx, fg.candidate_order(), UnitAxis, &mut stats).expand(&mut va, 0);
+    Searcher::new(ctx, UnitAxis, &mut stats).expand(&mut va, 0);
 
     let solution = incumbent
         .into_best()

@@ -37,9 +37,11 @@ pub struct SearchStats {
     /// runs cover one common `m`-slot window) could no longer beat
     /// the incumbent — the pivot was retired after preparation without
     /// opening a search frame (pivot-granularity Lemma 2, STGSelect
-    /// only; see [`SelectConfig::pivot_promise_order`]).
+    /// only). Pivots run in promise order, longest initiator run first,
+    /// so early pivots set the incumbent later ones are skipped against.
+    /// Fires only when [`SelectConfig::distance_pruning`] is on.
     ///
-    /// [`SelectConfig::pivot_promise_order`]: crate::SelectConfig::pivot_promise_order
+    /// [`SelectConfig::distance_pruning`]: crate::SelectConfig::distance_pruning
     pub pivots_skipped: u64,
     /// Candidates removed outright by fixpoint (p, k)-core peeling
     /// before exact descent — per pivot for STGQ, once per solve for

@@ -48,7 +48,9 @@
 //!  prepare   Definition-4 eligibility, delta'd from the per-solve run
 //!     │      cache when a cached calendar run covers the pivot
 //!     │      (prep_words_delta), scanned from packed calendar words
-//!     │      otherwise; runs clipped to the initiator's
+//!     │      otherwise; runs clipped to the initiator's; plain floor
+//!     │      read off the candidate space's one access order
+//!     │        └─ incumbent ≤ plain floor → skip pivot (pivots_skipped)
 //!     │                                             (pivots_processed)
 //!     ▼
 //!   peel     fixpoint (p,k)-core over eligible ∪ {q}
@@ -83,6 +85,11 @@
 //! Definition-4 runs are pure arithmetic on the cached calendar-absolute
 //! run, with no pointer chase into the calendars at all. Nothing in the
 //! arena survives into the next solve except buffers.
+//!
+//! Every stage reads the candidate space's one access order
+//! (`candidate_order()`, ascending social distance) and its inverse
+//! (`order_pos()`), exactly as SGSelect and the greedy seed do: the
+//! plain floor, the sharp floor and the descent walk the same order.
 
 // Parallel per-slot counters are clearer with indexed loops.
 #![allow(clippy::needless_range_loop)]
@@ -179,8 +186,8 @@ pub(crate) fn solve<G: CandidateTopology>(
         return StgqOutcome { solution, stats };
     }
 
-    let pivots = promise_ordered_pivots(q_cal, horizon, m, cfg.pivot_promise_order);
-    let prep = PivotPrep::new(fg, p, query.k(), m, horizon, &cfg);
+    let pivots = promise_ordered_pivots(q_cal, horizon, m);
+    let prep = PivotPrep::new(p, query.k(), m, horizon);
     arena.begin_solve();
 
     // Stage-timing state (see `crate::timings`): one mark before the
@@ -247,15 +254,10 @@ pub(crate) fn solve<G: CandidateTopology>(
         // exact frame, and later pivots inherit the bound. Once any
         // incumbent exists the exact search refines it at least as fast
         // as greedy would, so seeding stops paying and stops running.
-        if cfg.seed_restarts > 0 && incumbent.dist().is_none() {
-            if let Some((group, dist, ts)) = crate::heuristics::greedy_seed_for_pivot(
-                fg,
-                p,
-                query.k(),
-                m,
-                &job,
-                cfg.seed_restarts,
-            ) {
+        if incumbent.dist().is_none() {
+            if let Some((group, dist, ts)) =
+                crate::heuristics::greedy_seed_for_pivot(fg, p, query.k(), m, &job)
+            {
                 let period = SlotRange::new(ts.lo, ts.lo + m - 1);
                 incumbent.offer(dist, || StBest {
                     group,
@@ -306,18 +308,13 @@ pub(crate) fn solve<G: CandidateTopology>(
 
 /// The pivot slots the initiator can host (her Definition-4 run through
 /// the pivot spans ≥ `m` slots — the same check `prepare_pivot` makes, so
-/// prefiltering here changes no counter), in **promise order** when
-/// requested: descending initiator run length, the idea being that more
-/// temporal slack means more eligible candidates and better odds the
-/// optimum lives there, so early pivots tighten the incumbent for the
+/// prefiltering here changes no counter), in **promise order**:
+/// descending initiator run length, the idea being that more temporal
+/// slack means more eligible candidates and better odds the optimum lives
+/// there, so early pivots tighten the incumbent for the
 /// pivot-granularity bound. Stable — equal-promise pivots stay in
 /// calendar order.
-fn promise_ordered_pivots(
-    q_cal: &Calendar,
-    horizon: usize,
-    m: usize,
-    promise_order: bool,
-) -> Vec<SlotId> {
+fn promise_ordered_pivots(q_cal: &Calendar, horizon: usize, m: usize) -> Vec<SlotId> {
     let mut keyed: Vec<(SlotId, usize)> = pivot_slots(horizon, m)
         .filter_map(|pv| {
             let interval = pivot_interval(pv, m, horizon);
@@ -327,37 +324,13 @@ fn promise_ordered_pivots(
                 .map(|r| (pv, r.len()))
         })
         .collect();
-    if promise_order {
-        keyed.sort_by_key(|&(_, len)| std::cmp::Reverse(len));
-    }
+    keyed.sort_by_key(|&(_, len)| std::cmp::Reverse(len));
     keyed.into_iter().map(|(pv, _)| pv).collect()
 }
 
-/// Equal-distance blocks `(start, end)` (end exclusive) of
-/// `fg.candidate_order()` with more than one member — the only stretches
-/// availability ordering may permute. Distances are time-independent, so
-/// one scan serves every pivot of a solve.
-pub(crate) fn dist_tie_blocks<G: CandidateTopology>(fg: &G) -> Vec<(u32, u32)> {
-    let order = fg.candidate_order();
-    let mut blocks = Vec::new();
-    let mut i = 0usize;
-    while i < order.len() {
-        let d = fg.dist(order[i]);
-        let mut j = i + 1;
-        while j < order.len() && fg.dist(order[j]) == d {
-            j += 1;
-        }
-        if j - i > 1 {
-            blocks.push((i as u32, j as u32));
-        }
-        i = j;
-    }
-    blocks
-}
-
 /// Per-solve pivot preprocessing: everything about pivot preparation
-/// that does **not** depend on the pivot slot — the query shape, the
-/// distance tie blocks and the peel threshold.
+/// that does **not** depend on the pivot slot — the query shape and the
+/// peel threshold.
 ///
 /// Built once per `(query, feasible graph)` and read by every pivot of
 /// the loop. The peel itself is memoized per eligible signature in the
@@ -368,42 +341,28 @@ pub(crate) struct PivotPrep {
     pub(crate) horizon: usize,
     /// Fixpoint peel threshold `p − 1 − k` (`None` when vacuous).
     pub(crate) peel_min_deg: Option<usize>,
-    /// Equal-distance order blocks for availability tie-breaking
-    /// (`None` when [`SelectConfig::availability_ordering`] is off).
-    ///
-    /// [`SelectConfig::availability_ordering`]: crate::SelectConfig::availability_ordering
-    pub(crate) tie_blocks: Option<Vec<(u32, u32)>>,
 }
 
 impl PivotPrep {
     /// Preprocessing for one solve of `(p, k, m)` over `fg`.
-    pub(crate) fn new<G: CandidateTopology>(
-        fg: &G,
-        p: usize,
-        k: usize,
-        m: usize,
-        horizon: usize,
-        cfg: &SelectConfig,
-    ) -> Self {
+    pub(crate) fn new(p: usize, k: usize, m: usize, horizon: usize) -> Self {
         PivotPrep {
             p,
             m,
             horizon,
             peel_min_deg: peel_min_deg(p, k),
-            tie_blocks: cfg.availability_ordering.then(|| dist_tie_blocks(fg)),
         }
     }
 
-    /// A bare prep — no peel, no tie-breaking. The greedy heuristic
-    /// prepares its pivots with this (its evaluation counts are pinned
-    /// by behaviour tests and it never consults the bound).
+    /// A bare prep — no peel. The greedy heuristic prepares its pivots
+    /// with this (its evaluation counts are pinned by behaviour tests
+    /// and it never consults the bound).
     pub(crate) fn plain(p: usize, m: usize, horizon: usize) -> Self {
         PivotPrep {
             p,
             m,
             horizon,
             peel_min_deg: None,
-            tie_blocks: None,
         }
     }
 }
@@ -466,13 +425,10 @@ impl PrepMemo {
 }
 
 /// Whether the pivot-level distance bound proves no solution at this pivot
-/// can strictly beat the incumbent. Gated on *both* the promise-order
-/// switch (it is that feature's pruning half) and Lemma-2 pruning (a
-/// pruning-off ablation must really search everything).
+/// can strictly beat the incumbent. Gated on Lemma-2 pruning, so a
+/// pruning-off ablation really searches every pivot.
 fn pivot_bound_skips(cfg: &SelectConfig, incumbent: &Incumbent<StBest>, dist_bound: Dist) -> bool {
-    cfg.pivot_promise_order
-        && cfg.distance_pruning
-        && incumbent.dist().is_some_and(|d| d <= dist_bound)
+    cfg.distance_pruning && incumbent.dist().is_some_and(|d| d <= dist_bound)
 }
 
 /// The incumbent payload: everything about the best solution except its
@@ -497,20 +453,14 @@ pub(crate) struct PivotJob {
     /// whole pivot; ineligible vertices stay all-zero and are never read).
     pub(crate) avail_words: Vec<u64>,
     pub(crate) avail_stride: usize,
-    /// This pivot's access order: the graph's total-distance order with
-    /// ties broken by availability overlap with the initiator's run
-    /// (descending) — temporally doomed candidates sink to the back of
-    /// their tie group. Still non-decreasing by distance, which is all
-    /// the search's correctness-sensitive uses rely on.
-    pub(crate) order: Vec<u32>,
     /// Optimistic lower bound on any group's total distance at this
     /// pivot: the sum of the `p − 1` smallest incident distances among
     /// pivot-eligible candidates (pivot-granularity Lemma 2).
     pub(crate) dist_bound: Dist,
     /// Pivot-eligible candidates (Definition 4) over compact indices.
     pub(crate) eligible: BitSet,
-    /// `VA` restricted to the pivot-eligible candidates, over
-    /// [`order`](Self::order).
+    /// `VA` restricted to the pivot-eligible candidates, over the
+    /// candidate space's access order.
     pub(crate) va: VaState,
     /// The Lemma-5 per-slot unavailability counters of [`va`](Self::va).
     pub(crate) unavail: Unavail,
@@ -533,7 +483,6 @@ impl PivotJob {
             runs: Vec::new(),
             avail_words: Vec::new(),
             avail_stride: 0,
-            order: Vec::new(),
             dist_bound: 0,
             eligible: BitSet::new(0),
             va: VaState::default(),
@@ -543,7 +492,7 @@ impl PivotJob {
 }
 
 /// Recycler for the pivot jobs' buffers (flattened availability words,
-/// bitmaps, Lemma-5 counters, undo logs, access-order permutations),
+/// bitmaps, Lemma-5 counters, undo logs),
 /// plus the per-solve scratch of pivot preparation (the run cache and
 /// the one-entry peel memo).
 ///
@@ -732,10 +681,9 @@ fn run_through_bit(words: &[u64], len: usize, pos: usize) -> Option<(usize, usiz
     Some((lo, hi.min(len - 1)))
 }
 
-/// **Phase 1** of pivot preparation: Definition-4 eligibility, the
-/// (tie-broken) access order, and the plain `p − 1`-smallest-distances
-/// bound — everything the promise-order skip check needs, and nothing
-/// more. Returns `None` when the pivot cannot host any feasible solution
+/// **Phase 1** of pivot preparation: Definition-4 eligibility and the
+/// plain `p − 1`-smallest-distances bound — everything the pivot-floor
+/// skip check needs, and nothing more. Returns `None` when the pivot cannot host any feasible solution
 /// (initiator ineligible or too few eligible candidates);
 /// `stats.pivots_processed` counts the pivots that pass the initiator
 /// check, as in the sequential engine.
@@ -763,7 +711,6 @@ pub(crate) fn prepare_pivot<G: CandidateTopology>(
 ) -> Option<PivotJob> {
     let f = fg.len();
     let PivotPrep { p, m, horizon, .. } = *prep;
-    let tie_blocks = prep.tie_blocks.as_deref();
     let interval = pivot_interval(pivot, m, horizon);
     if arena.run_cache.len() != f {
         arena.run_cache.clear();
@@ -840,37 +787,13 @@ pub(crate) fn prepare_pivot<G: CandidateTopology>(
         return None;
     }
 
-    // Access order: the graph's total-distance order, optionally with
-    // ties re-ranked by availability overlap with the initiator's run
-    // (descending). Distances stay non-decreasing — only the relative
-    // order *within* an equal-distance block changes — so every
-    // correctness-sensitive use (minimum-distance member, cheapest
-    // completion break) is untouched, while
-    // temporally weak candidates are examined last and die to Lemma-5
-    // counters before spawning subtrees. The equal-distance blocks are
-    // time-independent, so callers compute them once per solve
-    // ([`dist_tie_blocks`]) instead of rescanning distances per pivot.
-    job.order.clear();
-    job.order.extend_from_slice(fg.candidate_order());
-    if let Some(blocks) = tie_blocks {
-        let runs = &job.runs;
-        let order = &mut job.order;
-        // Runs are already clipped to the initiator's, so a run's length
-        // *is* its usable overlap with her availability.
-        let overlap = |c: u32| -> usize { runs[c as usize].map_or(0, |r| r.len()) };
-        for &(s, e) in blocks {
-            // Stable: equal-overlap candidates keep their original-id
-            // tie order.
-            order[s as usize..e as usize].sort_by_key(|&c| std::cmp::Reverse(overlap(c)));
-        }
-    }
-
-    // The optimistic distance bound: the order is distance-ascending, so
-    // the p − 1 smallest eligible distances are the first p − 1 eligible
-    // entries (eligibility was checked above, so they exist).
+    // The optimistic distance bound: the access order is
+    // distance-ascending, so the p − 1 smallest eligible distances are
+    // the first p − 1 eligible entries (eligibility was checked above,
+    // so they exist).
     let mut dist_bound: Dist = 0;
     let mut taken = 0usize;
-    for &c in &job.order {
+    for &c in fg.candidate_order() {
         if taken + 1 >= p {
             break;
         }
@@ -996,7 +919,7 @@ pub(crate) fn materialize_pivot<G: CandidateTopology>(
     // Lemma-5 counters: members are mostly available inside the interval
     // (they all carry an m-run through the pivot), so iterate only the
     // *zero* offsets of each bitmap — O(words + zeros), not O(ilen).
-    job.va.fill(fg, Some(&job.eligible), &job.order);
+    job.va.fill(fg, Some(&job.eligible));
     let counts = &mut job.unavail.counts;
     counts.clear();
     counts.resize(ilen, 0);
@@ -1043,7 +966,7 @@ fn compat_dist_floor<G: CandidateTopology>(
         let end = start + m - 1;
         let mut sum: Dist = 0;
         let mut taken = 0usize;
-        for &c in &job.order {
+        for &c in fg.candidate_order() {
             if taken + 1 >= p {
                 break;
             }
@@ -1077,7 +1000,7 @@ fn descend_pivot<G: CandidateTopology>(
     let mut va = std::mem::take(&mut job.va);
     job.unavail = {
         let axis = PivotAxis::new(job, query, &ctx.cfg, unavail);
-        let mut searcher = Searcher::new(ctx, &job.order, axis, stats);
+        let mut searcher = Searcher::new(ctx, axis, stats);
         searcher.expand(&mut va, 0);
         searcher.axis.unavail
     };
@@ -1464,10 +1387,7 @@ mod tests {
                 let mut stats_new = SearchStats::default();
                 let mut stats_ref = SearchStats::default();
                 let mut arena = PivotArena::new();
-                let prep = PivotPrep {
-                    tie_blocks: Some(dist_tie_blocks(&fg)),
-                    ..PivotPrep::plain(2, m, horizon)
-                };
+                let prep = PivotPrep::plain(2, m, horizon);
                 let job = prepare_full(&fg, &calendars, &prep, pivot, &mut stats_new, &mut arena);
                 let reference =
                     prepare_pivot_reference(&fg, &calendars, 2, m, pivot, horizon, &mut stats_ref);

@@ -49,12 +49,12 @@ pub fn synthetic_coauthor(n: usize, days: usize, seed: u64) -> Dataset {
 /// order are the norm rather than the exception.
 ///
 /// The continuous-ish weights of [`real_analog_194`] leave almost no
-/// equal-distance ties after eligibility clipping, which makes the
-/// `availability_ordering` tie-break unobservable on fig1f-style runs;
-/// real deployments often *only* have a handful of distance values
-/// (hop counts, coarse closeness buckets). This scenario makes the
-/// tie-break (and any tie-sensitive ordering logic) actually fire in
-/// benches and tests.
+/// equal-distance ties after eligibility clipping, while real
+/// deployments often *only* have a handful of distance values (hop
+/// counts, coarse closeness buckets). This scenario makes ties the
+/// common case, so benches and tests exercise the access order's tie
+/// rule (original member id) and equal-distance optima with several
+/// witnesses as hard as a real deployment would.
 pub fn coarse_distance_analog(days: usize, seed: u64, levels: Dist) -> Dataset {
     let levels = levels.max(1);
     let base = real_analog_194(days, seed);

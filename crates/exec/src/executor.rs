@@ -305,6 +305,7 @@ impl Executor {
             batched_entries: c.batched_entries.load(Ordering::Relaxed),
             collapsed_entries: c.collapsed_entries.load(Ordering::Relaxed),
             cancelled: c.cancelled.load(Ordering::Relaxed),
+            solve_panics: c.solve_panics.load(Ordering::Relaxed),
             feasible_cache_hits: hits,
             feasible_cache_misses: misses,
             cached_feasible_graphs: cached,
@@ -641,6 +642,56 @@ mod tests {
         let m = exec.metrics();
         assert_eq!((m.result_cache_hits, m.result_cache_misses), (0, 0));
         assert_eq!(m.cached_results, 0);
+    }
+
+    #[test]
+    fn a_panicking_solve_fails_only_its_entry_and_keeps_every_worker() {
+        let exec = executor(2);
+        let oracle = executor(1);
+        let sgq = QuerySpec::Sgq(SgqQuery::new(3, 1, 0).unwrap());
+        let stgq = QuerySpec::Stgq(StgqQuery::new(3, 1, 0, 3).unwrap());
+        let poison = Engine::Greedy {
+            restarts: crate::worker::PANIC_RESTARTS,
+        };
+        // Four shards: initiators 0 and 4 share a shard job, so one entry
+        // runs before the panicking one in its job and one after it.
+        let requests = vec![
+            PlanRequest::new(NodeId(0), sgq, Engine::Exact),
+            PlanRequest::new(NodeId(0), stgq, poison),
+            PlanRequest::new(NodeId(4), stgq, Engine::Exact),
+            PlanRequest::new(NodeId(1), stgq, Engine::Exact),
+            PlanRequest::new(NodeId(2), sgq, Engine::Greedy { restarts: 2 }),
+        ];
+        for round in 1..=3 {
+            let results = exec.execute_batch(requests.clone());
+            for (request, result) in requests.iter().zip(results) {
+                if request.engine == poison {
+                    let Err(ExecError::SolvePanicked { message }) = result else {
+                        panic!("round {round}: the poisoned entry must fail, got {result:?}");
+                    };
+                    assert!(message.contains("injected solve panic"), "{message}");
+                } else {
+                    let want = oracle.execute_one(request.clone()).unwrap();
+                    assert_eq!(result.unwrap().outcome, want.outcome, "round {round}");
+                }
+            }
+            assert_eq!(exec.metrics().solve_panics, round);
+            assert_eq!(exec.pool.lock().live(), 2, "no worker died");
+        }
+        // The inline path answers a panic the same way, and its arena
+        // keeps serving afterwards (a query no earlier round cached).
+        let poisoned = PlanRequest::new(NodeId(0), stgq, poison);
+        assert!(matches!(
+            exec.execute_one(poisoned),
+            Err(ExecError::SolvePanicked { .. })
+        ));
+        let fine = PlanRequest::new(NodeId(3), stgq, Engine::Exact);
+        assert!(!exec.execute_one(fine.clone()).unwrap().result_cache_hit);
+        assert_eq!(
+            exec.execute_one(fine.clone()).unwrap().outcome,
+            oracle.execute_one(fine).unwrap().outcome
+        );
+        assert_eq!(exec.metrics().solve_panics, 4);
     }
 
     #[test]

@@ -23,6 +23,10 @@ pub struct ExecMetrics {
     pub collapsed_entries: u64,
     /// Solves stopped by cancellation or deadline.
     pub cancelled: u64,
+    /// Solves that panicked. Each was answered with
+    /// [`ExecError::SolvePanicked`](crate::ExecError::SolvePanicked)
+    /// instead of taking its thread, or its batch, down.
+    pub solve_panics: u64,
     /// Feasible-graph cache hits, over every shard.
     pub feasible_cache_hits: u64,
     /// Feasible-graph cache misses (each triggered an extraction).
@@ -101,6 +105,7 @@ pub(crate) struct ExecCounters {
     pub(crate) batched_entries: AtomicU64,
     pub(crate) collapsed_entries: AtomicU64,
     pub(crate) cancelled: AtomicU64,
+    pub(crate) solve_panics: AtomicU64,
     pub(crate) snapshot_publishes: AtomicU64,
     pub(crate) snapshot_shards_rebuilt: AtomicU64,
     pub(crate) snapshot_shards_reused: AtomicU64,

@@ -164,6 +164,13 @@ pub enum ExecError {
         /// The `(graph_version, calendar_version)` actually published.
         available: (u64, u64),
     },
+    /// The solve panicked. The executor caught the unwind, so only this
+    /// entry failed: the rest of its batch was answered and the thread
+    /// that ran it keeps serving.
+    SolvePanicked {
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -185,6 +192,7 @@ impl std::fmt::Display for ExecError {
                 f,
                 "published epoch {available:?} is older than the required minimum {required:?}"
             ),
+            ExecError::SolvePanicked { message } => write!(f, "the solve panicked: {message}"),
         }
     }
 }
@@ -248,6 +256,9 @@ mod tests {
             ExecError::EpochTooOld {
                 required: (4, 7),
                 available: (4, 6),
+            },
+            ExecError::SolvePanicked {
+                message: "index out of bounds".to_string(),
             },
         ] {
             let back: ExecError =

@@ -111,10 +111,43 @@ pub(crate) fn run_job(shared: &ExecShared, arena: &mut PivotArena, job: Job) {
     }
 }
 
+/// An [`Engine::Greedy`] restart count that makes [`answer`] panic,
+/// so tests can drive the unwind path through a real batch.
+#[cfg(test)]
+pub(crate) const PANIC_RESTARTS: usize = 0x5eed_dead;
+
 /// Solve one request against one snapshot epoch. `queue_wait_ns` is the
 /// entry's queue wait (0 on the inline path), folded into its
 /// end-to-end latency sample and trace.
+///
+/// A panicking solve is answered, not propagated: the entry gets
+/// [`ExecError::SolvePanicked`], the event is counted, and `arena` — which
+/// may hold a half-built pivot — is replaced by a fresh one. So a batch
+/// never waits on a ticket whose solver unwound, and the thread (a pool
+/// worker or a caller helping to drain) keeps serving.
 pub(crate) fn run_entry(
+    shared: &ExecShared,
+    arena: &mut PivotArena,
+    snapshot: &WorldSnapshot,
+    select: &SelectConfig,
+    request: &PlanRequest,
+    queue_wait_ns: u64,
+) -> Result<PlanOutcome, ExecError> {
+    let solve = || answer(shared, arena, snapshot, select, request, queue_wait_ns);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)).unwrap_or_else(|payload| {
+        *arena = PivotArena::new();
+        shared.counters.solve_panics.fetch_add(1, Ordering::Relaxed);
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(ExecError::SolvePanicked { message })
+    })
+}
+
+/// [`run_entry`] without the unwind guard.
+fn answer(
     shared: &ExecShared,
     arena: &mut PivotArena,
     snapshot: &WorldSnapshot,
@@ -197,6 +230,14 @@ pub(crate) fn run_entry(
     // solves never touch its timings) — wipe, so the split read below is
     // this solve's or nothing.
     arena.timings = StageTimings::default();
+    #[cfg(test)]
+    if request.engine
+        == (Engine::Greedy {
+            restarts: PANIC_RESTARTS,
+        })
+    {
+        panic!("injected solve panic");
+    }
     let start = Instant::now();
     let (outcome, evaluations) = run_spec(
         &view,
@@ -340,6 +381,12 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool { handles }
+    }
+
+    /// Workers whose thread is still running.
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
+        self.handles.iter().filter(|h| !h.is_finished()).count()
     }
 
     /// Close the queue and join every worker (idempotent on the queue

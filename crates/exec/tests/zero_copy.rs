@@ -76,18 +76,10 @@ fn executor_on(
     exec
 }
 
-/// The surviving `SelectConfig` switches: the default, the
-/// search-order layer off, the paper's pruning off, and the seed,
-/// promise-order and availability-order switches one at a time.
+/// The surviving `SelectConfig` corners: the default and the paper's
+/// pruning off.
 fn config_grid() -> Vec<SelectConfig> {
-    vec![
-        SelectConfig::default(),
-        SelectConfig::NO_SEARCH_REDUCTION,
-        SelectConfig::NO_PRUNING,
-        SelectConfig::default().with_seed_restarts(0),
-        SelectConfig::default().with_pivot_promise_order(false),
-        SelectConfig::default().with_availability_ordering(false),
-    ]
+    vec![SelectConfig::default(), SelectConfig::NO_PRUNING]
 }
 
 /// What the executor should answer for `req`, computed by calling the

@@ -66,7 +66,9 @@ pub trait CandidateTopology {
 
     /// Position of compact candidate `i` in
     /// [`candidate_order`](Self::candidate_order) (`u32::MAX` for the
-    /// initiator); the precomputed inverse permutation.
+    /// initiator); the precomputed inverse permutation. The exact
+    /// engines key their `VA` position bitmap on it: SGQ and every STGQ
+    /// pivot run on this one order.
     fn order_pos(&self, i: u32) -> u32;
 
     /// Whether the space holds only the initiator.

@@ -42,8 +42,10 @@ pub type SlotId = usize;
 /// An inclusive range of slots `[lo, hi]`.
 ///
 /// Used for availability runs and activity periods; `len()` is `hi − lo + 1`.
+/// Decoding goes through [`try_new`](Self::try_new), so a decoded range
+/// keeps `lo <= hi` too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct SlotRange {
     /// First slot of the range (inclusive).
     pub lo: SlotId,
@@ -51,11 +53,31 @@ pub struct SlotRange {
     pub hi: SlotId,
 }
 
+#[cfg(feature = "serde")]
+impl serde::Deserialize for SlotRange {
+    fn from_value(v: &serde::value::Value) -> Result<Self, serde::DeError> {
+        #[derive(serde::Deserialize)]
+        struct Bounds {
+            lo: SlotId,
+            hi: SlotId,
+        }
+        let Bounds { lo, hi } = Bounds::from_value(v)?;
+        SlotRange::try_new(lo, hi).ok_or_else(|| {
+            serde::DeError::new(format!("SlotRange requires lo <= hi, got [{lo}, {hi}]"))
+        })
+    }
+}
+
 impl SlotRange {
     /// Construct `[lo, hi]`; panics if `lo > hi`.
     pub fn new(lo: SlotId, hi: SlotId) -> Self {
-        assert!(lo <= hi, "SlotRange requires lo <= hi, got [{lo}, {hi}]");
-        SlotRange { lo, hi }
+        Self::try_new(lo, hi)
+            .unwrap_or_else(|| panic!("SlotRange requires lo <= hi, got [{lo}, {hi}]"))
+    }
+
+    /// Construct `[lo, hi]`, or `None` if `lo > hi`.
+    pub fn try_new(lo: SlotId, hi: SlotId) -> Option<Self> {
+        (lo <= hi).then_some(SlotRange { lo, hi })
     }
 
     /// Number of slots in the range.
@@ -78,9 +100,7 @@ impl SlotRange {
 
     /// Intersection of two ranges, if non-empty.
     pub fn intersect(&self, other: &SlotRange) -> Option<SlotRange> {
-        let lo = self.lo.max(other.lo);
-        let hi = self.hi.min(other.hi);
-        (lo <= hi).then_some(SlotRange { lo, hi })
+        SlotRange::try_new(self.lo.max(other.lo), self.hi.min(other.hi))
     }
 
     /// Iterate the slots of the range.
@@ -123,6 +143,17 @@ mod tests {
         let c = SlotRange::new(7, 9);
         assert_eq!(a.intersect(&c), None);
         assert_eq!(a.intersect(&a), Some(a));
+    }
+
+    #[cfg(feature = "serde")]
+    #[test]
+    fn decoding_refuses_an_inverted_range() {
+        use serde::{Deserialize, Serialize};
+        let r = SlotRange::new(2, 5);
+        assert_eq!(SlotRange::from_value(&r.to_value()), Ok(r));
+        let inverted = SlotRange::from_value(&SlotRange { lo: 5, hi: 2 }.to_value());
+        let err = inverted.expect_err("lo > hi must not decode");
+        assert!(err.to_string().contains("lo <= hi"), "{err}");
     }
 
     #[test]

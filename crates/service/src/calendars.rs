@@ -106,8 +106,11 @@ impl CalendarStore {
         range: SlotRange,
         available: bool,
     ) -> Result<(), ServiceError> {
-        self.check_slot(range.lo)?;
-        self.check_slot(range.hi)?;
+        let SlotRange { lo, hi } = range;
+        if lo > hi {
+            return Err(ServiceError::InvertedRange { lo, hi });
+        }
+        self.check_slot(hi)?;
         self.cals[person].set_range(range, available);
         Ok(())
     }
@@ -176,6 +179,10 @@ mod tests {
             store.set_range(0, SlotRange::new(3, 7), true),
             Err(ServiceError::SlotOutOfRange { .. })
         ));
+        assert_eq!(
+            store.set_range(0, SlotRange { lo: 3, hi: 1 }, true),
+            Err(ServiceError::InvertedRange { lo: 3, hi: 1 })
+        );
     }
 
     #[test]

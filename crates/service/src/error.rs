@@ -47,6 +47,15 @@ pub enum ServiceError {
         /// The store's horizon.
         horizon: usize,
     },
+    /// A slot range with `lo > hi`. Only a range built field by field
+    /// (bypassing `SlotRange::new`) can be inverted; the mutation is
+    /// refused instead of being applied as a no-op.
+    InvertedRange {
+        /// The range's first slot.
+        lo: usize,
+        /// The range's last slot, below `lo`.
+        hi: usize,
+    },
     /// A captured [`WorldState`](crate::WorldState) whose per-person
     /// vectors disagree on how many people exist.
     InconsistentState {
@@ -67,10 +76,11 @@ pub enum ServiceError {
     /// The underlying query engine rejected the inputs.
     Query(QueryError),
     /// The execution subsystem refused the request for an
-    /// infrastructure reason (no published snapshot, a stale epoch).
-    /// The planner façade keeps these states unreachable on its own
-    /// paths — seeing this error means the executor was driven directly
-    /// in an unexpected state.
+    /// infrastructure reason (no published snapshot, a stale epoch), or
+    /// the solve panicked and the executor answered with its message.
+    /// The planner façade keeps the first two states unreachable on its
+    /// own paths — seeing them means the executor was driven directly in
+    /// an unexpected state.
     ExecutorUnavailable {
         /// The executor's own description of the condition.
         reason: String,
@@ -104,6 +114,9 @@ impl fmt::Display for ServiceError {
             ),
             ServiceError::SlotOutOfRange { slot, horizon } => {
                 write!(f, "slot {slot} outside horizon {horizon}")
+            }
+            ServiceError::InvertedRange { lo, hi } => {
+                write!(f, "slot range requires lo <= hi, got [{lo}, {hi}]")
             }
             ServiceError::InconsistentState {
                 labels,
@@ -165,6 +178,7 @@ mod tests {
                 slot: 99,
                 horizon: 10,
             },
+            ServiceError::InvertedRange { lo: 5, hi: 2 },
             ServiceError::InconsistentState {
                 labels: 2,
                 active: 2,

@@ -25,7 +25,7 @@ impl Planner {
     pub fn prometheus_text(&self) -> String {
         let mut text = PromText::new();
         let m = self.exec_metrics();
-        let counters: [(&str, &str, u64); 24] = [
+        let counters: [(&str, &str, u64); 25] = [
             ("queries", "Planning queries served.", m.queries),
             (
                 "mutations",
@@ -141,6 +141,11 @@ impl Planner {
                 "cancelled",
                 "Solves stopped early by a deadline or cancellation token.",
                 m.cancelled,
+            ),
+            (
+                "solve_panics",
+                "Solves that panicked and were answered with a typed error.",
+                m.solve_panics,
             ),
         ];
         for (name, help, value) in counters {

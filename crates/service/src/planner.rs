@@ -203,10 +203,10 @@ impl Planner {
         }
     }
 
-    /// The engine configuration planning queries run with (the
-    /// search-reduction knobs — seeding, pivot ordering, access-order
-    /// tie-breaking — are [`SelectConfig`] fields, so they are set at construction via
-    /// [`with_config`](Self::with_config) and read back here).
+    /// The engine configuration planning queries run with: the paper's
+    /// θ0/φ0/φ_cap, the Lemma-2/3/5 pruning switches and the frame
+    /// budget, set at construction via [`with_config`](Self::with_config)
+    /// or later via [`set_config`](Self::set_config) and read back here.
     pub fn config(&self) -> SelectConfig {
         self.exec.select_config()
     }
@@ -327,7 +327,8 @@ impl Planner {
     }
 
     /// Executor errors the façade's pre-validation should have made
-    /// impossible; surface the nearest service error rather than panic.
+    /// impossible, or a solve that panicked; surface the nearest service
+    /// error rather than panic.
     fn exec_error(e: ExecError) -> ServiceError {
         match e {
             ExecError::InitiatorOutOfRange {
@@ -337,11 +338,11 @@ impl Planner {
                 person: initiator,
                 person_count: node_count,
             },
-            ExecError::NoSnapshot | ExecError::EpochTooOld { .. } => {
-                ServiceError::ExecutorUnavailable {
-                    reason: e.to_string(),
-                }
-            }
+            ExecError::NoSnapshot
+            | ExecError::EpochTooOld { .. }
+            | ExecError::SolvePanicked { .. } => ServiceError::ExecutorUnavailable {
+                reason: e.to_string(),
+            },
         }
     }
 
@@ -825,12 +826,13 @@ mod tests {
 
     #[test]
     fn config_round_trips_and_is_tunable() {
-        let mut p = Planner::with_config(12, SelectConfig::NO_SEARCH_REDUCTION, 8);
-        assert_eq!(p.config().seed_restarts, 0);
-        assert!(!p.config().pivot_promise_order);
-        p.set_config(SelectConfig::default());
-        assert_eq!(p.config().seed_restarts, 2);
-        assert!(p.config().availability_ordering);
+        let mut p = Planner::with_config(12, SelectConfig::NO_PRUNING, 8);
+        assert_eq!(p.config(), SelectConfig::NO_PRUNING);
+        assert!(!p.config().distance_pruning);
+        p.set_config(SelectConfig::RELAXED);
+        assert_eq!(p.config(), SelectConfig::RELAXED);
+        assert_eq!(p.config().theta0, 0);
+        assert!(p.config().distance_pruning);
     }
 
     #[test]

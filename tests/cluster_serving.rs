@@ -5,7 +5,7 @@
 //! * **Cluster determinism** — a mixed SGQ/STGQ batch scattered over
 //!   1/2/4 in-process nodes yields bit-identical objectives *and groups*
 //!   to a single executor (through the single-planner oracle), on the
-//!   coarse-distance scenario where tie-break permutations would expose
+//!   coarse-distance scenario where equal-distance ties would expose
 //!   ordering bugs.
 //! * **Replica catch-up** — a replica cut off from replication misses
 //!   deltas beyond the writer's log retention; once healed it recovers
@@ -16,12 +16,12 @@
 //! * **Drain** — removing a node reassigns its shards and the cluster
 //!   keeps answering identically.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use stgq::cluster::{
-    Cluster, ClusterConfig, ClusterError, ClusterNode, FaultInjector, InProcessTransport,
-    Suspicion, TcpNodeServer, TcpTransport, WireCodec,
+    Cluster, ClusterConfig, ClusterError, ClusterNode, FaultInjector, InProcessTransport, NodeMsg,
+    NodeReply, Suspicion, TcpNodeServer, TcpTransport, Transport, TransportError, WireCodec,
 };
 use stgq::datagen::scenario::coarse_distance_analog;
 use stgq::datagen::Dataset;
@@ -153,6 +153,21 @@ fn faulty_cluster(nodes: usize) -> (Cluster, Arc<FaultInjector>, Vec<NodeId>) {
 /// Same, with the injector's per-node RNG streams derived from `seed` —
 /// the handle the chaos tests replay bit-identically.
 fn seeded_faulty_cluster(nodes: usize, seed: u64) -> (Cluster, Arc<FaultInjector>, Vec<NodeId>) {
+    let mut handle = None;
+    let (cluster, ids) = small_cluster(nodes, |inner| {
+        let injector = Arc::new(FaultInjector::with_seed(inner, seed));
+        handle = Some(Arc::clone(&injector));
+        injector
+    });
+    (cluster, handle.expect("the transport was built"), ids)
+}
+
+/// Six people in two communities over `nodes` in-process nodes, reached
+/// through the transport `wrap` builds around the in-process one.
+fn small_cluster(
+    nodes: usize,
+    wrap: impl FnOnce(Arc<dyn Transport>) -> Arc<dyn Transport>,
+) -> (Cluster, Vec<NodeId>) {
     let cfg = ClusterConfig {
         nodes,
         shards: 8,
@@ -165,9 +180,7 @@ fn seeded_faulty_cluster(nodes: usize, seed: u64) -> (Cluster, Arc<FaultInjector
     let node_handles: Vec<Arc<ClusterNode>> = (0..nodes)
         .map(|id| Arc::new(ClusterNode::new(id, cfg.node_exec)))
         .collect();
-    let inner = Arc::new(InProcessTransport::new(node_handles.clone()));
-    let injector = Arc::new(FaultInjector::with_seed(inner, seed));
-    let transport: Arc<dyn stgq::cluster::Transport> = injector.clone();
+    let transport = wrap(Arc::new(InProcessTransport::new(node_handles.clone())));
     let mut cluster = Cluster::from_parts(12, cfg, node_handles, transport);
 
     let ids: Vec<NodeId> = (0..6)
@@ -182,7 +195,7 @@ fn seeded_faulty_cluster(nodes: usize, seed: u64) -> (Cluster, Arc<FaultInjector
             .set_availability_range(id, SlotRange::new(2, 9), true)
             .unwrap();
     }
-    (cluster, injector, ids)
+    (cluster, ids)
 }
 
 fn everyone_asks(ids: &[NodeId]) -> Vec<BatchQuery> {
@@ -429,6 +442,112 @@ fn killed_replica_mid_batch_stream_redispatches_within_the_call() {
         Suspicion::Suspected,
         "exhausted data-plane budget jumps suspicion to the threshold"
     );
+}
+
+/// Where a [`PanicOnExecute`] panics.
+#[derive(Clone, Copy)]
+enum PanicAt {
+    /// Every `Execute` sent to this node.
+    Node(usize),
+    /// Every `Execute` carrying a request from this initiator, whichever
+    /// node it goes to.
+    Initiator(NodeId),
+}
+
+/// A transport whose exchange thread panics once a fault is armed.
+struct PanicOnExecute {
+    inner: Arc<dyn Transport>,
+    fault: Mutex<Option<PanicAt>>,
+}
+
+impl Transport for PanicOnExecute {
+    fn send(&self, node: usize, msg: NodeMsg) -> Result<NodeReply, TransportError> {
+        if let NodeMsg::Execute(batch) = &msg {
+            let hit = match *self.fault.lock().unwrap() {
+                Some(PanicAt::Node(n)) => n == node,
+                Some(PanicAt::Initiator(q)) => batch.iter().any(|r| r.initiator == q),
+                None => false,
+            };
+            if hit {
+                panic!("injected transport panic towards node {node}");
+            }
+        }
+        self.inner.send(node, msg)
+    }
+
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+}
+
+/// Three nodes behind a disarmed [`PanicOnExecute`], the people, and
+/// the fault-free answers to [`everyone_asks`].
+fn panicking_cluster() -> (Cluster, Arc<PanicOnExecute>, Vec<NodeId>, Answers) {
+    let mut handle = None;
+    let (cluster, ids) = small_cluster(3, |inner| {
+        let transport = Arc::new(PanicOnExecute {
+            inner,
+            fault: Mutex::new(None),
+        });
+        handle = Some(Arc::clone(&transport));
+        transport
+    });
+    let expected = answers(&cluster.plan_batch(&everyone_asks(&ids)));
+    (
+        cluster,
+        handle.expect("the transport was built"),
+        ids,
+        expected,
+    )
+}
+
+#[test]
+fn a_panicking_scatter_thread_fails_its_node_over_instead_of_the_call() {
+    let (cluster, transport, ids, expected) = panicking_cluster();
+    // The scatter thread towards node 1 panics: its slice fails like a
+    // dead node's, the node is drained and its entries are redispatched
+    // within the call.
+    *transport.fault.lock().unwrap() = Some(PanicAt::Node(1));
+    assert_eq!(answers(&cluster.plan_batch(&everyone_asks(&ids))), expected);
+    assert_eq!(cluster.metrics().auto_drains, 1);
+    assert_eq!(cluster.active_nodes(), vec![0, 2]);
+}
+
+#[test]
+fn a_panic_that_follows_its_entry_drains_one_node_and_fails_only_that_slice() {
+    let (cluster, transport, ids, expected) = panicking_cluster();
+    let culprit = ids[0];
+    *transport.fault.lock().unwrap() = Some(PanicAt::Initiator(culprit));
+    let batch = everyone_asks(&ids);
+    let replies = cluster.plan_batch(&batch);
+    // The first panic drains the culprit's node and redispatches its
+    // slice; the second, on the new owner, answers that slice with the
+    // error instead of draining another node.
+    assert_eq!(cluster.metrics().auto_drains, 1);
+    assert_eq!(cluster.active_nodes().len(), 2);
+    for ((query, reply), want) in batch.iter().zip(&replies).zip(&expected) {
+        match reply {
+            Ok(outcome) => assert_eq!(
+                &(
+                    outcome.outcome.objective(),
+                    outcome.outcome.members().map(|m| m.to_vec())
+                ),
+                want
+            ),
+            Err(e) => assert_eq!(e, &ClusterError::Transport(TransportError::Panicked)),
+        }
+        if query.initiator == culprit {
+            assert!(reply.is_err(), "the culprit's entry cannot be answered");
+        }
+    }
+    assert!(
+        replies.iter().filter(|r| r.is_ok()).count() > 0,
+        "entries away from the culprit's slice keep their answers"
+    );
+
+    // Disarmed, the two remaining nodes answer everything.
+    *transport.fault.lock().unwrap() = None;
+    assert_eq!(answers(&cluster.plan_batch(&batch)), expected);
 }
 
 #[test]

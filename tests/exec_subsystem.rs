@@ -126,8 +126,8 @@ fn batched_execution_is_deterministic_on_the_sparse_fringe_scenario() {
 
 #[test]
 fn batched_groups_match_sequential_groups_exactly() {
-    // Members, not just objectives — on the coarse-distance scenario the
-    // tie-break permutations are where nondeterminism would hide.
+    // Members, not just objectives — on the coarse-distance scenario
+    // equal-distance ties are where nondeterminism would hide.
     let ds = coarse_distance_analog(1, 7, 4);
     let planner = planner_from_dataset(&ds, 2);
     let sgq = SgqQuery::new(4, 2, 1).unwrap();
@@ -157,11 +157,12 @@ fn budget_exhaustion_and_cancellation_are_distinct_stop_causes() {
     let initiator = stgq::graph::NodeId(0);
     let stgq = StgqQuery::new(5, 2, 2, 4).unwrap();
 
-    // Anytime with a starvation budget: truncated, not cancelled. Search
-    // reduction is switched off for this query — with seeding and the
-    // pivot floors on, tiny instances can legitimately *finish* inside
-    // one frame, which would make the truncation assertion vacuous.
-    planner.set_config(SelectConfig::NO_SEARCH_REDUCTION);
+    // Anytime with a starvation budget: truncated, not cancelled. Pruning
+    // is switched off for this query — with the seed and the pivot
+    // floors live, tiny instances can legitimately *finish* inside one
+    // frame, which would make the truncation assertion vacuous; without
+    // Lemma 2 every pivot descends, so one frame cannot finish.
+    planner.set_config(SelectConfig::NO_PRUNING);
     let report = planner
         .plan_stgq(initiator, &stgq, Engine::Anytime { frame_budget: 1 })
         .unwrap();

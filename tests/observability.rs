@@ -91,7 +91,7 @@ fn planner_exposition_round_trips_and_matches_its_counters() {
     // Every counter and gauge family the planner renders equals the
     // counter it was rendered from, and no family goes unchecked.
     let m = planner.exec_metrics();
-    let counters: [(&str, u64); 24] = [
+    let counters: [(&str, u64); 25] = [
         ("stgq_queries", m.queries),
         ("stgq_mutations", planner.writer().delta_seq()),
         ("stgq_feasible_cache_hits", m.feasible_cache_hits),
@@ -125,6 +125,7 @@ fn planner_exposition_round_trips_and_matches_its_counters() {
         ("stgq_snapshot_shards_rebuilt", m.snapshot_shards_rebuilt),
         ("stgq_snapshot_shards_reused", m.snapshot_shards_reused),
         ("stgq_cancelled", m.cancelled),
+        ("stgq_solve_panics", m.solve_panics),
     ];
     let obs = planner.executor().obs();
     let gauges: [(&str, usize); 3] = [

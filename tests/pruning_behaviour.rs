@@ -291,7 +291,10 @@ fn frame_budget_caps_the_search() {
     }
     let g = b.build();
     let budget = 1u64;
-    let cfg = SelectConfig::NO_SEARCH_REDUCTION.with_frame_budget(budget);
+    // Pruning off: with Lemma 2 live, the seed and the pivot floor can
+    // retire every pivot before a frame opens, and the budget would
+    // never bite.
+    let cfg = SelectConfig::NO_PRUNING.with_frame_budget(budget);
 
     let sgq = SgqQuery::new(6, 2, 2).unwrap();
     let out = solve_sgq(&g, NodeId(0), &sgq, &cfg).unwrap();

@@ -1,19 +1,18 @@
 //! Acceptance tests for the search-reduction layers: the seeded,
-//! promise-ordered, availability-tie-broken engines, with the always-on
-//! candidate-space reduction, incremental prep and pooled buffers, must
-//! return the **identical optimal objective** as the scalar reference
-//! engines on random instances, across every surviving `SelectConfig`
-//! switch; and the `SearchStats` counters must actually register the
-//! reduction.
+//! promise-ordered engines, with the always-on candidate-space
+//! reduction, incremental prep and pooled buffers, must return the
+//! **identical optimal objective** as the scalar reference engines on
+//! random instances, across every surviving `SelectConfig` switch; and
+//! the `SearchStats` counters must actually register the reduction.
 
 use proptest::prelude::*;
 
-use stgq::graph::FeasibleGraph;
+use stgq::graph::{bounded_distances, FeasibleGraph};
 use stgq::prelude::*;
 use stgq::query::reference::solve_stgq_reference_on;
 use stgq::query::reference::{solve_sgq_reference, solve_stgq_reference};
 use stgq::query::validate::validate_stgq;
-use stgq::query::{PivotArena, Solver};
+use stgq::query::{PivotArena, Solver, StgqSolution};
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = SocialGraph> {
     (3usize..=max_n).prop_flat_map(|n| {
@@ -51,23 +50,62 @@ fn arb_calendars(n: usize, horizon: usize) -> impl Strategy<Value = Vec<Calendar
     })
 }
 
-/// Every on/off combination of the three search-order switches
-/// (seeding, promise-ordered pivots, availability tie-breaking).
-fn reduction_grid() -> Vec<SelectConfig> {
-    let mut grid = Vec::new();
-    for seed in [0usize, 2] {
-        for promise in [false, true] {
-            for avail in [false, true] {
-                grid.push(
-                    SelectConfig::default()
-                        .with_seed_restarts(seed)
-                        .with_pivot_promise_order(promise)
-                        .with_availability_ordering(avail),
-                );
-            }
+/// The member sets of every optimal group for `query` from vertex 0,
+/// by exhaustive search over groups and periods (`validate_stgq` is the
+/// feasibility oracle). Empty when the query is infeasible.
+fn optimal_member_sets(g: &SocialGraph, cals: &[Calendar], query: &StgqQuery) -> Vec<Vec<NodeId>> {
+    let q = NodeId(0);
+    let dists = bounded_distances(g, q, query.s());
+    let reachable: Vec<NodeId> = (1..g.node_count() as u32)
+        .map(NodeId)
+        .filter(|v| dists[v.index()].is_some())
+        .collect();
+    let (m, horizon) = (query.m(), cals[0].horizon());
+    let mut best: Option<Dist> = None;
+    let mut optima = Vec::new();
+    let mut pick = Vec::new();
+    let mut groups = Vec::new();
+    subsets(&reachable, query.p() - 1, &mut pick, &mut groups);
+    for others in groups {
+        let mut members = others;
+        members.push(q);
+        members.sort_unstable();
+        let total = members.iter().map(|v| dists[v.index()].unwrap()).sum();
+        if best.is_some_and(|b| total > b) {
+            continue;
         }
+        let feasible = (0..=horizon - m).any(|lo| {
+            let candidate = StgqSolution {
+                members: members.clone(),
+                total_distance: total,
+                period: SlotRange::new(lo, lo + m - 1),
+                pivot: lo,
+            };
+            validate_stgq(g, q, cals, query, &candidate).is_ok()
+        });
+        if !feasible {
+            continue;
+        }
+        if best != Some(total) {
+            best = Some(total);
+            optima.clear();
+        }
+        optima.push(members);
     }
-    grid
+    optima
+}
+
+/// Push every `size`-subset of `pool` onto `out`.
+fn subsets(pool: &[NodeId], size: usize, pick: &mut Vec<NodeId>, out: &mut Vec<Vec<NodeId>>) {
+    if pick.len() == size {
+        out.push(pick.clone());
+        return;
+    }
+    for (i, &v) in pool.iter().enumerate() {
+        pick.push(v);
+        subsets(&pool[i + 1..], size, pick, out);
+        pick.pop();
+    }
 }
 
 /// The always-on candidate-space reduction layer (fixpoint core peel,
@@ -86,24 +124,17 @@ fn candidate_reduction_grid() -> Vec<SelectConfig> {
 }
 
 /// The always-on incremental prep and parent-side completion bound
-/// crossed with the search-order switches: the default, the whole
-/// search-order layer off, and seeding, promise order and availability
-/// ordering off one at a time.
+/// under the default and under the fully relaxed θ/φ start, which
+/// changes the order candidates are accepted in.
 fn prep_descent_grid() -> Vec<SelectConfig> {
-    vec![
-        SelectConfig::default(),
-        SelectConfig::NO_SEARCH_REDUCTION,
-        SelectConfig::default().with_seed_restarts(0),
-        SelectConfig::default().with_pivot_promise_order(false),
-        SelectConfig::default().with_availability_ordering(false),
-    ]
+    vec![SelectConfig::default(), SelectConfig::RELAXED]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Sequential STGSelect with every combination of the search-order
-    /// switches returns the reference optimum.
+    /// Sequential STGSelect — seeded, promise-ordered pivots — returns
+    /// the reference optimum.
     #[test]
     fn seeded_promise_ordered_stgq_matches_reference(
         (g, cals) in arb_graph(11).prop_flat_map(|g| {
@@ -118,16 +149,13 @@ proptest! {
         let query = StgqQuery::new(p, 2, k, m).unwrap();
         let reference =
             solve_stgq_reference(&g, q, &cals, &query, &SelectConfig::default()).unwrap();
-        for cfg in reduction_grid() {
-            let out = solve_stgq(&g, q, &cals, &query, &cfg).unwrap();
-            prop_assert_eq!(
-                out.solution.as_ref().map(|x| x.total_distance),
-                reference.solution.as_ref().map(|x| x.total_distance),
-                "cfg {:?}", cfg
-            );
-            if let Some(sol) = &out.solution {
-                prop_assert!(validate_stgq(&g, q, &cals, &query, sol).is_ok());
-            }
+        let out = solve_stgq(&g, q, &cals, &query, &SelectConfig::default()).unwrap();
+        prop_assert_eq!(
+            out.solution.as_ref().map(|x| x.total_distance),
+            reference.solution.as_ref().map(|x| x.total_distance)
+        );
+        if let Some(sol) = &out.solution {
+            prop_assert!(validate_stgq(&g, q, &cals, &query, sol).is_ok());
         }
     }
 
@@ -237,50 +265,16 @@ proptest! {
         }
     }
 
-    /// Peeling is *witness*-preserving, not just objective-preserving: a
-    /// peeled vertex belongs to no feasible group, and every other
-    /// always-on bound retires only subtrees that cannot strictly beat
-    /// the incumbent. So with the search-order layer off — calendar
-    /// pivot order, plain distance order, no seed — the engine returns
-    /// the very members and period the unpeeled `reference` engine
-    /// returns on the same candidate space.
-    #[test]
-    fn peeling_preserves_the_witness(
-        (g, cals) in arb_graph(10).prop_flat_map(|g| {
-            let n = g.node_count();
-            arb_calendars(n, 20).prop_map(move |cals| (g.clone(), cals))
-        }),
-        p in 2usize..5,
-        k in 0usize..2,
-        m in 1usize..4,
-    ) {
-        let q = NodeId(0);
-        let query = StgqQuery::new(p, 2, k, m).unwrap();
-        let cfg = SelectConfig::NO_SEARCH_REDUCTION;
-        let fg = FeasibleGraph::extract(&g, q, query.s());
-        let peeled = Solver::new(&fg, &cfg).stgq(&cals, &query);
-        let unpeeled = solve_stgq_reference_on(&fg, &cals, &query, &cfg);
-        prop_assert_eq!(
-            peeled.solution.as_ref().map(|s| &s.members),
-            unpeeled.solution.as_ref().map(|s| &s.members)
-        );
-        prop_assert_eq!(
-            peeled.solution.as_ref().map(|s| s.period),
-            unpeeled.solution.as_ref().map(|s| s.period)
-        );
-    }
-
     /// Seeded sequential SGSelect returns the reference optimum.
     #[test]
     fn seeded_sgq_matches_reference(
         g in arb_graph(12),
         p in 2usize..6,
         k in 0usize..3,
-        seed_restarts in 0usize..4,
     ) {
         let q = NodeId(0);
         let query = SgqQuery::new(p, 2, k).unwrap();
-        let cfg = SelectConfig::default().with_seed_restarts(seed_restarts);
+        let cfg = SelectConfig::default();
         let reference = solve_sgq_reference(&g, q, &query, &cfg).unwrap();
         let optimized = solve_sgq(&g, q, &query, &cfg).unwrap();
         prop_assert_eq!(
@@ -315,6 +309,52 @@ proptest! {
     }
 }
 
+proptest! {
+    // Exhaustive search makes each case cheap to check but only about
+    // half the draws are feasible, so this property draws more cases.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Peeling is *witness*-preserving, not just objective-preserving: a
+    /// peeled vertex belongs to no feasible group, and every other
+    /// always-on bound retires only subtrees that cannot strictly beat
+    /// the incumbent. So the engine answers with an optimal group of the
+    /// unpeeled candidate space, and where that optimum's members are
+    /// unique it returns the very members the unpeeled `reference`
+    /// engine returns. The period may differ between optimal pivots (the
+    /// engine visits pivots in promise order), so it must be a valid
+    /// period for those members.
+    #[test]
+    fn peeling_preserves_the_witness(
+        (g, cals) in arb_graph(10).prop_flat_map(|g| {
+            let n = g.node_count();
+            arb_calendars(n, 20).prop_map(move |cals| (g.clone(), cals))
+        }),
+        p in 2usize..5,
+        k in 0usize..2,
+        m in 1usize..4,
+    ) {
+        let q = NodeId(0);
+        let query = StgqQuery::new(p, 2, k, m).unwrap();
+        let cfg = SelectConfig::default();
+        let fg = FeasibleGraph::extract(&g, q, query.s());
+        let peeled = Solver::new(&fg, &cfg).stgq(&cals, &query);
+        let unpeeled = solve_stgq_reference_on(&fg, &cals, &query, &cfg);
+        let optima = optimal_member_sets(&g, &cals, &query);
+        match (&peeled.solution, &unpeeled.solution) {
+            (None, None) => prop_assert!(optima.is_empty()),
+            (Some(peeled), Some(unpeeled)) => {
+                prop_assert!(optima.contains(&peeled.members), "{:?} not in {:?}", peeled, optima);
+                prop_assert!(optima.contains(&unpeeled.members));
+                if optima.len() == 1 {
+                    prop_assert_eq!(&peeled.members, &unpeeled.members);
+                }
+                prop_assert!(validate_stgq(&g, q, &cals, &query, peeled).is_ok());
+            }
+            (peeled, unpeeled) => panic!("feasibility differs: {peeled:?} vs {unpeeled:?}"),
+        }
+    }
+}
+
 /// On an easy instance — everyone mutually acquainted and always free —
 /// the first-fit seed hits every pivot's distance floor, so the pivot
 /// bound retires the entire pivot loop: zero frames examined, all pivots
@@ -340,16 +380,9 @@ fn easy_instances_are_solved_without_opening_a_single_frame() {
         out.stats.pivots_skipped > 0,
         "the bound retires every pivot"
     );
-    // With the search-order layer off (no seed, calendar-order pivots,
-    // so no pivot skip) the same instance pays a real search.
-    let old = solve_stgq(
-        &g,
-        NodeId(0),
-        &cals,
-        &query,
-        &SelectConfig::NO_SEARCH_REDUCTION,
-    )
-    .unwrap();
+    // With pruning off (so no pivot skip) the same instance pays a real
+    // search.
+    let old = solve_stgq(&g, NodeId(0), &cals, &query, &SelectConfig::NO_PRUNING).unwrap();
     assert_eq!(
         old.solution.map(|s| s.total_distance),
         Some(sol.total_distance)
