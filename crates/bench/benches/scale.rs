@@ -13,19 +13,21 @@
 //!   through the frozen sequential planner loop on the same dataset:
 //!   the machine-speed anchor `bench_gate` scales the budget by.
 //! * `serving-sharded/round` — the round on a 16-shard executor: the
-//!   write dirties one sub-snapshot, the republish rebuilds only it
-//!   (the other 31 carry over by `Arc`), and 15 of the 16 queries
-//!   replay from the shard-stamped result cache.
-//! * `serving-flood/round` — the identical round with `shards: 1`:
-//!   every write floods the one shard, so each republish rebuilds the
-//!   full 10^5-member snapshot and every cached answer goes stale.
+//!   write dirties one sub-snapshot, the republish re-assembles only its
+//!   chunk vector, rebuilding the one or two 64-row chunks the write
+//!   touched (the other 31 sub-snapshots carry over by `Arc`), and 15 of
+//!   the 16 queries replay from the shard-stamped result cache.
+//! * `serving-flood/round` — the identical round with `shards: 1`: the
+//!   republish likewise rebuilds only the touched chunks of the one
+//!   10^5-row shard, but every write moves that shard's stamp, so every
+//!   cached answer goes stale. Since publication became chunk-granular
+//!   the two configurations differ only in cache-invalidation scope.
 //!
 //! The acceptance floor is **≥ 1.5× sustained queries/sec for the
 //! sharded configuration over the flood ablation** — asserted at the
 //! end of the run (it holds on one core by construction: the ablation
-//! pays a full-world rebuild plus 16 re-solves per round, the sharded
-//! path one community-sized rebuild plus one). Both configurations are
-//! checked answer-identical before any timing.
+//! re-solves all 16 queries per round, the sharded path one). Both
+//! configurations are checked answer-identical before any timing.
 //!
 //! Run with `CRITERION_OUT_JSON="$PWD/BENCH_scale.json" cargo bench -p
 //! stgq-bench --bench scale` **from the repo root** to refresh the

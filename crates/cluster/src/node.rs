@@ -17,6 +17,7 @@
 //! decides *which* node answers *which* initiator shard.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use stgq_exec::{ExecConfig, Executor, PlanRequest};
@@ -220,11 +221,14 @@ impl ClusterNode {
     }
 
     /// Epoch-swap the executor's snapshot to `world`'s, re-freezing only
-    /// the shards whose stamps moved since the published one.
+    /// the chunks whose stamps moved since the published one (timed as
+    /// the executor's `snapshot_build` stage).
     fn publish(&self, world: &World) {
         let prev = self.exec.snapshot();
-        self.exec
-            .publish_snapshot(Arc::new(world.snapshot(prev.as_deref())));
+        let build_t0 = Instant::now();
+        let snapshot = world.snapshot(prev.as_deref());
+        self.exec.obs().snapshot_build.record(build_t0.elapsed());
+        self.exec.publish_snapshot(Arc::new(snapshot));
     }
 
     fn execute(&self, requests: Vec<WireRequest>) -> NodeReply {
@@ -372,6 +376,16 @@ mod tests {
         assert_eq!(node.status().full_syncs, 1, "no extra full sync");
         assert_eq!(ask(&node), Some(3), "new epoch, new answer");
         assert_eq!(node.export_state(), w.world_state());
+        // Each publication (the sync, the delta batch) timed its build,
+        // and the report the node ships carries it.
+        let builds = node
+            .observability()
+            .histograms
+            .into_iter()
+            .find(|(name, _)| name == "snapshot_build")
+            .map(|(_, h)| h.count);
+        assert_eq!(builds, Some(node.executor().metrics().snapshot_publishes));
+        assert_eq!(builds, Some(2));
 
         // Mis-spliced deltas are refused.
         let reply = node.handle(NodeMsg::Replicate(ReplicationPayload::Deltas {

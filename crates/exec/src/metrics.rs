@@ -50,9 +50,13 @@ pub struct ExecMetrics {
     pub result_cache_evicted_capacity: u64,
     /// World snapshots published into the epoch cell.
     pub snapshot_publishes: u64,
-    /// Per-shard sub-snapshots (graph segments + calendar slices) that
-    /// publication actually rebuilt — for an incremental writer this
-    /// tracks the dirty shards, not the world size.
+    /// Per-shard sub-snapshots (graph segments + calendar shards) that
+    /// publication did not carry over whole. For an incremental writer
+    /// a "rebuilt" shard is a re-assembled chunk vector: its unmoved
+    /// chunks are the previous epoch's `Arc`s and only the chunks
+    /// holding touched rows are built anew — so this tracks the dirty
+    /// shards, and neither it nor the work behind it tracks the world
+    /// size.
     pub snapshot_shards_rebuilt: u64,
     /// Per-shard sub-snapshots carried over by `Arc` reuse from the
     /// previous epoch (the complement of

@@ -17,13 +17,14 @@ use stgq_obs::{FlightRecorder, Histogram, HistogramSnapshot};
 /// the keys [`ExecObs::histograms`] returns and the cluster merges
 /// fleet-wide. (RPC round-trip histograms are cluster-side and not in
 /// this list.)
-pub const EXEC_HISTOGRAMS: [&str; 7] = [
+pub const EXEC_HISTOGRAMS: [&str; 8] = [
     "end_to_end",
     "queue_wait",
     "solve",
     "prep",
     "descend",
     "feasible_extract",
+    "snapshot_build",
     "snapshot_publish",
 ];
 
@@ -54,6 +55,12 @@ pub struct ExecObs {
     /// Feasible-graph extraction wall clock, on cache misses (a hit
     /// costs a stamped lookup and records no sample).
     pub feasible_extract: Histogram,
+    /// Snapshot assembly: the publisher's `World::snapshot` (the
+    /// planner's `sync_snapshot`, a cluster node's publish) — re-using
+    /// unmoved shards and chunks, rebuilding the touched chunks. The
+    /// executor receives finished snapshots, so only those publishers
+    /// record it.
+    pub snapshot_build: Histogram,
     /// Snapshot publication: the epoch diff (reused-vs-rebuilt shard
     /// accounting) plus the swap.
     pub snapshot_publish: Histogram,
@@ -74,6 +81,7 @@ impl ExecObs {
             prep: Histogram::new(),
             descend: Histogram::new(),
             feasible_extract: Histogram::new(),
+            snapshot_build: Histogram::new(),
             snapshot_publish: Histogram::new(),
             recorder: FlightRecorder::new(trace_ring, slow_log, threshold_ns),
         }
@@ -98,6 +106,9 @@ impl ExecObs {
             "descend" => "Exact-descent share of STGQ solves in ns (StageTimings).",
             "feasible_extract" => {
                 "Feasible-graph extraction wall clock in ns, on feasible-cache misses."
+            }
+            "snapshot_build" => {
+                "Snapshot assembly in ns: re-use unmoved shards and chunks, rebuild touched chunks."
             }
             "snapshot_publish" => {
                 "Snapshot publication in ns: epoch diff (shard reuse accounting) plus swap."
@@ -125,6 +136,7 @@ impl ExecObs {
             ("prep", self.prep.snapshot()),
             ("descend", self.descend.snapshot()),
             ("feasible_extract", self.feasible_extract.snapshot()),
+            ("snapshot_build", self.snapshot_build.snapshot()),
             ("snapshot_publish", self.snapshot_publish.snapshot()),
         ]
     }

@@ -1,27 +1,32 @@
 //! Epoch-swapped immutable world snapshots, published **shard by
-//! shard**.
+//! shard, chunk by chunk**.
 //!
 //! The executor's read path never sees mutable state: every solve runs
 //! against a [`WorldSnapshot`] — the social graph as `S` residue-class
-//! CSR segments ([`GraphSegment`], vertex `v` homed in shard `v % S`)
-//! plus the calendars partitioned the same way, each shard carrying the
-//! **version it was last mutated at**. `S` is the same initiator-shard
-//! modulus the batch scheduler and both caches use, so a mutation
-//! touching one person dirties exactly the shard that also keys their
-//! cached work.
+//! segments ([`GraphSegment`], vertex `v` homed in shard `v % S`) plus
+//! the calendars partitioned the same way ([`CalendarShard`]), each
+//! shard carrying the **version it was last mutated at**. `S` is the
+//! same initiator-shard modulus the batch scheduler and both caches use,
+//! so a mutation touching one person dirties exactly the shard that also
+//! keys their cached work. Inside a shard, rows are stored as `Arc`'d
+//! chunks of 64 ([`stgq_graph::CHUNK_ROWS`]), the unit a republication
+//! rebuilds.
 //!
 //! The lifecycle, end to end:
 //!
 //! ```text
 //!   World (stgq-service: the planner's and the cluster writer's, or
 //!          a cluster node's replica — one type, one mutation path)
-//!   WorldDelta ──apply──▶ per-shard version vector moves on the
-//!                         touched shards only
-//!                │ World::snapshot: rebuild the touched segments,
-//!                │                  Arc-reuse the other S − 1
+//!   WorldDelta ──apply──▶ per-shard and per-chunk version stamps move
+//!                         on the touched shards and chunks only
+//!                │ World::snapshot (timed as `snapshot_build`):
+//!                │   an unmoved shard  → its Arc, as published
+//!                │   a moved shard     → a new chunk vector: unmoved
+//!                │                       chunks Arc-reused, the touched
+//!                │                       ones rebuilt from the writer
 //!                ▼
-//!   WorldSnapshot { segments[0..S], shard versions v[0..S] }
-//!                │ one Arc swap into the epoch cell
+//!   WorldSnapshot { segments[0..S] = chunks[..], shard versions v[0..S] }
+//!                │ one Arc swap into the epoch cell (`snapshot_publish`)
 //!                ▼
 //!   solve (q, s): extract the feasible graph, note the set R of
 //!                 shards its vertices live in
@@ -35,8 +40,9 @@
 //! it: one `Arc` swap under a short lock. In-flight solves keep the
 //! epoch they started with alive through their own `Arc` and drop it
 //! when done — **writers never block in-flight solves, and solves never
-//! block writers**. Because untouched shards are `Arc`-reused, a delta
-//! confined to one community republishes in O(dirty shard), not O(n) —
+//! block writers**. Because untouched shards and untouched chunks are
+//! `Arc`-reused, a delta naming a few people republishes in
+//! O(touched chunks + chunks of the moved shards' vectors), not O(n) —
 //! the property that opens the 10^5–10^6-member regime.
 //!
 //! The per-shard stamps obey one invariant the caches rely on: **equal
@@ -44,13 +50,15 @@
 //! stamping a shard with the global version counter at its last
 //! mutation; [`WorldSnapshot::from_flat`] (the compat path with no dirty
 //! tracking) floods every shard with the global stamp, which degrades to
-//! whole-world invalidation — correct, just not incremental.
+//! whole-world invalidation — correct, just not incremental. Chunk
+//! stamps stay with the writer: they decide what a republication
+//! rebuilds, never what a cache sees.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use stgq_graph::{AdjacencySource, CandidateTopology, GraphSegment, ShardedGraph, SocialGraph};
-use stgq_schedule::{Calendar, CalendarShards};
+use stgq_schedule::{Calendar, CalendarShard, CalendarShards};
 
 /// One immutable epoch of the world: shard-partitioned graph segments
 /// and calendar slices, each stamped with the version it was built at,
@@ -67,9 +75,9 @@ pub struct WorldSnapshot {
 
 impl WorldSnapshot {
     /// Assemble an epoch from per-shard parts — the incremental
-    /// publication path: the writer passes `Arc`-reused segments for
-    /// untouched shards and freshly built ones for dirty shards, with
-    /// each shard's last-mutation version.
+    /// publication path: the writer passes `Arc`-reused segments and
+    /// calendar shards for untouched shards and re-assembled ones for
+    /// dirty shards, with each shard's last-mutation version.
     ///
     /// # Panics
     /// Panics if the four per-shard vectors disagree on the shard count,
@@ -78,7 +86,7 @@ impl WorldSnapshot {
     pub fn from_parts(
         segments: Vec<Arc<GraphSegment>>,
         graph_shard_versions: Vec<u64>,
-        calendar_shards: Vec<Arc<Vec<Calendar>>>,
+        calendar_shards: Vec<Arc<CalendarShard>>,
         calendar_shard_versions: Vec<u64>,
         graph_version: u64,
         calendar_version: u64,
@@ -184,8 +192,8 @@ impl WorldSnapshot {
         self.graph.segment(shard)
     }
 
-    /// One shard's calendar slice (for `Arc`-reuse on republication).
-    pub fn calendar_shard(&self, shard: usize) -> &Arc<Vec<Calendar>> {
+    /// One shard's calendars (for `Arc`-reuse on republication).
+    pub fn calendar_shard(&self, shard: usize) -> &Arc<CalendarShard> {
         self.calendars.shard(shard)
     }
 
@@ -341,7 +349,7 @@ mod tests {
             },
             vec![4, 9],
             (0..2)
-                .map(|_| Arc::new(vec![Calendar::new(4); 2]))
+                .map(|_| Arc::new(CalendarShard::build(vec![Calendar::new(4); 2])))
                 .collect(),
             vec![2, 6],
             9,

@@ -62,7 +62,7 @@ pub use error::GraphError;
 pub use graph::{EdgeRef, SocialGraph};
 pub use id::NodeId;
 pub use radius::FeasibleGraph;
-pub use segment::{AdjacencySource, GraphSegment, ShardedGraph};
+pub use segment::{AdjacencySource, GraphSegment, SegmentChunk, ShardedGraph, CHUNK_ROWS};
 pub use topology::CandidateTopology;
 pub use view::FeasibleView;
 

@@ -1,14 +1,17 @@
-//! Shard-partitioned adjacency: CSR [`GraphSegment`]s assembled into a
-//! [`ShardedGraph`] view.
+//! Shard-partitioned adjacency: chunked CSR [`GraphSegment`]s assembled
+//! into a [`ShardedGraph`] view.
 //!
 //! A world of `n` people is partitioned into `S` shards by residue:
 //! vertex `v` lives in shard `v % S` at local row `v / S` — the same
 //! modulus the execution layer uses to route initiators, so a mutation
 //! touching one person dirties exactly the shard that also keys their
-//! cached work. Each shard's adjacency is an independent immutable CSR
-//! [`GraphSegment`] (neighbor ids stay **global**); a snapshot
-//! publication that only touched shard `s` rebuilds that one segment and
-//! `Arc`-reuses the other `S − 1`.
+//! cached work. Each shard's adjacency is an immutable [`GraphSegment`]
+//! (neighbor ids stay **global**) stored as `Arc`'d CSR chunks of
+//! [`CHUNK_ROWS`] rows. A snapshot publication that touched a few
+//! people in shard `s` re-assembles that one segment from the previous
+//! one's chunks, rebuilding only the chunks holding the touched rows,
+//! and `Arc`-reuses the other `S − 1` segments whole. Reading a row is
+//! two index steps: the shard's segment, then the row's chunk.
 //!
 //! The traversal kernels read rows through [`AdjacencySource`] — per
 //! vertex, one slice pair whether the graph is a flat [`SocialGraph`] or
@@ -50,10 +53,17 @@ impl AdjacencySource for SocialGraph {
     }
 }
 
-/// One shard's immutable CSR adjacency: the rows of every vertex `v`
-/// with `v % S == shard`, in ascending `v`, with **global** neighbor ids.
+/// Rows per [`SegmentChunk`] (and, in `stgq-schedule`, calendars per
+/// calendar chunk): the unit a snapshot republication rebuilds. A fixed
+/// property of the storage layout, not a tuning knob.
+pub const CHUNK_ROWS: usize = 64;
+
+/// Up to [`CHUNK_ROWS`] consecutive rows of one shard in CSR form, with
+/// **global** neighbor ids — the unit of copy-on-publish: a write
+/// rebuilds the chunks holding the rows it touched, and a republication
+/// carries every other chunk over by `Arc`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GraphSegment {
+pub struct SegmentChunk {
     /// Row boundaries: `offsets[r]..offsets[r + 1]` indexes row `r`.
     offsets: Vec<u32>,
     /// Global neighbor ids, sorted within each row.
@@ -62,20 +72,33 @@ pub struct GraphSegment {
     weights: Vec<Dist>,
 }
 
-impl GraphSegment {
-    /// Build a segment from per-row `(global neighbor, weight)` lists,
-    /// one inner iterator per local row, each sorted by neighbor id.
+impl SegmentChunk {
+    /// Build a chunk from at most [`CHUNK_ROWS`] per-row
+    /// `(global neighbor, weight)` lists, each sorted by neighbor id.
     /// Weights must be positive and at most
     /// [`MAX_DISTANCE`](crate::MAX_DISTANCE), as the validated builders
     /// produce them; the distance kernels' overflow bound rests on it.
+    /// Rows report their length, so the chunk is allocated once at its
+    /// exact size.
+    ///
+    /// # Panics
+    /// Panics on more than [`CHUNK_ROWS`] rows or a weight out of range.
     pub fn build<I, R>(rows: I) -> Self
     where
         I: IntoIterator<Item = R>,
         R: IntoIterator<Item = (u32, Dist)>,
+        R::IntoIter: ExactSizeIterator,
     {
-        let mut offsets = vec![0u32];
-        let mut neighbors = Vec::new();
-        let mut weights = Vec::new();
+        let rows: Vec<R::IntoIter> = rows.into_iter().map(IntoIterator::into_iter).collect();
+        assert!(
+            rows.len() <= CHUNK_ROWS,
+            "a chunk holds at most {CHUNK_ROWS} rows"
+        );
+        let entries = rows.iter().map(ExactSizeIterator::len).sum();
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        offsets.push(0u32);
+        let mut neighbors = Vec::with_capacity(entries);
+        let mut weights = Vec::with_capacity(entries);
         for row in rows {
             for (nb, w) in row {
                 assert!(
@@ -87,31 +110,95 @@ impl GraphSegment {
             }
             offsets.push(neighbors.len() as u32);
         }
-        GraphSegment {
+        SegmentChunk {
             offsets,
             neighbors,
             weights,
         }
     }
 
-    /// Number of local rows (vertices homed in this shard).
+    /// Number of rows in this chunk.
     #[inline]
     pub fn rows(&self) -> usize {
         self.offsets.len() - 1
     }
 
-    /// Total row entries (each undirected edge appears once per endpoint
-    /// row, possibly in different segments).
+    /// The sorted `(neighbors, weights)` slices of chunk-local row `r`.
     #[inline]
-    pub fn entry_count(&self) -> usize {
-        self.neighbors.len()
+    pub fn row(&self, r: usize) -> (&[u32], &[Dist]) {
+        let (s, e) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
+        (&self.neighbors[s..e], &self.weights[s..e])
+    }
+}
+
+/// One shard's immutable adjacency: the rows of every vertex `v` with
+/// `v % S == shard`, in ascending `v`, as a vector of `Arc`'d
+/// [`SegmentChunk`]s — local row `r` is row `r % CHUNK_ROWS` of chunk
+/// `r / CHUNK_ROWS`. Every chunk but the last is full.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GraphSegment {
+    chunks: Vec<Arc<SegmentChunk>>,
+    rows: usize,
+}
+
+impl GraphSegment {
+    /// Build a segment from per-row `(global neighbor, weight)` lists,
+    /// one inner iterator per local row, each sorted by neighbor id (see
+    /// [`SegmentChunk::build`] for the weight precondition).
+    pub fn build<I, R>(rows: I) -> Self
+    where
+        I: IntoIterator<Item = R>,
+        R: IntoIterator<Item = (u32, Dist)>,
+        R::IntoIter: ExactSizeIterator,
+    {
+        let mut rows = rows.into_iter().peekable();
+        let mut chunks = Vec::new();
+        while rows.peek().is_some() {
+            chunks.push(Arc::new(SegmentChunk::build(
+                rows.by_ref().take(CHUNK_ROWS),
+            )));
+        }
+        GraphSegment::from_chunks(chunks)
+    }
+
+    /// Assemble a segment from its chunks, in row order — the
+    /// republication path, which passes `Arc`-reused chunks for the
+    /// untouched rows and freshly built ones for the rest.
+    ///
+    /// # Panics
+    /// Panics unless every chunk but the last holds exactly
+    /// [`CHUNK_ROWS`] rows and the last holds at least one.
+    pub fn from_chunks(chunks: Vec<Arc<SegmentChunk>>) -> Self {
+        let last = chunks.len().saturating_sub(1);
+        let mut rows = 0;
+        for (c, chunk) in chunks.iter().enumerate() {
+            assert!(
+                chunk.rows() == CHUNK_ROWS || (c == last && chunk.rows() > 0),
+                "chunk {c} of {} holds {} rows",
+                chunks.len(),
+                chunk.rows()
+            );
+            rows += chunk.rows();
+        }
+        GraphSegment { chunks, rows }
+    }
+
+    /// Number of local rows (vertices homed in this shard).
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The chunks, in row order (for `Arc`-reuse on republication).
+    #[inline]
+    pub fn chunks(&self) -> &[Arc<SegmentChunk>] {
+        &self.chunks
     }
 
     /// The sorted `(neighbors, weights)` slices of local row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> (&[u32], &[Dist]) {
-        let (s, e) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
-        (&self.neighbors[s..e], &self.weights[s..e])
+        self.chunks[r / CHUNK_ROWS].row(r % CHUNK_ROWS)
     }
 }
 
@@ -279,5 +366,34 @@ mod tests {
         assert_eq!(sg.segment(3).rows(), 2);
         assert_eq!(sg.shard_of(NodeId(9)), 1);
         assert_eq!(sg.row_of(NodeId(9)), g.row_of(NodeId(9)));
+    }
+
+    #[test]
+    fn segments_span_several_chunks_with_a_partial_last_one() {
+        // 300 vertices on 2 shards: 150 rows each = two full chunks plus
+        // a 22-row tail.
+        let g = random_graph(11, 300, 2);
+        let sg = ShardedGraph::from_flat(&g, 2);
+        for s in 0..2 {
+            let seg = sg.segment(s);
+            assert_eq!(seg.rows(), 150);
+            let sizes: Vec<usize> = seg.chunks().iter().map(|c| c.rows()).collect();
+            assert_eq!(sizes, vec![CHUNK_ROWS, CHUNK_ROWS, 150 - 2 * CHUNK_ROWS]);
+        }
+        for v in 0..300u32 {
+            assert_eq!(sg.row_of(NodeId(v)), g.row_of(NodeId(v)), "vertex {v}");
+        }
+        // Re-assembling from the same chunks shares them and reads the same.
+        let seg = sg.segment(1);
+        let again = GraphSegment::from_chunks(seg.chunks().to_vec());
+        assert_eq!(&again, seg.as_ref());
+        assert!(Arc::ptr_eq(&again.chunks()[1], &seg.chunks()[1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk 0 of 2 holds 1 rows")]
+    fn only_the_last_chunk_may_be_short() {
+        let short = Arc::new(SegmentChunk::build([Vec::<(u32, Dist)>::new()]));
+        GraphSegment::from_chunks(vec![Arc::clone(&short), short]);
     }
 }

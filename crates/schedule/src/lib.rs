@@ -34,7 +34,7 @@ pub use calendar::{Calendar, RangeWords};
 pub use error::ScheduleError;
 pub use grid::TimeGrid;
 pub use render::render_schedules;
-pub use shards::{CalendarShards, Cals};
+pub use shards::{CalendarShard, CalendarShards, Cals, CHUNK_ROWS};
 
 /// Index of a time slot, 0-based.
 pub type SlotId = usize;

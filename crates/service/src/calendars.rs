@@ -1,6 +1,8 @@
 //! Per-person availability storage with a shared horizon.
 
-use stgq_schedule::{Calendar, SlotRange};
+use std::sync::Arc;
+
+use stgq_schedule::{Calendar, SlotRange, CHUNK_ROWS};
 
 use crate::ServiceError;
 
@@ -48,12 +50,15 @@ impl CalendarStore {
         self.horizon
     }
 
-    /// Clone shard `shard` of `count` (calendars of the residue class
-    /// `person % count`, ordered by `person / count`) — the slice a
-    /// sharded snapshot holds for that shard.
-    pub fn shard_slice(&self, shard: usize, count: usize) -> Vec<Calendar> {
-        (shard..self.cals.len())
+    /// Clone chunk `chunk` of shard `shard` of `count` — calendars of
+    /// the residue class `person % count`, ordered by `person / count`,
+    /// local rows `chunk * CHUNK_ROWS..` — the chunk a sharded snapshot
+    /// holds there.
+    pub fn shard_chunk(&self, shard: usize, count: usize, chunk: usize) -> Arc<[Calendar]> {
+        let first = shard + chunk * CHUNK_ROWS * count;
+        (first..self.cals.len())
             .step_by(count)
+            .take(CHUNK_ROWS)
             .map(|p| self.cals[p].clone())
             .collect()
     }
@@ -195,17 +200,22 @@ mod tests {
     }
 
     #[test]
-    fn shard_slices_partition_the_store_by_residue() {
+    fn shard_chunks_partition_the_store_by_residue() {
         let mut store = CalendarStore::new(6);
-        store.ensure_people(7);
-        for p in 0..7 {
+        store.ensure_people(200);
+        for p in 0..200 {
             store.set_slot(p, p % 6, true).unwrap();
         }
         for shards in [1usize, 3] {
             for s in 0..shards {
-                let slice = store.shard_slice(s, shards);
-                for (r, cal) in slice.iter().enumerate() {
-                    assert_eq!(cal, store.calendar(s + r * shards), "shard {s}/{shards}");
+                let rows = (200 - s).div_ceil(shards);
+                for c in 0..rows.div_ceil(CHUNK_ROWS) {
+                    let chunk = store.shard_chunk(s, shards, c);
+                    assert_eq!(chunk.len(), (rows - c * CHUNK_ROWS).min(CHUNK_ROWS));
+                    for (i, cal) in chunk.iter().enumerate() {
+                        let person = s + (c * CHUNK_ROWS + i) * shards;
+                        assert_eq!(cal, store.calendar(person), "shard {s}/{shards}");
+                    }
                 }
             }
         }

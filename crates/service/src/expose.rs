@@ -3,7 +3,7 @@
 //!
 //! The single-process spectrum: the executor's counters
 //! ([`ExecMetrics`](stgq_exec::ExecMetrics)) plus the writer's mutation
-//! count as Prometheus counter/gauge families, and the executor's seven
+//! count as Prometheus counter/gauge families, and the executor's eight
 //! [`stgq_exec::EXEC_HISTOGRAMS`] as histogram families
 //! (`stgq_<name>_ns`). The cluster-wide variant —
 //! `stgq_cluster::ClusterObs::prometheus_text` — renders its own

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use stgq_graph::{Dist, GraphBuilder, GraphSegment, NodeId, SocialGraph, MAX_DISTANCE};
+use stgq_graph::{Dist, GraphBuilder, NodeId, SegmentChunk, SocialGraph, CHUNK_ROWS, MAX_DISTANCE};
 
 use crate::ServiceError;
 
@@ -53,13 +53,16 @@ impl MutableNetwork {
         self.edge_count
     }
 
-    /// Freeze shard `shard` of `count` (the residue class `v % count`,
-    /// rows ordered by `v / count`) into the immutable segment form the
+    /// Freeze chunk `chunk` of shard `shard` of `count` — the residue
+    /// class `v % count`, rows ordered by `v / count`, local rows
+    /// `chunk * CHUNK_ROWS..` — into the immutable CSR form the
     /// executor's sharded snapshots hold.
-    pub fn segment(&self, shard: usize, count: usize) -> GraphSegment {
-        GraphSegment::build(
-            (shard..self.adj.len())
+    pub fn segment_chunk(&self, shard: usize, count: usize, chunk: usize) -> SegmentChunk {
+        let first = shard + chunk * CHUNK_ROWS * count;
+        SegmentChunk::build(
+            (first..self.adj.len())
                 .step_by(count)
+                .take(CHUNK_ROWS)
                 .map(|v| self.adj[v].iter().map(|(&u, &w)| (u, w))),
         )
     }
@@ -271,17 +274,23 @@ mod tests {
     }
 
     #[test]
-    fn segments_partition_the_snapshot_by_residue() {
-        let (mut net, a, b, c) = three_people();
-        net.connect(a, b, 5).unwrap();
-        net.connect(b, c, 7).unwrap();
+    fn segment_chunks_partition_the_snapshot_by_residue() {
+        let mut net = MutableNetwork::new();
+        let people: Vec<NodeId> = (0..300).map(|i| net.add_person(format!("p{i}"))).collect();
+        for (i, &a) in people.iter().enumerate() {
+            net.connect(a, people[(i * 7 + 3) % 300], 1 + (i as Dist % 9))
+                .unwrap();
+        }
         let flat = net.snapshot();
         for shards in [1usize, 2, 4] {
             for s in 0..shards {
-                let seg = net.segment(s, shards);
+                let rows = 300usize.saturating_sub(s).div_ceil(shards);
                 let mut v = s;
-                for r in 0..seg.rows() {
-                    let (nbrs, dists) = seg.row(r);
+                for r in 0..rows {
+                    let chunk = net.segment_chunk(s, shards, r / CHUNK_ROWS);
+                    let expect_rows = (rows - r / CHUNK_ROWS * CHUNK_ROWS).min(CHUNK_ROWS);
+                    assert_eq!(chunk.rows(), expect_rows, "shard {s}/{shards} row {r}");
+                    let (nbrs, dists) = chunk.row(r % CHUNK_ROWS);
                     let row: Vec<(u32, Dist)> =
                         nbrs.iter().copied().zip(dists.iter().copied()).collect();
                     let expect: Vec<(u32, Dist)> = flat

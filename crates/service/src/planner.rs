@@ -22,6 +22,7 @@
 //! same-initiator entries share cache locality.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use stgq_core::{
@@ -310,7 +311,9 @@ impl Planner {
 
     /// Ensure the executor's published epoch matches the world: on
     /// drift, publish the world's snapshot built against the current
-    /// epoch, so only the dirty shards are re-frozen.
+    /// epoch, so only the touched chunks of the dirty shards are
+    /// re-frozen. The build is timed as the executor's `snapshot_build`
+    /// stage, the swap as its `snapshot_publish`.
     fn sync_snapshot(&self) {
         let versions = self.writer.world().versions();
         if self.exec.snapshot_versions() == Some(versions) {
@@ -322,7 +325,9 @@ impl Planner {
         if current.as_ref().is_some_and(|s| s.versions() == versions) {
             return;
         }
+        let build_t0 = Instant::now();
         let snapshot = self.writer.world().snapshot(current.as_deref());
+        self.exec.obs().snapshot_build.record(build_t0.elapsed());
         self.exec.publish_snapshot(Arc::new(snapshot));
     }
 

@@ -1,8 +1,9 @@
 //! The one mutable world behind the writer and every replica.
 //!
 //! A [`World`] is the social network plus the calendars, stamped with a
-//! version pair and, per shard, the version of each shard's last
-//! mutation. It decides, in one place, how that world is
+//! version pair and, per shard and per 64-row chunk of a shard, the
+//! version of its last mutation. It decides, in one place, how that
+//! world is
 //!
 //! * **mutated and stamped** — [`apply`](World::apply) is the only
 //!   mutation path. It validates every person a delta names, and it
@@ -13,8 +14,13 @@
 //!   [`WorldState`], refusing inconsistent ones, with every shard
 //!   stamped at the carried versions;
 //! * **frozen** — [`snapshot`](World::snapshot) builds the executor's
-//!   [`WorldSnapshot`], rebuilding only the shards whose stamps moved
-//!   since the previous one and carrying the rest over by `Arc`.
+//!   [`WorldSnapshot`] copy-on-publish: a shard whose stamp has not
+//!   moved since the previous snapshot is carried over by `Arc`; a moved
+//!   shard gets a new chunk vector that carries over every chunk whose
+//!   stamp has not moved and rebuilds only the touched chunks. So a
+//!   republication after one delta rebuilds at most the chunks that
+//!   delta named (two people for a tie, the person and their former
+//!   friends for a removal), whatever the shard size.
 //!
 //! The [`Planner`](crate::Planner) and a cluster's writer hold a
 //! [`Writer`] (a world plus the [`DeltaLog`] of what it accepted); a
@@ -24,29 +30,55 @@
 use std::sync::Arc;
 
 use stgq_exec::WorldSnapshot;
-use stgq_graph::{Dist, NodeId};
-use stgq_schedule::{Calendar, SlotRange};
+use stgq_graph::{Dist, GraphSegment, NodeId, CHUNK_ROWS};
+use stgq_schedule::{Calendar, CalendarShard, SlotRange};
 
 use crate::delta::{DeltaLog, DeltaRecord, WorldDelta, WorldState, DEFAULT_DELTA_LOG_CAPACITY};
 use crate::{CalendarStore, MutableNetwork, ServiceError};
 
+// Graph rows and calendars share one chunk geometry, so one stamp
+// layout serves both axes.
+const _: () = assert!(CHUNK_ROWS == stgq_schedule::CHUNK_ROWS);
+
+/// Rows shard `shard` of `shards` holds over `people` people.
+fn shard_rows(people: usize, shard: usize, shards: usize) -> usize {
+    people.saturating_sub(shard).div_ceil(shards)
+}
+
+/// One shard of the previous snapshot, on one axis: the snapshot's
+/// axis version, the shard's stamp there, and its part and chunks.
+struct PrevShard<'a, P, C: ?Sized> {
+    version: u64,
+    stamp: u64,
+    part: &'a Arc<P>,
+    chunks: &'a [Arc<C>],
+}
+
 /// One version axis: a global counter plus, per shard (the residue class
-/// `person % shards`), the counter's value at the shard's last mutation.
+/// `person % shards`) and per chunk of a shard (its local rows
+/// `c * CHUNK_ROWS..`), the counter's value at the last mutation there.
 /// Equal shard stamp ⇒ identical shard content, the invariant the
-/// snapshot's `Arc` reuse and the executor's caches rely on.
+/// snapshot's `Arc` reuse and the executor's caches rely on; a chunk's
+/// stamp never exceeds its shard's.
 #[derive(Debug)]
 struct Stamps {
     version: u64,
     shards: Vec<u64>,
+    chunks: Vec<Vec<u64>>,
 }
 
 impl Stamps {
-    /// Every shard stamped at `version`: a fresh world, or a restored
-    /// one, which has no per-shard history to trust.
-    fn flooded(version: u64, shards: usize) -> Self {
+    /// Every shard and chunk of a world of `people` stamped at
+    /// `version`: a fresh world, or a restored one, which has no
+    /// per-shard history to trust.
+    fn flooded(version: u64, shards: usize, people: usize) -> Self {
+        let shards = shards.max(1);
         Stamps {
             version,
-            shards: vec![version; shards.max(1)],
+            shards: vec![version; shards],
+            chunks: (0..shards)
+                .map(|s| vec![version; shard_rows(people, s, shards).div_ceil(CHUNK_ROWS)])
+                .collect(),
         }
     }
 
@@ -60,13 +92,56 @@ impl Stamps {
     }
 
     /// One mutation at `version` (from [`next`](Self::next)): advance
-    /// the counter and stamp each of `people`'s shards with it.
+    /// the counter and stamp each of `people`'s shards and chunks with
+    /// it. A registration's chunk may not exist yet; it starts here.
     fn touch(&mut self, version: u64, people: impl IntoIterator<Item = usize>) {
         self.version = version;
         let count = self.shards.len();
         for person in people {
-            self.shards[person % count] = version;
+            let row = person / count;
+            let (shard, chunk) = (person - row * count, row / CHUNK_ROWS);
+            self.shards[shard] = version;
+            let chunks = &mut self.chunks[shard];
+            if chunk >= chunks.len() {
+                chunks.resize(chunk + 1, version);
+            }
+            chunks[chunk] = version;
         }
+    }
+
+    /// Shard `shard`'s parts for a snapshot over `people` people:
+    /// `prev`'s part when the shard's stamp has not moved since it was
+    /// published; otherwise a new vector of the shard's chunks in which
+    /// every chunk unmoved since `prev` is `prev`'s `Arc` and the rest
+    /// come from `build`.
+    ///
+    /// A chunk is unmoved when its stamp is at most the previous shard
+    /// stamp: stamps only grow, so a chunk touched after that snapshot
+    /// carries a later version. A `prev` newer than this world (a
+    /// replica restored to an older state) has no such ordering and
+    /// lends no chunks.
+    fn shard_parts<P, C: ?Sized>(
+        &self,
+        shard: usize,
+        people: usize,
+        prev: Option<PrevShard<'_, P, C>>,
+        assemble: impl FnOnce(Vec<Arc<C>>) -> P,
+        build: impl Fn(usize) -> Arc<C>,
+    ) -> Arc<P> {
+        let prev_chunks = match prev {
+            Some(p) if p.stamp == self.shards[shard] => return Arc::clone(p.part),
+            Some(p) if p.version <= self.version => Some((p.stamp, p.chunks)),
+            _ => None,
+        };
+        let (count, stamps) = (self.shards.len(), &self.chunks[shard]);
+        let unmoved = |c: usize, since: u64| stamps.get(c).is_some_and(|&stamp| stamp <= since);
+        let chunks = (0..shard_rows(people, shard, count).div_ceil(CHUNK_ROWS))
+            .map(|c| match prev_chunks {
+                Some((since, old)) if c < old.len() && unmoved(c, since) => Arc::clone(&old[c]),
+                _ => build(c),
+            })
+            .collect();
+        Arc::new(assemble(chunks))
     }
 }
 
@@ -88,8 +163,8 @@ impl World {
         World {
             network: MutableNetwork::new(),
             calendars: CalendarStore::new(horizon),
-            graph: Stamps::flooded(0, shards),
-            calendar: Stamps::flooded(0, shards),
+            graph: Stamps::flooded(0, shards, 0),
+            calendar: Stamps::flooded(0, shards, 0),
         }
     }
 
@@ -220,33 +295,52 @@ impl World {
         Ok(World {
             network,
             calendars: CalendarStore::from_calendars(state.horizon, state.calendars.clone())?,
-            graph: Stamps::flooded(state.graph_version, shards),
-            calendar: Stamps::flooded(state.calendar_version, shards),
+            graph: Stamps::flooded(state.graph_version, shards, people),
+            calendar: Stamps::flooded(state.calendar_version, shards, people),
         })
     }
 
-    /// Freeze the world into an immutable epoch, rebuilding **only the
-    /// dirty shards**: each graph segment and calendar slice of `prev`
-    /// whose stamp still matches this world's is carried over by `Arc`,
-    /// so a delta confined to one community re-freezes one shard, not the
+    /// Freeze the world into an immutable epoch, copy-on-publish from
+    /// `prev`: each graph segment and calendar shard of `prev` whose
+    /// stamp still matches this world's is carried over by `Arc`, and a
+    /// moved one is re-assembled from `prev`'s unmoved chunks plus the
+    /// touched chunks rebuilt from this world. A delta naming a few
+    /// people therefore re-freezes a few chunks, not a shard or the
     /// world. A `prev` of another shard count is ignored.
     pub fn snapshot(&self, prev: Option<&WorldSnapshot>) -> WorldSnapshot {
         let shards = self.shards();
         let prev = prev.filter(|p| p.shard_count() == shards);
+        let people = self.network.person_count();
         let segments = (0..shards)
-            .map(|s| match prev {
-                Some(p) if p.graph_shard_version(s) == self.graph.shards[s] => {
-                    Arc::clone(p.graph_segment(s))
-                }
-                _ => Arc::new(self.network.segment(s, shards)),
+            .map(|s| {
+                self.graph.shard_parts(
+                    s,
+                    people,
+                    prev.map(|p| PrevShard {
+                        version: p.graph_version(),
+                        stamp: p.graph_shard_version(s),
+                        part: p.graph_segment(s),
+                        chunks: p.graph_segment(s).chunks(),
+                    }),
+                    GraphSegment::from_chunks,
+                    |c| Arc::new(self.network.segment_chunk(s, shards, c)),
+                )
             })
             .collect();
         let calendar_shards = (0..shards)
-            .map(|s| match prev {
-                Some(p) if p.calendar_shard_version(s) == self.calendar.shards[s] => {
-                    Arc::clone(p.calendar_shard(s))
-                }
-                _ => Arc::new(self.calendars.shard_slice(s, shards)),
+            .map(|s| {
+                self.calendar.shard_parts(
+                    s,
+                    self.calendars.len(),
+                    prev.map(|p| PrevShard {
+                        version: p.calendar_version(),
+                        stamp: p.calendar_shard_version(s),
+                        part: p.calendar_shard(s),
+                        chunks: p.calendar_shard(s).chunks(),
+                    }),
+                    CalendarShard::from_chunks,
+                    |c| self.calendars.shard_chunk(s, shards, c),
+                )
             })
             .collect();
         WorldSnapshot::from_parts(
@@ -423,6 +517,8 @@ impl Writer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use stgq_graph::AdjacencySource;
 
     fn stamps(world: &World) -> (Vec<u64>, Vec<u64>) {
         let snap = world.snapshot(None);
@@ -710,6 +806,151 @@ mod tests {
         let other = World::new(4, 3).snapshot(None);
         let third = world.snapshot(Some(&other));
         assert_eq!(third.shard_count(), 2);
+    }
+
+    /// The world as [`WorldSnapshot::from_flat`] freezes it: no reuse,
+    /// no chunk stamps — the oracle a copy-on-publish snapshot must match.
+    fn flat(world: &World) -> WorldSnapshot {
+        let (graph_version, calendar_version) = world.versions();
+        WorldSnapshot::from_flat(
+            &world.network().snapshot(),
+            world.calendars().calendars(),
+            world.shards(),
+            graph_version,
+            calendar_version,
+        )
+    }
+
+    /// Row by row and calendar by calendar, `snap` holds what `flat` does.
+    fn assert_same_world(snap: &WorldSnapshot, flat: &WorldSnapshot) {
+        assert_eq!(snap.versions(), flat.versions());
+        assert_eq!(snap.node_count(), flat.node_count());
+        assert_eq!(snap.calendars().len(), flat.calendars().len());
+        for v in 0..flat.node_count() {
+            let id = NodeId(v as u32);
+            assert_eq!(snap.graph().row_of(id), flat.graph().row_of(id), "row {v}");
+            assert_eq!(
+                snap.calendars().get(v),
+                flat.calendars().get(v),
+                "calendar {v}"
+            );
+        }
+    }
+
+    /// Shard by shard: an unmoved shard is `prev`'s `Arc`; in a moved
+    /// one, exactly the chunks whose stamp is not past `prev`'s shard
+    /// stamp are `prev`'s `Arc`s.
+    fn assert_shares_unmoved_chunks(world: &World, prev: &WorldSnapshot, next: &WorldSnapshot) {
+        for s in 0..world.shards() {
+            let (old, new) = (prev.graph_segment(s), next.graph_segment(s));
+            let since = prev.graph_shard_version(s);
+            assert_eq!(
+                Arc::ptr_eq(old, new),
+                world.graph.shards[s] == since,
+                "graph shard {s}"
+            );
+            for (c, (a, b)) in old.chunks().iter().zip(new.chunks()).enumerate() {
+                let unmoved = world.graph.chunks[s][c] <= since;
+                assert_eq!(Arc::ptr_eq(a, b), unmoved, "graph shard {s} chunk {c}");
+            }
+            let (old, new) = (prev.calendar_shard(s), next.calendar_shard(s));
+            let since = prev.calendar_shard_version(s);
+            assert_eq!(
+                Arc::ptr_eq(old, new),
+                world.calendar.shards[s] == since,
+                "calendar shard {s}"
+            );
+            for (c, (a, b)) in old.chunks().iter().zip(new.chunks()).enumerate() {
+                let unmoved = world.calendar.chunks[s][c] <= since;
+                assert_eq!(Arc::ptr_eq(a, b), unmoved, "calendar shard {s} chunk {c}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Copy-on-publish: random streams of every delta kind over
+        /// shards of a little under to a little over two 64-row chunks,
+        /// so registrations fill a partial last chunk and open new ones.
+        /// After every delta the new snapshot equals a flat rebuild,
+        /// every earlier snapshot still equals the flat copy taken when
+        /// it was published, and only the touched chunks were rebuilt.
+        #[test]
+        fn copy_on_publish_matches_flat_rebuilds_and_shares_unmoved_chunks(
+            shards in 3usize..=4,
+            extra in 0usize..6,
+            ops in proptest::collection::vec(
+                (0u8..8, 0usize..1 << 16, 0usize..1 << 16, 1u64..=40, proptest::bool::ANY),
+                1..40,
+            ),
+        ) {
+            const HORIZON: usize = 12;
+            let people = shards * 2 * CHUNK_ROWS - 3 + extra;
+            let mut world = World::new(HORIZON, shards);
+            for i in 0..people {
+                add(&mut world, &format!("p{i}"));
+            }
+            let tie = |v: usize, n: usize| (v * 7 + 3) % n;
+            for v in 0..people {
+                let u = tie(v, people);
+                if u != v {
+                    let (a, b) = (NodeId(v as u32), NodeId(u as u32));
+                    world.apply(&WorldDelta::Connect { a, b, distance: 1 + (v % 9) as u64 }).unwrap();
+                }
+            }
+            let mut prev = world.snapshot(None);
+            let mut published = vec![(prev.clone(), flat(&world))];
+            for (kind, x, y, distance, available) in ops {
+                let n = world.network().person_count();
+                let (a, b) = (NodeId((x % n) as u32), NodeId((y % n) as u32));
+                let (lo, hi) = ((x % HORIZON).min(y % HORIZON), (x % HORIZON).max(y % HORIZON));
+                let delta = match kind {
+                    0 => WorldDelta::AddPerson { label: format!("n{n}") },
+                    1 | 2 => WorldDelta::Connect { a, b, distance },
+                    3 => WorldDelta::Disconnect { a, b: NodeId(tie(a.index(), people) as u32) },
+                    4 => WorldDelta::RemovePerson { person: a },
+                    5 => WorldDelta::SetSlot { person: a, slot: y % HORIZON, available },
+                    6 => WorldDelta::SetRange { person: a, range: SlotRange::new(lo, hi), available },
+                    _ => WorldDelta::SetCalendar {
+                        person: a,
+                        calendar: Calendar::from_slots(HORIZON, (lo..=hi).step_by(2)),
+                    },
+                };
+                // Refusals (self-ties, removed people) are part of the
+                // stream: they must leave every stamp where it was.
+                let _ = world.apply(&delta);
+                let next = world.snapshot(Some(&prev));
+                assert_same_world(&next, &flat(&world));
+                assert_shares_unmoved_chunks(&world, &prev, &next);
+                published.push((next.clone(), flat(&world)));
+                for (snap, copy) in &published {
+                    assert_same_world(snap, copy);
+                }
+                prev = next;
+            }
+        }
+    }
+
+    /// A replica restored to an older state than the snapshot it last
+    /// published must not borrow that snapshot's newer chunks, even
+    /// though its flooded stamps are below the newer shard stamps.
+    #[test]
+    fn a_snapshot_from_a_newer_world_lends_no_chunks() {
+        let mut writer = Writer::new(4, 2);
+        for i in 0..3 * CHUNK_ROWS {
+            writer.add_person(format!("p{i}"));
+        }
+        let older = writer.world_state();
+        writer.connect(NodeId(0), NodeId(2), 5).unwrap();
+        writer.set_availability(NodeId(2), 1, true).unwrap();
+        let newer = writer.world().snapshot(None);
+        let restored = World::restore(&older, 2).unwrap();
+        let snap = restored.snapshot(Some(&newer));
+        assert_same_world(&snap, &flat(&restored));
+        assert!(!Arc::ptr_eq(
+            &snap.graph_segment(0).chunks()[1],
+            &newer.graph_segment(0).chunks()[1]
+        ));
     }
 
     #[test]

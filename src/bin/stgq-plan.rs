@@ -77,10 +77,10 @@ metrics   drives the hot workload against a shard-aligned metropolis
           world of --members people (default 2000; --data serves a
           snapshot instead), then prints the full latency spectrum in
           Prometheus text format: end-to-end, queue-wait, solve, prep,
-          descend, feasible-extract and snapshot-publish histograms —
-          fleet-merged and per node at --nodes >= 1 (default 2), plus
-          per-message-class RPC round-trips, per-node lag/suspicion and
-          every pipeline counter. --nodes 0 exposes one in-process
+          descend, feasible-extract, snapshot-build and snapshot-publish
+          histograms — fleet-merged and per node at --nodes >= 1
+          (default 2), plus per-message-class RPC round-trips, per-node
+          lag/suspicion and every pipeline counter. --nodes 0 exposes one in-process
           planner instead. --slow-log dumps the flight recorder's
           slowest-N query traces as JSON instead of the exposition.
 

@@ -90,7 +90,7 @@
 //! | **peel** — fixpoint (p, k)-core reduction before descent | inside `solve` | `peeled_candidates`, `pivots_refused_by_core` |
 //! | **floor** — pivot-granularity distance bound skipping whole pivots | inside `solve` | `pivots_skipped` |
 //! | **descend** — the exact branch & bound itself | `descend`, `solve` | `frames_examined`, `frames_pruned_by_bound`, `frames_pruned_by_match`, `children_pruned_by_parent_bound`, `cancelled`, `solve_panics` |
-//! | **publish** — epoch-swapped snapshot rebuild after mutations | `snapshot_publish` | `snapshot_publishes`, `snapshot_shards_rebuilt`/`reused` (the exposition adds `mutations`, the writer's delta sequence) |
+//! | **publish** — copy-on-publish snapshot build after mutations (touched 64-row chunks rebuilt, the rest `Arc`-reused), then the epoch swap | `snapshot_build`, `snapshot_publish` | `snapshot_publishes`, `snapshot_shards_rebuilt`/`reused` (the exposition adds `mutations`, the writer's delta sequence) |
 //!
 //! End-to-end latency (`end_to_end`) spans the whole row set: queue wait
 //! plus the answer envelope, sampled for every answer including replays.

@@ -83,6 +83,7 @@ fn planner_exposition_round_trips_and_matches_its_counters() {
         "stgq_prep_ns",
         "stgq_descend_ns",
         "stgq_feasible_extract_ns",
+        "stgq_snapshot_build_ns",
         "stgq_snapshot_publish_ns",
     ] {
         assert!(histograms.contains(&family), "missing histogram {family}");
@@ -158,6 +159,11 @@ fn planner_exposition_round_trips_and_matches_its_counters() {
     }
     assert!(m.result_cache_hits >= batch.len() as u64, "pass 2 replays");
     assert!(m.snapshot_publishes >= 1 && planner.writer().delta_seq() > 0);
+    // The planner builds every snapshot it publishes, once.
+    assert_eq!(
+        report.value("stgq_snapshot_build_ns_count", &[]),
+        Some(m.snapshot_publishes as f64)
+    );
 
     // Every answer samples end-to-end; only actual solves sample solve.
     let end_to_end = report.value("stgq_end_to_end_ns_count", &[]).unwrap();
